@@ -5,18 +5,22 @@
 /// Public durability surface: crash-safe snapshot + journal persistence
 /// for the streaming engines.
 ///
-/// `DurableFleet` wraps a `MotifFleetEngine` with a state directory:
-/// every released (post-reorder) arrival batch is appended to a
-/// CRC-framed journal, and the engine's full manifest — ring distance
-/// matrices, incremental bounds, carried thresholds and tie-break
-/// state, scheduler, join verdict cache — is checkpointed into
-/// versioned, checksummed snapshot generations with atomic rename
-/// rotation. Reopening the same directory after a crash recovers the
-/// newest valid snapshot, replays the journal tail (skipping a torn or
+/// `DurableFleet` is a `MotifFleetEngine` bound to a state directory.
+/// The engine ends every mutating call (`AddStream`/`AddCrossPair`,
+/// `Ingest` and the `Push` conveniences, `Drain`, `Flush`) through a
+/// protected hook; `DurableFleet` overrides it to append the call, with
+/// its raw arguments, to a CRC-framed journal. The engine's full
+/// manifest — ring distance matrices, incremental bounds, carried
+/// thresholds and tie-break state, reorder buffers and watermarks,
+/// scheduler, join verdict cache — is checkpointed into versioned,
+/// checksummed snapshot generations with atomic rename rotation.
+/// Reopening the same directory after a crash recovers the newest valid
+/// snapshot, makes the journal tail's calls again (skipping a torn or
 /// corrupt trailing record), and continues **bit-identically**: every
 /// future report — candidate, distance, tie resolution, DP-cell
-/// counters, join deltas — matches the run that never crashed. The
-/// guarantee is enforced by a fault-injection harness
+/// counters, join deltas — matches the run that never crashed, and a
+/// point still held in a reorder buffer survives once its call's record
+/// is synced. The guarantee is enforced by a fault-injection harness
 /// (tests/durable_recovery_fuzz_test.cc) that kills the "process"
 /// between writes, syncs, and renames, tears trailing writes, and
 /// flips bits in snapshots.
@@ -30,10 +34,12 @@
 /// fleet->Push(0, p, t);            // journaled + synced before return
 /// ```
 ///
-/// Single-stream monitors snapshot through the same machinery:
+/// `OpenFleetEngine` picks between a plain engine and a DurableFleet by
+/// whether `DurableOptions::state_dir` is set — how the CLI and the
+/// serve tier hold a single engine either way. Single-stream monitors
+/// snapshot through the same machinery:
 /// `StreamingMotifMonitor::Snapshot`/`Restore` round-trips a monitor
-/// through raw bytes (the CLI's `--state-dir` uses a one-stream
-/// DurableFleet instead, gaining the journal).
+/// through raw bytes.
 
 #include "durable/durable_fleet.h"
 #include "durable/durable_fs.h"

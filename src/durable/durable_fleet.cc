@@ -1,7 +1,6 @@
 #include "durable/durable_fleet.h"
 
-#include <algorithm>
-#include <limits>
+#include <string>
 #include <utility>
 
 #include "util/binary_codec.h"
@@ -10,28 +9,27 @@ namespace frechet_motif {
 
 namespace {
 
-/// Journal record kinds (first payload byte).
-constexpr std::uint8_t kBatchRecord = 1;
-constexpr std::uint8_t kAddStreamRecord = 2;
+/// Journal record kinds (first payload byte). Kinds 1 and 2 are the
+/// legacy format, which logged released batches instead of calls; they
+/// are only ever read. Every other record continues with a failed-call
+/// flag, then the call's arguments.
+constexpr std::uint8_t kLegacyReleasedBatchRecord = 1;
+constexpr std::uint8_t kLegacyAddStreamRecord = 2;
+constexpr std::uint8_t kAddStreamRecord = 3;
+constexpr std::uint8_t kAddCrossPairRecord = 4;
+constexpr std::uint8_t kIngestRecord = 5;
+constexpr std::uint8_t kDrainRecord = 6;
+constexpr std::uint8_t kFlushRecord = 7;
 
-std::string EncodeBatch(const std::vector<FleetArrival>& released) {
-  BinaryWriter writer;
-  writer.PutU8(kBatchRecord);
-  writer.PutU64(released.size());
-  for (const FleetArrival& a : released) {
-    writer.PutU32(static_cast<std::uint32_t>(a.stream));
-    writer.PutBool(a.has_timestamp);
-    writer.PutDouble(a.point.x);
-    writer.PutDouble(a.point.y);
-    if (a.has_timestamp) writer.PutDouble(a.timestamp);
+void EncodeBatch(const std::vector<FleetArrival>& batch, BinaryWriter* writer) {
+  writer->PutU64(batch.size());
+  for (const FleetArrival& a : batch) {
+    writer->PutU32(static_cast<std::uint32_t>(a.stream));
+    writer->PutBool(a.has_timestamp);
+    writer->PutDouble(a.point.x);
+    writer->PutDouble(a.point.y);
+    if (a.has_timestamp) writer->PutDouble(a.timestamp);
   }
-  return writer.Take();
-}
-
-std::string EncodeAddStream() {
-  BinaryWriter writer;
-  writer.PutU8(kAddStreamRecord);
-  return writer.Take();
 }
 
 Status DecodeBatch(BinaryReader* reader, std::vector<FleetArrival>* out) {
@@ -49,10 +47,23 @@ Status DecodeBatch(BinaryReader* reader, std::vector<FleetArrival>* out) {
     if (a.has_timestamp) FM_RETURN_IF_ERROR(reader->GetDouble(&a.timestamp));
     out->push_back(a);
   }
-  if (!reader->AtEnd()) {
-    return Status::DataLoss("journal batch record has trailing bytes");
-  }
   return Status::Ok();
+}
+
+/// A member's window configuration; `threads` is a fleet-level runtime
+/// choice and is not recorded.
+void EncodeMemberOptions(const StreamOptions& options, BinaryWriter* writer) {
+  writer->PutI32(options.window_length);
+  writer->PutI32(options.slide_step);
+  writer->PutI32(options.min_length_xi);
+  writer->PutDouble(options.approximation_epsilon);
+}
+
+Status DecodeMemberOptions(BinaryReader* reader, StreamOptions* options) {
+  FM_RETURN_IF_ERROR(reader->GetI32(&options->window_length));
+  FM_RETURN_IF_ERROR(reader->GetI32(&options->slide_step));
+  FM_RETURN_IF_ERROR(reader->GetI32(&options->min_length_xi));
+  return reader->GetDouble(&options->approximation_epsilon);
 }
 
 }  // namespace
@@ -60,7 +71,7 @@ Status DecodeBatch(BinaryReader* reader, std::vector<FleetArrival>* out) {
 DurableFleet::DurableFleet(MotifFleetEngine engine, StateStore store,
                            std::unique_ptr<DurableFs> owned_fs,
                            const DurableOptions& durable)
-    : engine_(std::move(engine)),
+    : MotifFleetEngine(std::move(engine)),
       store_(std::move(store)),
       owned_fs_(std::move(owned_fs)),
       checkpoint_interval_(durable.checkpoint_interval_records),
@@ -96,41 +107,13 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
   fleet.recovery_.restored_snapshot = fleet.store_.recovered().has_snapshot;
   fleet.recovery_.replayed_records = fleet.store_.recovered().records.size();
 
-  // Redo the journal tail: every record is one engine call the original
-  // process completed after the snapshot.
+  // Redo the journal tail: every record is one call the original process
+  // made after the snapshot. The calls are journaled already.
+  fleet.replaying_ = true;
   for (const std::string& record : fleet.store_.recovered().records) {
-    BinaryReader reader(record);
-    std::uint8_t kind = 0;
-    FM_RETURN_IF_ERROR(reader.GetU8(&kind));
-    if (kind == kAddStreamRecord) {
-      if (!reader.AtEnd()) {
-        return Status::DataLoss("journal add-stream record has trailing bytes");
-      }
-      StatusOr<std::size_t> id = fleet.engine_.AddStream();
-      if (!id.ok()) return id.status();
-    } else if (kind == kBatchRecord) {
-      std::vector<FleetArrival> batch;
-      FM_RETURN_IF_ERROR(DecodeBatch(&reader, &batch));
-      StatusOr<FleetReport> report = fleet.engine_.ReplayReleased(batch);
-      if (!report.ok()) return report.status();
-      fleet.recovery_.replay_reports.push_back(std::move(report).value());
-    } else {
-      return Status::DataLoss("unknown journal record kind");
-    }
+    FM_RETURN_IF_ERROR(fleet.Replay(record));
   }
-
-  // Journal-side frontends: fresh buffers (in-flight points are not
-  // durable by design), watermarks re-seeded so the late-drop boundary
-  // matches the original run.
-  fleet.frontends_.clear();
-  fleet.frontends_.reserve(fleet.engine_.stream_count());
-  for (std::size_t s = 0; s < fleet.engine_.stream_count(); ++s) {
-    fleet.frontends_.emplace_back(options.reorder_capacity);
-    const double watermark = fleet.engine_.stream_watermark(s);
-    if (watermark > -std::numeric_limits<double>::infinity()) {
-      fleet.frontends_.back().SeedWatermark(watermark);
-    }
-  }
+  fleet.replaying_ = false;
 
   // Rotate immediately: new records must never extend a journal whose
   // tail was just found torn.
@@ -138,120 +121,103 @@ StatusOr<DurableFleet> DurableFleet::Open(const FleetOptions& options,
   return fleet;
 }
 
-StatusOr<std::size_t> DurableFleet::AddStream() {
-  StatusOr<std::size_t> id = engine_.AddStream();
-  if (!id.ok()) return id.status();
-  frontends_.emplace_back(engine_.options().reorder_capacity);
-  FM_RETURN_IF_ERROR(store_.AppendRecord(EncodeAddStream()));
+Status DurableFleet::OnEngineCall(const EngineCall& call) {
+  if (replaying_) return Status::Ok();
+  // Indexed by EngineCall::Kind.
+  constexpr std::uint8_t kRecordKind[] = {kAddStreamRecord, kAddCrossPairRecord,
+                                          kIngestRecord, kDrainRecord,
+                                          kFlushRecord};
+  BinaryWriter writer;
+  writer.PutU8(kRecordKind[static_cast<int>(call.kind)]);
+  writer.PutBool(call.failed);
+  if (call.member_options != nullptr) {
+    EncodeMemberOptions(*call.member_options, &writer);
+  }
+  if (call.batch != nullptr) EncodeBatch(*call.batch, &writer);
+  FM_RETURN_IF_ERROR(store_.AppendRecord(writer.Take()));
   if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
-  return id;
+  if (checkpoint_interval_ > 0 &&
+      store_.records_in_journal() >= checkpoint_interval_) {
+    return Checkpoint();
+  }
+  return Status::Ok();
 }
 
-StatusOr<FleetReport> DurableFleet::CommitBatch(
-    const std::vector<FleetArrival>& released, bool force_commit) {
-  if (released.empty() && !force_commit) {
-    // Nothing left the reorder buffers: the engine never ran, so there
-    // is nothing to journal (buffered points are volatile by contract).
-    return FleetReport();
+Status DurableFleet::Replay(std::string_view record) {
+  BinaryReader reader(record);
+  std::uint8_t kind = 0;
+  FM_RETURN_IF_ERROR(reader.GetU8(&kind));
+  const bool legacy =
+      kind == kLegacyAddStreamRecord || kind == kLegacyReleasedBatchRecord;
+  if (kind == kLegacyReleasedBatchRecord && options().reorder_capacity != 0) {
+    // A released batch is the raw one only when nothing reorders.
+    return Status::DataLoss(
+        "journal holds a legacy released-batch record, which replays "
+        "exactly only with reorder_capacity 0");
   }
-  StatusOr<FleetReport> report = engine_.ReplayReleased(released);
-  if (!report.ok()) return report.status();
-  if (!released.empty() || !report.value().empty()) {
-    FM_RETURN_IF_ERROR(store_.AppendRecord(EncodeBatch(released)));
-    if (sync_each_record_) FM_RETURN_IF_ERROR(store_.SyncJournal());
-    if (checkpoint_interval_ > 0 &&
-        store_.records_in_journal() >= checkpoint_interval_) {
-      FM_RETURN_IF_ERROR(Checkpoint());
+  if (!legacy && (kind < kAddStreamRecord || kind > kFlushRecord)) {
+    return Status::DataLoss("unknown journal record kind " +
+                            std::to_string(kind));
+  }
+  bool failed = false;
+  if (!legacy) FM_RETURN_IF_ERROR(reader.GetBool(&failed));
+  const bool add = kind == kLegacyAddStreamRecord ||
+                   kind == kAddStreamRecord || kind == kAddCrossPairRecord;
+  StreamOptions member = options().stream;
+  std::vector<FleetArrival> batch;
+  if (kind == kAddStreamRecord || kind == kAddCrossPairRecord) {
+    FM_RETURN_IF_ERROR(DecodeMemberOptions(&reader, &member));
+  } else if (kind == kIngestRecord || kind == kLegacyReleasedBatchRecord) {
+    FM_RETURN_IF_ERROR(DecodeBatch(&reader, &batch));
+  }
+  if (!reader.AtEnd()) {
+    return Status::DataLoss("journal record has trailing bytes");
+  }
+
+  // The same call again; it must succeed or fail as it did originally.
+  Status status;
+  if (add) {
+    status = kind == kLegacyAddStreamRecord ? AddStream().status()
+             : kind == kAddStreamRecord     ? AddStream(member).status()
+                                            : AddCrossPair(member).status();
+  } else {
+    StatusOr<FleetReport> report = kind == kDrainRecord   ? Drain()
+                                   : kind == kFlushRecord ? Flush()
+                                                          : Ingest(batch);
+    status = report.status();
+    if (report.ok()) {
+      recovery_.replay_reports.push_back(std::move(report).value());
     }
   }
-  return report;
-}
-
-StatusOr<FleetReport> DurableFleet::Ingest(
-    const std::vector<FleetArrival>& batch) {
-  std::vector<FleetArrival> released;
-  for (const FleetArrival& a : batch) {
-    if (a.stream >= frontends_.size()) {
-      return Status::InvalidArgument("arrival routed to unknown stream");
-    }
-    const double* ts = a.has_timestamp ? &a.timestamp : nullptr;
-    FM_RETURN_IF_ERROR(frontends_[a.stream].Offer(
-        a.point, ts, [&](const Point& p, const double* timestamp) {
-          FleetArrival out;
-          out.stream = a.stream;
-          out.point = p;
-          out.has_timestamp = timestamp != nullptr;
-          out.timestamp = timestamp != nullptr ? *timestamp : 0.0;
-          released.push_back(out);
-          return Status::Ok();
-        }));
+  if (status.ok() == failed) {
+    return Status::DataLoss(
+        "journal replay diverged: a call recorded as " +
+        std::string(failed ? "failed" : "successful") + " now " +
+        (status.ok() ? "succeeds" : "fails: " + status.message()));
   }
-  return CommitBatch(released, /*force_commit=*/false);
-}
-
-StatusOr<FleetReport> DurableFleet::Push(std::size_t stream, const Point& p) {
-  FleetArrival a;
-  a.stream = stream;
-  a.point = p;
-  return Ingest({a});
-}
-
-StatusOr<FleetReport> DurableFleet::Push(std::size_t stream, const Point& p,
-                                         double timestamp) {
-  FleetArrival a;
-  a.stream = stream;
-  a.point = p;
-  a.has_timestamp = true;
-  a.timestamp = timestamp;
-  return Ingest({a});
-}
-
-StatusOr<FleetReport> DurableFleet::Drain() {
-  // A budgeted drain can run deferred searches with no new deliveries;
-  // the call boundary itself must then be journaled so replay runs the
-  // same number of drains.
-  return CommitBatch({}, /*force_commit=*/true);
-}
-
-StatusOr<FleetReport> DurableFleet::Flush() {
-  std::vector<FleetArrival> released;
-  for (std::size_t s = 0; s < frontends_.size(); ++s) {
-    FM_RETURN_IF_ERROR(
-        frontends_[s].Flush([&](const Point& p, const double* timestamp) {
-          FleetArrival out;
-          out.stream = s;
-          out.point = p;
-          out.has_timestamp = timestamp != nullptr;
-          out.timestamp = timestamp != nullptr ? *timestamp : 0.0;
-          released.push_back(out);
-          return Status::Ok();
-        }));
-  }
-  return CommitBatch(released, /*force_commit=*/false);
+  return Status::Ok();
 }
 
 Status DurableFleet::Checkpoint() {
   std::string snapshot;
-  FM_RETURN_IF_ERROR(engine_.Snapshot(&snapshot));
+  FM_RETURN_IF_ERROR(Snapshot(&snapshot));
   return store_.Checkpoint(snapshot);
 }
 
 Status DurableFleet::Sync() { return store_.SyncJournal(); }
 
-FleetStats DurableFleet::stats() const {
-  FleetStats stats = engine_.stats();
-  stats.reordered = 0;
-  stats.late_dropped = 0;
-  stats.reorder_buffered = 0;
-  stats.reorder_buffered_peak = 0;
-  for (const IngestFrontend& frontend : frontends_) {
-    stats.reordered += frontend.stats().reordered;
-    stats.late_dropped += frontend.stats().late_dropped;
-    stats.reorder_buffered += static_cast<std::int64_t>(frontend.buffered());
-    stats.reorder_buffered_peak =
-        std::max(stats.reorder_buffered_peak, frontend.stats().buffered_peak);
+StatusOr<std::unique_ptr<MotifFleetEngine>> OpenFleetEngine(
+    const FleetOptions& options, const GroundMetric& metric,
+    const DurableOptions& durable) {
+  if (!durable.state_dir.empty()) {
+    StatusOr<DurableFleet> fleet = DurableFleet::Open(options, metric, durable);
+    if (!fleet.ok()) return fleet.status();
+    return std::unique_ptr<MotifFleetEngine>(
+        std::make_unique<DurableFleet>(std::move(fleet).value()));
   }
-  return stats;
+  StatusOr<MotifFleetEngine> engine = MotifFleetEngine::Create(options, metric);
+  if (!engine.ok()) return engine.status();
+  return std::make_unique<MotifFleetEngine>(std::move(engine).value());
 }
 
 }  // namespace frechet_motif

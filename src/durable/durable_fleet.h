@@ -1,51 +1,52 @@
 #ifndef FRECHET_MOTIF_DURABLE_DURABLE_FLEET_H_
 #define FRECHET_MOTIF_DURABLE_DURABLE_FLEET_H_
 
-/// Crash-safe wrapper around `MotifFleetEngine`: snapshot + journal
-/// durability with bit-exact recovery.
+/// Crash-safe `MotifFleetEngine`: snapshot + journal durability with
+/// bit-exact recovery.
 ///
-/// ## How the journal stays deterministic
+/// ## The journal is a log of engine calls
 ///
-/// The engine's in-order core is perfectly replayable, but the reorder
-/// buffers in front of it are not: replaying *raw* arrivals through a
-/// frontend whose buffered contents were lost mid-crash would release a
-/// different in-order sequence. The journal therefore records arrivals
-/// **post-reorder** — exactly the released, in-order sequence the
-/// windows consumed — and recovery feeds it straight back through
-/// `MotifFleetEngine::ReplayReleased`.
+/// `DurableFleet` *is* the engine — a subclass that overrides its
+/// `OnEngineCall` hook — so there is one ingest path, durable or not.
+/// Every mutating call (`AddStream`/`AddCrossPair` with the member's
+/// options, `Ingest` with the raw batch, `Drain`, `Flush`) appends one
+/// journal record when it ends. The engine's snapshot holds its whole
+/// state, reorder buffers and watermarks included, and the engine is
+/// deterministic, so recovery is: restore the newest valid snapshot,
+/// then make the same public calls again, one per record, with the hook
+/// switched off. Replaying call by call reproduces call boundaries —
+/// and with them search coalescing and join-tick grouping — bit for bit.
 ///
-/// DurableFleet owns the journal-side `IngestFrontend`s itself and
-/// drives the inner engine *only* via ReplayReleased, live and during
-/// recovery alike — one code path, so the recovery parity argument is
-/// structural: the engine sees the identical call sequence either way.
-/// One journal record holds one engine call's released batch (possibly
-/// empty, for budgeted `Drain`s that ran deferred searches), so replay
-/// reproduces call boundaries — and with them search coalescing and
-/// join-tick grouping — bit for bit.
+/// A call that fails part-way (say, a bare arrival meeting a non-empty
+/// reorder buffer mid-batch) keeps its partial effects, so it is
+/// journaled with a failure flag; replay expects the same failure and
+/// reproduces the same partial effects. A batch rejected up front
+/// (unknown stream, non-finite or out-of-range point) changes nothing
+/// and writes no record.
 ///
 /// ## Durability semantics
 ///
-/// A point is durable once it has been *released* past the watermark
-/// and its record synced (`sync_each_record`, default on). Points still
-/// sitting in a reorder buffer are **not** durable — a crash loses
-/// them, exactly as a watermark-based pipeline loses in-flight
-/// unacknowledged data. After recovery the journal-side frontends are
-/// re-seeded with the engine's restored watermarks, so the late-drop
-/// boundary is unchanged.
+/// A call is durable once its record is synced (`sync_each_record`,
+/// default on) — including points still held in a reorder buffer. A
+/// call that changed nothing (an empty batch, a drain with nothing due,
+/// a flush of empty buffers) writes no record.
 ///
 /// `Open` recovers (newest valid snapshot + journal tail, see
 /// state_store.h), then immediately checkpoints, so new records never
-/// extend a journal whose tail was just found torn.
+/// extend a journal whose tail was just found torn. Journals written
+/// before calls were logged hold add-stream and *released*-batch
+/// records; they still replay when the released sequence equals the
+/// raw one (`reorder_capacity == 0`), and fail with DataLoss otherwise.
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "durable/durable_fs.h"
 #include "durable/state_store.h"
 #include "geo/metric.h"
-#include "stream/ingest_frontend.h"
 #include "stream/motif_fleet_engine.h"
 #include "util/status.h"
 
@@ -74,12 +75,13 @@ struct DurableOptions {
 struct RecoveryInfo {
   bool restored_snapshot = false;
   std::uint64_t replayed_records = 0;
-  /// Reports the replayed records regenerated, in journal order — the
-  /// recovery fuzz harness checks them against the original run's.
+  /// Reports the replayed Ingest/Drain/Flush records regenerated, in
+  /// journal order — the recovery fuzz harness checks them against the
+  /// original run's.
   std::vector<FleetReport> replay_reports;
 };
 
-class DurableFleet {
+class DurableFleet : public MotifFleetEngine {
  public:
   /// Opens (recovering if state exists) a durable fleet. `metric` and
   /// `durable.fs` (when set) must outlive the fleet. `options` must
@@ -93,20 +95,6 @@ class DurableFleet {
 
   const RecoveryInfo& recovery() const { return recovery_; }
 
-  /// Adds a stream (journaled). Ids are dense, starting at 0.
-  StatusOr<std::size_t> AddStream();
-
-  /// Engine-call mirrors of MotifFleetEngine's ingest surface. Each
-  /// call that changes durable state commits one journal record.
-  StatusOr<FleetReport> Push(std::size_t stream, const Point& p);
-  StatusOr<FleetReport> Push(std::size_t stream, const Point& p,
-                             double timestamp);
-  StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
-  StatusOr<FleetReport> Drain();
-
-  /// Flushes the reorder buffers (end of feed) and commits the release.
-  StatusOr<FleetReport> Flush();
-
   /// Rotates to a fresh snapshot generation now.
   Status Checkpoint();
 
@@ -114,56 +102,42 @@ class DurableFleet {
   /// with `sync_each_record`).
   Status Sync();
 
-  /// The wrapped engine, for queries and parity checks. All mutation
-  /// must go through the fleet — direct engine writes would bypass the
-  /// journal.
-  const MotifFleetEngine& engine() const { return engine_; }
-
-  std::size_t stream_count() const { return engine_.stream_count(); }
-
-  /// Engine counters with the reorder/late-drop counts taken from the
-  /// journal-side frontends (the engine's own frontends only ever see
-  /// released points).
-  FleetStats stats() const;
-
-  /// Per-stream arrival accounting from the journal-side frontend —
-  /// the counters that describe the raw feed (the engine's frontends
-  /// only ever see released points).
-  const IngestStats& ingest_stats(std::size_t stream) const {
-    return frontends_[stream].stats();
-  }
-  /// Points currently held in `stream`'s journal-side reorder buffer.
-  Index buffered(std::size_t stream) const {
-    return frontends_[stream].buffered();
-  }
+  /// The fleet as a plain engine, for queries and parity checks.
+  const MotifFleetEngine& engine() const { return *this; }
 
   std::uint64_t generation() const { return store_.generation(); }
+
+ protected:
+  /// Journals `call` (unless recovery is replaying it), syncing and
+  /// checkpointing per the DurableOptions.
+  Status OnEngineCall(const EngineCall& call) override;
 
  private:
   DurableFleet(MotifFleetEngine engine, StateStore store,
                std::unique_ptr<DurableFs> owned_fs,
                const DurableOptions& durable);
 
-  /// Applies one engine call's released batch and journals it. Skips
-  /// the journal when the call neither delivered nor reported anything
-  /// (`force_commit` overrides, for calls whose *boundary* matters).
-  StatusOr<FleetReport> CommitBatch(const std::vector<FleetArrival>& released,
-                                    bool force_commit);
+  /// Makes the call one journal record describes again.
+  Status Replay(std::string_view record);
 
-  MotifFleetEngine engine_;
   StateStore store_;
   /// Set only when DurableOptions::fs was null.
   std::unique_ptr<DurableFs> owned_fs_;
 
   std::uint64_t checkpoint_interval_ = 1024;
   bool sync_each_record_ = true;
-
-  /// Journal-side reorder frontends, one per stream. Their buffered
-  /// contents are deliberately volatile (see the file comment).
-  std::vector<IngestFrontend> frontends_;
+  /// True while Open replays the journal: the calls are already in it.
+  bool replaying_ = false;
 
   RecoveryInfo recovery_;
 };
+
+/// The engine a front end runs: a DurableFleet over `durable.state_dir`
+/// when one is set (recovering what it holds), otherwise a plain
+/// in-memory MotifFleetEngine.
+StatusOr<std::unique_ptr<MotifFleetEngine>> OpenFleetEngine(
+    const FleetOptions& options, const GroundMetric& metric,
+    const DurableOptions& durable);
 
 }  // namespace frechet_motif
 

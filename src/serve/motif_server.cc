@@ -1,7 +1,6 @@
 #include "serve/motif_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -181,17 +180,10 @@ StatusOr<MotifServer> MotifServer::Create(const ServeOptions& options,
   }
 
   MotifServer server(options, metric);
-  if (options.durable_enabled()) {
-    StatusOr<DurableFleet> fleet =
-        DurableFleet::Open(options.fleet, metric, options.durable);
-    if (!fleet.ok()) return fleet.status();
-    server.durable_.emplace(std::move(fleet).value());
-  } else {
-    StatusOr<MotifFleetEngine> engine =
-        MotifFleetEngine::Create(options.fleet, metric);
-    if (!engine.ok()) return engine.status();
-    server.plain_.emplace(std::move(engine).value());
-  }
+  StatusOr<std::unique_ptr<MotifFleetEngine>> engine =
+      OpenFleetEngine(options.fleet, metric, options.durable);
+  if (!engine.ok()) return engine.status();
+  server.engine_ = std::move(engine).value();
   return server;
 }
 
@@ -225,10 +217,6 @@ ServeSocket* MotifServer::socket(ConnId id) {
 std::int64_t MotifServer::ConnDroppedFrames(ConnId id) const {
   auto it = conns_.find(id);
   return it == conns_.end() ? 0 : it->second.dropped;
-}
-
-FleetStats MotifServer::fleet_stats() const {
-  return durable_.has_value() ? durable_->stats() : plain_->stats();
 }
 
 MotifServer::ConnId MotifServer::OnAccept(std::unique_ptr<ServeSocket> socket,
@@ -354,12 +342,10 @@ void MotifServer::BeginDrain(std::int64_t now_ms) {
 }
 
 Status MotifServer::Shutdown() {
-  if (durable_.has_value()) {
-    Status checkpoint = durable_->Checkpoint();
-    if (!checkpoint.ok()) return checkpoint;
-    return durable_->Sync();
-  }
-  return Status::Ok();
+  if (!options_.durable_enabled()) return Status::Ok();
+  DurableFleet& durable = static_cast<DurableFleet&>(*engine_);
+  FM_RETURN_IF_ERROR(durable.Checkpoint());
+  return durable.Sync();
 }
 
 void MotifServer::ProcessBuffer(ConnId id, Conn& c, std::int64_t now_ms) {
@@ -446,11 +432,14 @@ void MotifServer::HandleLine(ConnId id, Conn& c, const std::string& raw,
     case CsvRow::kPoint:
       break;
   }
-  if (!arrival.point.IsFinite() ||
-      (arrival.has_timestamp && !std::isfinite(arrival.timestamp))) {
+  // The engine's own arrival check, row by row, so one bad row gets its
+  // own error frame instead of failing the rows batched with it.
+  const Status valid = ValidateArrival(
+      *metric_, arrival.point,
+      arrival.has_timestamp ? &arrival.timestamp : nullptr);
+  if (!valid.ok()) {
     ++stats_.parse_errors;
-    QueueError(id, c, "parse", "non-finite coordinate or timestamp",
-               now_ms);
+    QueueError(id, c, "parse", valid.message(), now_ms);
     return;
   }
   if (arrival.stream >= options_.limits.max_streams) {
@@ -511,17 +500,10 @@ void MotifServer::HandleCommand(ConnId id, Conn& c, const std::string& line,
 
 Status MotifServer::EnsureStreams(std::size_t stream) {
   while (engine().stream_count() <= stream) {
-    StatusOr<std::size_t> added =
-        durable_.has_value() ? durable_->AddStream() : plain_->AddStream();
+    StatusOr<std::size_t> added = engine_->AddStream();
     if (!added.ok()) return added.status();
   }
   return Status::Ok();
-}
-
-StatusOr<FleetReport> MotifServer::EngineIngest(
-    const std::vector<FleetArrival>& batch) {
-  return durable_.has_value() ? durable_->Ingest(batch)
-                              : plain_->Ingest(batch);
 }
 
 void MotifServer::FlushIngest(ConnId id, Conn& c,
@@ -539,7 +521,7 @@ void MotifServer::FlushIngest(ConnId id, Conn& c,
     batch->clear();
     return;
   }
-  StatusOr<FleetReport> report = EngineIngest(*batch);
+  StatusOr<FleetReport> report = engine_->Ingest(*batch);
   if (!report.ok()) {
     // The batch is not acknowledged: the engine rejected it (e.g.
     // mixing bare and timestamped arrivals mid-reorder). The server
@@ -762,12 +744,7 @@ std::string MotifServer::StatsFrame() const {
   const std::size_t count = engine().stream_count();
   const std::size_t listed = std::min(count, kStatsFrameStreamCap);
   for (std::size_t s = 0; s < listed; ++s) {
-    // Durable mode: the journal-side frontends see the raw feed (the
-    // engine's only ever see released points), so their counters are
-    // the ones that describe the wire.
-    const IngestStats& ingest = durable_.has_value()
-                                    ? durable_->ingest_stats(s)
-                                    : engine().ingest_stats(s);
+    const IngestStats& ingest = engine().ingest_stats(s);
     w.BeginObject();
     w.Key("id");
     w.Int(static_cast<std::int64_t>(s));
@@ -778,9 +755,7 @@ std::string MotifServer::StatsFrame() const {
     w.Key("late_dropped");
     w.Int(ingest.late_dropped);
     w.Key("buffered");
-    w.Int(static_cast<std::int64_t>(durable_.has_value()
-                                        ? durable_->buffered(s)
-                                        : engine().stream_buffered(s)));
+    w.Int(static_cast<std::int64_t>(engine().stream_buffered(s)));
     w.Key("buffered_peak");
     w.Int(ingest.buffered_peak);
     w.EndObject();

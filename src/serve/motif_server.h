@@ -58,7 +58,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -206,15 +205,15 @@ class MotifServer {
   // --- Introspection for tests, STATS frames, and the CLI ----------
 
   const ServeStats& stats() const { return stats_; }
-  FleetStats fleet_stats() const;
-  const MotifFleetEngine& engine() const {
-    return durable_.has_value() ? durable_->engine() : *plain_;
-  }
+  FleetStats fleet_stats() const { return engine_->stats(); }
+  const MotifFleetEngine& engine() const { return *engine_; }
   const ServeOptions& options() const { return options_; }
   /// The durable layer (recovery info, generation); null when the
   /// server runs the plain in-memory engine.
   const DurableFleet* durable() const {
-    return durable_.has_value() ? &*durable_ : nullptr;
+    return options_.durable_enabled()
+               ? static_cast<const DurableFleet*>(engine_.get())
+               : nullptr;
   }
   /// Frames dropped on one connection (drop-oldest casualties).
   std::int64_t ConnDroppedFrames(ConnId id) const;
@@ -266,8 +265,6 @@ class MotifServer {
   void FlushIngest(ConnId id, Conn& c, std::vector<FleetArrival>* batch,
                    std::int64_t now_ms);
 
-  /// Engine dispatch (durable vs. plain).
-  StatusOr<FleetReport> EngineIngest(const std::vector<FleetArrival>& batch);
   Status EnsureStreams(std::size_t stream);
 
   void Broadcast(const FleetReport& report, std::int64_t now_ms);
@@ -288,9 +285,8 @@ class MotifServer {
   ServeOptions options_;
   const GroundMetric* metric_;
 
-  /// Exactly one of these is engaged (durable when state_dir is set).
-  std::optional<MotifFleetEngine> plain_;
-  std::optional<DurableFleet> durable_;
+  /// A DurableFleet when a state dir is set, else the plain engine.
+  std::unique_ptr<MotifFleetEngine> engine_;
 
   std::map<ConnId, Conn> conns_;
   ConnId next_id_ = 1;

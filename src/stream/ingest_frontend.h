@@ -100,29 +100,6 @@ class IngestFrontend {
   /// first timestamped release).
   double watermark() const { return watermark_; }
 
-  /// Journal-replay bookkeeping (src/durable/): records that a point
-  /// with this timestamp was released downstream *without* going
-  /// through Offer — recovery feeds journaled (already post-reorder)
-  /// points directly to the windows and keeps the frontend's watermark
-  /// and release accounting consistent via this hook, so later live
-  /// arrivals see exactly the late-drop behavior of the original run.
-  void NoteReplayedRelease(const double* timestamp) {
-    if (timestamp != nullptr) {
-      watermark_ = *timestamp;
-      released_any_ = true;
-    }
-    ++stats_.released;
-  }
-
-  /// Adopts an externally recovered watermark without counting a
-  /// release — the durable layer seeds its journal-side frontends with
-  /// the engine's restored watermark so post-recovery live arrivals see
-  /// exactly the original run's late-drop boundary.
-  void SeedWatermark(double watermark) {
-    watermark_ = watermark;
-    released_any_ = true;
-  }
-
   /// Serializes watermark, flags, counters, and the buffered points
   /// (in timestamp order, preserving arrival order among equal stamps).
   void SaveTo(BinaryWriter* writer) const;

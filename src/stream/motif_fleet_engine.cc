@@ -51,6 +51,11 @@ StatusOr<std::size_t> MotifFleetEngine::AddMember(
     frontends_.emplace_back(options_.reorder_capacity);
   }
   scheduler_.Register();
+  EngineCall call;
+  call.kind =
+      cross ? EngineCall::Kind::kAddCrossPair : EngineCall::Kind::kAddStream;
+  call.member_options = &stream_options;
+  FM_RETURN_IF_ERROR(OnEngineCall(call));
   return member;
 }
 
@@ -213,8 +218,25 @@ Status MotifFleetEngine::DrainInternal(FleetReport* report) {
   return Status::Ok();
 }
 
+StatusOr<FleetReport> MotifFleetEngine::FinishCall(EngineCall call,
+                                                   bool changed,
+                                                   const Status& status,
+                                                   FleetReport report) {
+  call.failed = !status.ok();
+  if (changed || call.failed) FM_RETURN_IF_ERROR(OnEngineCall(call));
+  if (!status.ok()) return status;
+  return report;
+}
+
 StatusOr<FleetReport> MotifFleetEngine::Ingest(
     const std::vector<FleetArrival>& batch) {
+  // Check the whole batch first: a rejected batch changes nothing.
+  for (const FleetArrival& arrival : batch) {
+    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
+    FM_RETURN_IF_ERROR(ValidateArrival(
+        *metric_, arrival.point,
+        arrival.has_timestamp ? &arrival.timestamp : nullptr));
+  }
   FleetReport report;
   // One sink for the whole batch (a std::function per point would heap-
   // allocate on the hot arrival loop); the captured stream id is advanced
@@ -224,15 +246,20 @@ StatusOr<FleetReport> MotifFleetEngine::Ingest(
                                         const double* ts) -> Status {
     return Deliver(stream, p, ts, &report);
   };
-  for (const FleetArrival& arrival : batch) {
-    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
+  Status status;
+  for (std::size_t k = 0; k < batch.size() && status.ok(); ++k) {
+    const FleetArrival& arrival = batch[k];
     stream = arrival.stream;
-    FM_RETURN_IF_ERROR(frontends_[stream].Offer(
+    status = frontends_[stream].Offer(
         arrival.point, arrival.has_timestamp ? &arrival.timestamp : nullptr,
-        sink));
+        sink);
   }
-  FM_RETURN_IF_ERROR(DrainInternal(&report));
-  return report;
+  if (status.ok()) status = DrainInternal(&report);
+  EngineCall call;
+  call.kind = EngineCall::Kind::kIngest;
+  call.batch = &batch;
+  return FinishCall(call, !batch.empty() || !report.empty(), status,
+                    std::move(report));
 }
 
 StatusOr<FleetReport> MotifFleetEngine::Push(std::size_t stream,
@@ -248,35 +275,30 @@ StatusOr<FleetReport> MotifFleetEngine::Push(std::size_t stream,
 
 StatusOr<FleetReport> MotifFleetEngine::Drain() {
   FleetReport report;
-  FM_RETURN_IF_ERROR(DrainInternal(&report));
-  return report;
+  const Status status = DrainInternal(&report);
+  EngineCall call;
+  call.kind = EngineCall::Kind::kDrain;
+  return FinishCall(call, !report.empty(), status, std::move(report));
 }
 
 StatusOr<FleetReport> MotifFleetEngine::Flush() {
   FleetReport report;
   std::size_t stream = 0;
+  bool released = false;
   const IngestFrontend::Sink sink = [&](const Point& p,
                                         const double* ts) -> Status {
+    released = true;
     return Deliver(stream, p, ts, &report);
   };
-  for (stream = 0; stream < frontends_.size(); ++stream) {
-    FM_RETURN_IF_ERROR(frontends_[stream].Flush(sink));
+  Status status;
+  for (; stream < frontends_.size() && status.ok(); ++stream) {
+    status = frontends_[stream].Flush(sink);
   }
-  FM_RETURN_IF_ERROR(DrainInternal(&report));
-  return report;
-}
-
-StatusOr<FleetReport> MotifFleetEngine::ReplayReleased(
-    const std::vector<FleetArrival>& batch) {
-  FleetReport report;
-  for (const FleetArrival& arrival : batch) {
-    FM_RETURN_IF_ERROR(CheckStream(arrival.stream));
-    const double* ts = arrival.has_timestamp ? &arrival.timestamp : nullptr;
-    FM_RETURN_IF_ERROR(Deliver(arrival.stream, arrival.point, ts, &report));
-    frontends_[arrival.stream].NoteReplayedRelease(ts);
-  }
-  FM_RETURN_IF_ERROR(DrainInternal(&report));
-  return report;
+  if (status.ok()) status = DrainInternal(&report);
+  EngineCall call;
+  call.kind = EngineCall::Kind::kFlush;
+  return FinishCall(call, released || !report.empty(), status,
+                    std::move(report));
 }
 
 namespace {

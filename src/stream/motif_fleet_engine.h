@@ -62,6 +62,15 @@
 /// stream pairs entering/leaving ε — whose accumulation is provably
 /// identical to a from-scratch `DfdSelfJoin` over the current snapshots
 /// (see join/incremental_join.h for the argument).
+///
+/// ## Durability hook
+///
+/// Every mutating call — `AddStream`/`AddCrossPair`, `Ingest` (and the
+/// `Push` conveniences over it), `Drain`, `Flush` — ends by handing
+/// itself to the protected `OnEngineCall` hook, which does nothing here.
+/// `DurableFleet` (src/durable/) overrides it to journal the call, so
+/// the engine has one ingest path whether or not it is durable, and
+/// recovery is the same public calls made again.
 
 #include <cstdint>
 #include <memory>
@@ -169,8 +178,11 @@ class MotifFleetEngine {
   static StatusOr<MotifFleetEngine> Create(const FleetOptions& options,
                                            const GroundMetric& metric);
 
+  MotifFleetEngine(const MotifFleetEngine&) = delete;
+  MotifFleetEngine& operator=(const MotifFleetEngine&) = delete;
   MotifFleetEngine(MotifFleetEngine&&) = default;
   MotifFleetEngine& operator=(MotifFleetEngine&&) = default;
+  virtual ~MotifFleetEngine() = default;
 
   /// Adds one single-trajectory stream with the fleet's default
   /// StreamOptions; ids are dense, starting at 0. While only this
@@ -209,7 +221,9 @@ class MotifFleetEngine {
   /// Ingests a batch through one arrival loop: appends every point (via
   /// its stream's frontend), then drains due searches per the scheduling
   /// mode and ticks the join. See the file comment for the two modes'
-  /// guarantees.
+  /// guarantees. The whole batch is checked first — known stream ids,
+  /// ValidateArrival (window_state.h) — and a batch failing the check is
+  /// rejected before it changes any state.
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
 
   /// Single-arrival conveniences (one-element Ingest).
@@ -225,16 +239,6 @@ class MotifFleetEngine {
   /// Flushes every reorder buffer (end of feed) and drains whatever that
   /// released. A no-op when nothing is buffered.
   StatusOr<FleetReport> Flush();
-
-  /// Journal-replay entry (src/durable/): re-applies a batch of
-  /// **already released** (post-reorder) points directly to the
-  /// windows, bypassing the frontends but keeping their watermark and
-  /// release accounting consistent, then drains exactly as Ingest
-  /// would. Feeding a journal's records batch-by-batch (one call per
-  /// journaled commit) reproduces the original engine's reports and
-  /// state bit for bit — that is the recovery parity contract proved by
-  /// tests/durable_recovery_fuzz_test.cc.
-  StatusOr<FleetReport> ReplayReleased(const std::vector<FleetArrival>& batch);
 
   /// True when `stream`'s member has a search due but not yet run (only
   /// possible between calls under a search budget).
@@ -265,12 +269,6 @@ class MotifFleetEngine {
   /// Points currently held in `stream`'s reorder buffer.
   Index stream_buffered(std::size_t stream) const {
     return frontends_[stream].buffered();
-  }
-  /// The stream's release watermark (see IngestFrontend::watermark) —
-  /// the durable layer reads it after Restore to seed its journal-side
-  /// frontends.
-  double stream_watermark(std::size_t stream) const {
-    return frontends_[stream].watermark();
   }
 
   /// Aggregated counters (computed on demand).
@@ -304,6 +302,36 @@ class MotifFleetEngine {
   static StatusOr<MotifFleetEngine> Restore(const FleetOptions& options,
                                             const GroundMetric& metric,
                                             std::string_view snapshot);
+
+ protected:
+  /// One finished mutating call with its arguments — enough to make the
+  /// same call again.
+  struct EngineCall {
+    enum class Kind : std::uint8_t {
+      kAddStream,
+      kAddCrossPair,
+      kIngest,
+      kDrain,
+      kFlush
+    };
+    Kind kind = Kind::kIngest;
+    /// kAddStream / kAddCrossPair: the new member's options.
+    const StreamOptions* member_options = nullptr;
+    /// kIngest: the batch exactly as passed in (before reordering).
+    const std::vector<FleetArrival>* batch = nullptr;
+    /// The call failed part-way. Its partial effects stand, and the same
+    /// call on the same state fails at the same point.
+    bool failed = false;
+  };
+
+  /// Called at the end of every mutating call that changed the engine or
+  /// failed part-way; a batch rejected up front, and an
+  /// Ingest/Drain/Flush that found nothing to do, never get here. A
+  /// non-ok return becomes the call's result. The base engine does
+  /// nothing.
+  virtual Status OnEngineCall(const EngineCall& /*call*/) {
+    return Status::Ok();
+  }
 
  private:
   /// One addressable stream: which member's window it feeds, and on
@@ -346,6 +374,11 @@ class MotifFleetEngine {
   /// Drains due searches per the scheduling mode, then ticks the join if
   /// anything changed.
   Status DrainInternal(FleetReport* report);
+
+  /// Ends an Ingest/Drain/Flush: hands it to OnEngineCall when it
+  /// `changed` the engine or failed, then returns `status` or `report`.
+  StatusOr<FleetReport> FinishCall(EngineCall call, bool changed,
+                                   const Status& status, FleetReport report);
 
   FleetOptions options_;
   const GroundMetric* metric_;

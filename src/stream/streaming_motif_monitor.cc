@@ -37,40 +37,43 @@ StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::MaybeSearch() {
   return std::optional<StreamUpdate>(std::move(update).value());
 }
 
+StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::PushSide(
+    int side, const Point& p, const double* timestamp) {
+  if (side == 1 && !state_.cross()) {
+    return Status::FailedPrecondition(
+        "PushSecond requires a CreateCross monitor");
+  }
+  FM_RETURN_IF_ERROR(ValidateArrival(state_.metric(), p, timestamp));
+  FM_RETURN_IF_ERROR(state_.Append(side, p, timestamp));
+  return MaybeSearch();
+}
+
 StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::Push(
     const Point& p) {
-  FM_RETURN_IF_ERROR(state_.Append(0, p, nullptr));
-  return MaybeSearch();
+  return PushSide(0, p, nullptr);
 }
 
 StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::Push(
     const Point& p, double timestamp) {
-  FM_RETURN_IF_ERROR(state_.Append(0, p, &timestamp));
-  return MaybeSearch();
+  return PushSide(0, p, &timestamp);
 }
 
 StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::PushSecond(
     const Point& p) {
-  if (!state_.cross()) {
-    return Status::FailedPrecondition(
-        "PushSecond requires a CreateCross monitor");
-  }
-  FM_RETURN_IF_ERROR(state_.Append(1, p, nullptr));
-  return MaybeSearch();
+  return PushSide(1, p, nullptr);
 }
 
 StatusOr<std::optional<StreamUpdate>> StreamingMotifMonitor::PushSecond(
     const Point& p, double timestamp) {
-  if (!state_.cross()) {
-    return Status::FailedPrecondition(
-        "PushSecond requires a CreateCross monitor");
-  }
-  FM_RETURN_IF_ERROR(state_.Append(1, p, &timestamp));
-  return MaybeSearch();
+  return PushSide(1, p, &timestamp);
 }
 
 StatusOr<std::vector<StreamUpdate>> StreamingMotifMonitor::PushBatch(
     const std::vector<Point>& points) {
+  // The whole batch is checked before any point is applied.
+  for (const Point& p : points) {
+    FM_RETURN_IF_ERROR(ValidateArrival(state_.metric(), p, nullptr));
+  }
   std::vector<StreamUpdate> updates;
   for (const Point& p : points) {
     StatusOr<std::optional<StreamUpdate>> u = Push(p);

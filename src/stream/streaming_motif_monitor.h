@@ -110,7 +110,8 @@ class StreamingMotifMonitor {
   /// one is due. Returns the slide report when a search ran, std::nullopt
   /// otherwise. The timestamped overloads carry per-point timestamps into
   /// WindowTrajectory(); mixing timestamped and bare pushes on one side
-  /// is an error.
+  /// is an error. A point failing ValidateArrival (window_state.h) is
+  /// rejected before it changes any state.
   StatusOr<std::optional<StreamUpdate>> Push(const Point& p);
   StatusOr<std::optional<StreamUpdate>> Push(const Point& p, double timestamp);
 
@@ -119,7 +120,8 @@ class StreamingMotifMonitor {
   StatusOr<std::optional<StreamUpdate>> PushSecond(const Point& p,
                                                    double timestamp);
 
-  /// Pushes a batch, returning every report the batch triggered.
+  /// Pushes a batch, returning every report the batch triggered. The
+  /// whole batch is validated before its first point is applied.
   StatusOr<std::vector<StreamUpdate>> PushBatch(
       const std::vector<Point>& points);
 
@@ -174,6 +176,10 @@ class StreamingMotifMonitor {
 
  private:
   explicit StreamingMotifMonitor(WindowState state);
+
+  /// Validates and appends one point to `side`, then searches if due.
+  StatusOr<std::optional<StreamUpdate>> PushSide(int side, const Point& p,
+                                                 const double* timestamp);
 
   /// Runs a search if one is due, wrapping the report in an optional.
   StatusOr<std::optional<StreamUpdate>> MaybeSearch();

@@ -142,6 +142,13 @@ struct StreamEngineStats {
   std::int64_t bound_rescans = 0;
 };
 
+/// The one arrival check every ingest path runs before a point may touch
+/// any state: finite coordinates and timestamp, and under the haversine
+/// metric a real position (|lat| <= 90, |lon| <= 180). `timestamp` may
+/// be null.
+Status ValidateArrival(const GroundMetric& metric, const Point& p,
+                       const double* timestamp);
+
 /// See the file comment. Create() validates the options exactly as the
 /// from-scratch search would; the metric must outlive the state.
 class WindowState {
@@ -193,6 +200,7 @@ class WindowState {
 
   bool cross() const { return cross_; }
   const StreamOptions& options() const { return options_; }
+  const GroundMetric& metric() const { return *metric_; }
   const StreamEngineStats& engine_stats() const { return engine_stats_; }
 
   /// Test hook (both modes): the relaxed-bound arrays the next search

@@ -301,6 +301,77 @@ TEST(CliStream, InvalidWindowIsRuntimeError) {
   EXPECT_EQ(1, r.exit_code);
 }
 
+/// Writes the trace's first 80 rows as bare `lat,lon`, then `bad_row`,
+/// then the rest; with `prefix` every row is routed as `prefix,lat,lon`.
+std::string WriteFeedWithRow(const std::string& name, const std::string& trace,
+                             const std::string& bad_row,
+                             const std::string& prefix) {
+  const std::string path = TempPath(name);
+  const std::string head = prefix.empty() ? "" : prefix + ",";
+  RunShell("awk -F, 'NR > 1 { print \"" + head + "\" $1 \",\" $2 } NR == 81 "
+           "{ print \"" + head + bad_row + "\" }' " + trace + " > " + path);
+  return path;
+}
+
+TEST(CliStream, NonFiniteOrOffGlobeRowFailsTheRun) {
+  // The engine checks every point where it enters: a NaN coordinate, or
+  // a latitude/longitude off the globe under the haversine metric, ends
+  // the run with an error instead of feeding windows.
+  const std::string trace =
+      WriteTrace("badsrc.csv", "--kind=geolife --n=150 --seed=3");
+  const std::string state = TempPath("bad_state");
+  for (const char* bad : {"nan,116.3", "95,400"}) {
+    const std::string feed = WriteFeedWithRow("badrow.csv", trace, bad, "");
+    const std::string args = " --window=60 --slide=15 --xi=8";
+    const CommandResult plain = RunFmotif("stream " + feed + args);
+    EXPECT_EQ(1, plain.exit_code) << bad << ": " << plain.output;
+    EXPECT_NE(std::string::npos, plain.output.find("InvalidArgument")) << bad;
+    RunShell("rm -rf " + state);
+    const CommandResult durable =
+        RunFmotif("stream " + feed + args + " --state-dir=" + state);
+    EXPECT_EQ(1, durable.exit_code) << bad << ": " << durable.output;
+  }
+}
+
+TEST(CliFleet, NonFiniteOrOffGlobeRowFailsTheRun) {
+  const std::string trace =
+      WriteTrace("fbadsrc.csv", "--kind=geolife --n=150 --seed=3");
+  for (const char* bad : {"nan,116.3", "95,400"}) {
+    const std::string feed = WriteFeedWithRow("fbadrow.csv", trace, bad, "0");
+    const CommandResult r = RunShell(std::string(FMOTIF_BINARY) +
+                                     " fleet - --window=60 --slide=15 --xi=8 "
+                                     "< " + feed + " 2>&1");
+    EXPECT_EQ(1, r.exit_code) << bad << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find("InvalidArgument")) << bad;
+  }
+}
+
+TEST(CliFleet, MembersRunDurablyAndRecoverOnRestart) {
+  // --members and --state-dir combine: the journal records each member's
+  // options, so a restart recovers the heterogeneous fleet as declared.
+  const std::string a = WriteTrace("ma.csv", "--kind=geolife --n=140 --seed=7");
+  const std::string b = WriteTrace("mb.csv", "--kind=geolife --n=140 --seed=8");
+  const std::string c = WriteTrace("mc.csv", "--kind=truck --n=140 --seed=9");
+  const std::string state = TempPath("members_state");
+  RunShell("rm -rf " + state);
+  const std::string args = " " + a + " " + b + " " + c +
+                           " --members=s,x:0.05 --window=60 --slide=20 "
+                           "--xi=8 --eps=200";
+  const CommandResult plain = RunFmotif("fleet" + args);
+  ASSERT_EQ(0, plain.exit_code) << plain.output;
+  const CommandResult durable =
+      RunFmotif("fleet" + args + " --state-dir=" + state);
+  ASSERT_EQ(0, durable.exit_code) << durable.output;
+  EXPECT_EQ(plain.output, durable.output);
+  const CommandResult resumed =
+      RunFmotif("fleet" + args + " --state-dir=" + state + " --json");
+  ASSERT_EQ(0, resumed.exit_code) << resumed.output;
+  EXPECT_NE(std::string::npos, resumed.output.find("recovered: snapshot=yes"))
+      << resumed.output;
+  EXPECT_NE(std::string::npos, resumed.output.find("\"members\": 2"))
+      << resumed.output;
+}
+
 TEST(CliStream, DurableRunMatchesPlainRunAndRecoversOnRestart) {
   const std::string path =
       WriteTrace("dur.csv", "--kind=geolife --n=160 --seed=11");

@@ -32,10 +32,20 @@
 namespace frechet_motif {
 namespace {
 
+// One fleet member. A default member registers through the plain
+// AddStream(); the others carry their own options (a cross pair takes two
+// stream ids).
+struct MemberSpec {
+  bool cross = false;
+  bool own_options = false;
+  double approx_eps = 0.0;
+};
+
 struct FuzzConfig {
   FleetOptions options;
-  std::size_t streams = 0;
-  Index points = 0;  // per stream
+  std::vector<MemberSpec> members;
+  std::size_t streams = 0;  // stream ids across all members
+  Index points = 0;         // per stream id
 };
 
 FuzzConfig DrawConfig(Rng* rng, Index reorder_capacity) {
@@ -50,9 +60,40 @@ FuzzConfig DrawConfig(Rng* rng, Index reorder_capacity) {
   // Join on in about half the rounds, radius wide enough to flip pairs.
   config.options.join_epsilon = rng->NextInt(0, 1) == 0 ? 250.0 : -1.0;
   config.streams = static_cast<std::size_t>(rng->NextInt(1, 3));
+  config.members.assign(config.streams, MemberSpec());
   config.points = config.options.stream.window_length +
                   static_cast<Index>(rng->NextInt(30, 60));
   return config;
+}
+
+// Redraws the members as a heterogeneous fleet: cross pairs and
+// per-member approximation ε, each member with its own options.
+void DrawHeterogeneousMembers(Rng* rng, FuzzConfig* config) {
+  const double kEps[] = {0.0, 0.05, 0.2};
+  config->streams = 0;
+  for (MemberSpec& member : config->members) {
+    member.cross = rng->NextInt(0, 1) == 1;
+    member.own_options = true;
+    member.approx_eps = kEps[rng->NextInt(0, 2)];
+    config->streams += member.cross ? 2 : 1;
+  }
+}
+
+// Registers the members `engine` does not have yet, stopping at the
+// first failure (a crash injected mid-registration).
+Status AddMissingMembers(const FuzzConfig& config, MotifFleetEngine* engine) {
+  for (std::size_t m = engine->member_count(); m < config.members.size();
+       ++m) {
+    const MemberSpec& member = config.members[m];
+    StreamOptions options = config.options.stream;
+    options.approximation_epsilon = member.approx_eps;
+    const Status added =
+        !member.own_options ? engine->AddStream().status()
+        : member.cross      ? engine->AddCrossPair(options).status()
+                            : engine->AddStream(options).status();
+    FM_RETURN_IF_ERROR(added);
+  }
+  return Status::Ok();
 }
 
 // A shuffled multiset of stream ids: each stream appears `points` times.
@@ -95,13 +136,15 @@ void ExpectSameEngineState(const MotifFleetEngine& expected,
 // Round family A: crashes injected at the filesystem-operation level,
 // landing inside append/sync/rename windows of the commit protocol —
 // including during Open's recovery checkpoint and during rotation.
-TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
-  const std::uint64_t seed = testing_util::FuzzSeed(20260801);
-  const int rounds = testing_util::FuzzRounds(4);
+// `heterogeneous` redraws every round's fleet with cross pairs and
+// per-member ε.
+void RunOpLevelCrashRounds(std::uint64_t seed, int rounds,
+                           bool heterogeneous) {
   Rng rng(seed);
   const EuclideanMetric metric;
   for (int round = 0; round < rounds; ++round) {
-    const FuzzConfig config = DrawConfig(&rng, /*reorder_capacity=*/0);
+    FuzzConfig config = DrawConfig(&rng, /*reorder_capacity=*/0);
+    if (heterogeneous) DrawHeterogeneousMembers(&rng, &config);
     SCOPED_TRACE(::testing::Message()
                  << "seed " << seed << " round " << round
                  << ": W=" << config.options.stream.window_length
@@ -115,9 +158,8 @@ TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
     auto oracle = MotifFleetEngine::Create(config.options, metric);
     ASSERT_TRUE(oracle.ok()) << oracle.status();
     std::vector<std::size_t> cursor(config.streams, 0);
-    for (std::size_t s = 0; s < config.streams; ++s) {
-      ASSERT_EQ(s, oracle.value().AddStream().value());
-    }
+    ASSERT_TRUE(AddMissingMembers(config, &oracle.value()).ok());
+    ASSERT_EQ(config.streams, oracle.value().stream_count());
     for (const std::size_t s : schedule) {
       ASSERT_TRUE(oracle.value().Push(s, data[s][static_cast<Index>(cursor[s]++)]).ok());
     }
@@ -138,10 +180,8 @@ TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
         ++crashes;
         continue;
       }
-      while (fleet.value().stream_count() < config.streams &&
-             fleet.value().AddStream().ok()) {
-      }
-      if (fs.crashed()) {
+      if (!AddMissingMembers(config, &fleet.value()).ok() || fs.crashed()) {
+        ASSERT_TRUE(fs.crashed());
         fs.Restart();
         ++crashes;
         continue;
@@ -193,16 +233,40 @@ TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
   }
 }
 
+TEST(DurableRecoveryFuzz, OpLevelCrashesRecoverBitExact) {
+  RunOpLevelCrashRounds(testing_util::FuzzSeed(20260801),
+                        testing_util::FuzzRounds(4), /*heterogeneous=*/false);
+}
+
+// Cross pairs and per-member ε: the journal records each member's
+// options, so recovery rebuilds the same heterogeneous fleet.
+TEST(DurableRecoveryFuzz, HeterogeneousFleetRecoversBitExact) {
+  RunOpLevelCrashRounds(testing_util::FuzzSeed(20260805),
+                        testing_util::FuzzRounds(3), /*heterogeneous=*/true);
+}
+
+// How a family-B round feeds its segments.
+struct SegmentFeed {
+  /// End every segment with Flush, so the reorder buffers are empty at
+  /// each kill; otherwise only the last segment flushes and every kill
+  /// lands while the buffers hold points.
+  bool flush_before_kill = true;
+  /// Now and then replace a push with a batch that fails part-way: the
+  /// point timestamped, then the same point bare while its stream's
+  /// reorder buffer is non-empty. The first arrival's effects stand.
+  bool part_failed_batches = false;
+};
+
 // Round family B: out-of-order timestamped feeds through the reorder
-// buffers, hard kills between calls at segment boundaries. Each segment
-// ends in Flush, so the buffered points (deliberately volatile) are
-// empty at every kill and the oracle — a never-killed DurableFleet fed
-// identically — must match after every recovery.
-TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
-  const std::uint64_t seed = testing_util::FuzzSeed(20260802);
-  const int rounds = testing_util::FuzzRounds(3);
+// buffers, hard kills between calls at segment boundaries. The oracle —
+// a never-killed DurableFleet fed identically — must match right after
+// every recovery and at the end of every segment.
+void RunReorderedSegmentRounds(std::uint64_t seed, int rounds,
+                               SegmentFeed feed) {
   Rng rng(seed);
   const EuclideanMetric metric;
+  int buffered_kills = 0;
+  int failed_batches = 0;
   for (int round = 0; round < rounds; ++round) {
     const Index capacity = static_cast<Index>(rng.NextInt(2, 5));
     const FuzzConfig config = DrawConfig(&rng, capacity);
@@ -259,6 +323,8 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
         for (std::size_t s = 0; s < config.streams; ++s) {
           ASSERT_EQ(s, fleet.value().AddStream().value());
         }
+      } else {
+        ExpectSameEngineState(oracle.value(), fleet.value());
       }
       ASSERT_EQ(config.streams, fleet.value().stream_count());
       const std::size_t until = segment + 1 == segments
@@ -269,17 +335,61 @@ TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
         const std::size_t index = seen[s]++;
         const Point& p = data[s][static_cast<Index>(index)];
         const double ts = stamps[s][index];
+        if (feed.part_failed_batches && fleet.value().stream_buffered(s) > 0 &&
+            rng.NextInt(0, 9) == 0) {
+          const std::vector<FleetArrival> mixed = {
+              FleetArrival{s, p, true, ts}, FleetArrival{s, p, false, 0.0}};
+          ASSERT_FALSE(fleet.value().Ingest(mixed).ok());
+          ASSERT_FALSE(oracle.value().Ingest(mixed).ok());
+          ++failed_batches;
+          continue;
+        }
         auto live = fleet.value().Push(s, p, ts);
         auto want = oracle.value().Push(s, p, ts);
         ASSERT_TRUE(live.ok()) << live.status();
         ASSERT_TRUE(want.ok()) << want.status();
         ASSERT_EQ(want.value().updates.size(), live.value().updates.size());
       }
-      ASSERT_TRUE(fleet.value().Flush().ok());
-      ASSERT_TRUE(oracle.value().Flush().ok());
+      if (feed.flush_before_kill || segment + 1 == segments) {
+        ASSERT_TRUE(fleet.value().Flush().ok());
+        ASSERT_TRUE(oracle.value().Flush().ok());
+      } else if (fleet.value().stats().reorder_buffered > 0) {
+        ++buffered_kills;
+      }
       ExpectSameEngineState(oracle.value().engine(), fleet.value().engine());
     }
   }
+  // The variants must have exercised what they exist for.
+  if (!feed.flush_before_kill) {
+    EXPECT_GT(buffered_kills, 0);
+  }
+  if (feed.part_failed_batches) {
+    EXPECT_GT(failed_batches, 0);
+  }
+}
+
+TEST(DurableRecoveryFuzz, ReorderedSegmentsSurviveKillsBetweenCalls) {
+  RunReorderedSegmentRounds(testing_util::FuzzSeed(20260802),
+                            testing_util::FuzzRounds(3), SegmentFeed());
+}
+
+// Kills land while the reorder buffers hold points: each Ingest record
+// is the raw batch, so the buffered points come back too.
+TEST(DurableRecoveryFuzz, BufferedPointsSurviveKills) {
+  SegmentFeed feed;
+  feed.flush_before_kill = false;
+  RunReorderedSegmentRounds(testing_util::FuzzSeed(20260806),
+                            testing_util::FuzzRounds(3), feed);
+}
+
+// Batches failing part-way are journaled with a failure flag; replay
+// fails them at the same arrival, so their partial effects come back.
+TEST(DurableRecoveryFuzz, PartFailedBatchesReplayTheirPartialEffects) {
+  SegmentFeed feed;
+  feed.flush_before_kill = false;
+  feed.part_failed_batches = true;
+  RunReorderedSegmentRounds(testing_util::FuzzSeed(20260807),
+                            testing_util::FuzzRounds(3), feed);
 }
 
 // Round family C: a bit flipped in the newest snapshot on stable

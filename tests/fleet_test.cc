@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "data/datasets.h"
@@ -499,6 +500,66 @@ TEST(FleetEngine, ValidatesOptionsAndStreamIds) {
   EXPECT_TRUE(fleet.value().Push(0, LatLon(39.9, 116.3)).ok());
   EXPECT_EQ(StatusCode::kInvalidArgument,
             fleet.value().Push(7, LatLon(0, 0)).status().code());
+}
+
+TEST(FleetEngine, RejectsABadBatchBeforeChangingAnyState) {
+  // The whole batch is checked before its first arrival is applied: an
+  // unknown stream id, a non-finite coordinate or timestamp, or a point
+  // off the globe under haversine anywhere in the batch leaves the engine
+  // byte-identical to before the call.
+  const HaversineMetric metric;
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  options.reorder_capacity = 2;
+  auto fleet = MotifFleetEngine::Create(options, metric);
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_EQ(0u, fleet.value().AddStream().value());
+  const Trajectory t = GeoWalk(90, 6);
+  for (Index k = 0; k < 80; ++k) {
+    ASSERT_TRUE(fleet.value().Push(0, t[k], static_cast<double>(k)).ok());
+  }
+  std::string before;
+  ASSERT_TRUE(fleet.value().Snapshot(&before).ok());
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const FleetArrival good{0, t[80], true, 80.0};
+  const std::vector<FleetArrival> bad_tails = {
+      FleetArrival{3, t[81], true, 81.0},               // unknown stream
+      FleetArrival{0, LatLon(nan, 116.3), true, 81.0},  // NaN latitude
+      FleetArrival{0, t[81], true, inf},                // infinite stamp
+      FleetArrival{0, LatLon(95.0, 116.3), true, 81.0},   // |lat| > 90
+      FleetArrival{0, LatLon(39.9, -181.0), true, 81.0},  // |lon| > 180
+  };
+  for (const FleetArrival& bad : bad_tails) {
+    const auto report = fleet.value().Ingest({good, good, bad});
+    EXPECT_EQ(StatusCode::kInvalidArgument, report.status().code());
+    std::string after;
+    ASSERT_TRUE(fleet.value().Snapshot(&after).ok());
+    EXPECT_TRUE(before == after) << "a rejected batch changed the engine";
+  }
+  // The range check is the haversine metric's: planar coordinates are
+  // unbounded.
+  auto planar = MotifFleetEngine::Create(options, Euclidean());
+  ASSERT_TRUE(planar.ok());
+  ASSERT_EQ(0u, planar.value().AddStream().value());
+  EXPECT_TRUE(planar.value().Push(0, Point(950.0, -4000.0)).ok());
+  EXPECT_FALSE(planar.value().Push(0, Point(nan, 0.0)).ok());
+}
+
+TEST(StreamingMotifMonitor, RejectsABadBatchBeforeChangingAnyState) {
+  const HaversineMetric metric;
+  auto monitor = StreamingMotifMonitor::Create(SmallStreamOptions(), metric);
+  ASSERT_TRUE(monitor.ok());
+  const Trajectory t = GeoWalk(40, 7);
+  std::vector<Point> batch = t.points();
+  batch.push_back(LatLon(91.0, 0.0));
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            monitor.value().PushBatch(batch).status().code());
+  EXPECT_EQ(0, monitor.value().points_seen());
+  EXPECT_FALSE(monitor.value().Push(LatLon(0.0, std::nan(""))).ok());
+  EXPECT_FALSE(monitor.value().Push(t[0], std::nan("")).ok());
+  EXPECT_EQ(0, monitor.value().points_seen());
 }
 
 TEST(FleetEngine, StatsAggregateAcrossStreams) {

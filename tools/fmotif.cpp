@@ -15,9 +15,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <utility>
 #include <iostream>
-#include <optional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +36,6 @@
 #include "serve/serve_loop.h"
 #include "serve/serve_socket.h"
 #include "stream/motif_fleet_engine.h"
-#include "stream/streaming_motif_monitor.h"
 #include "util/flags.h"
 #include "util/json_writer.h"
 #include "util/numeric.h"
@@ -198,10 +198,10 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "member — e.g. --members=s,x:0.05,s:0.1. Rows (or files) feed "
         "stream\n"
         "ids in declaration order; ids past the declared set add default\n"
-        "streams on the fly. Requires the in-memory engine (no "
-        "--state-dir).\n"
+        "streams on the fly. Members a --state-dir already holds are not\n"
+        "added again.\n"
         "\n"
-        "--state-dir=DIR journals every released batch and rotates "
+        "--state-dir=DIR journals every engine call and rotates "
         "snapshots\n"
         "(every --checkpoint=N records); a restart recovers the fleet "
         "and\n"
@@ -423,6 +423,49 @@ bool ReadFeedLine(std::istream& in, bool from_stdin, std::string* line) {
   }
 }
 
+/// The live-tail loop of stream and fleet: reads `in` row by row until
+/// the feed ends or is interrupted, handing each point (with its row
+/// number) to `ingest`. Multiplexed rows `stream,lat,lon[,timestamp]`
+/// name their stream — the grammar lives in data/io.h, and `fmotif
+/// serve` speaks the same dialect over TCP; plain `lat,lon[,timestamp]`
+/// rows feed stream 0. A malformed first row is a header and skipped.
+fm::Status TailFeed(
+    std::istream& in, bool from_stdin, bool multiplexed,
+    const std::function<fm::Status(const fm::FleetArrival&, std::size_t)>&
+        ingest) {
+  std::string line;
+  std::size_t line_no = 0;
+  while (!g_interrupted && ReadFeedLine(in, from_stdin, &line)) {
+    ++line_no;
+    fm::FleetArrival a;
+    double lat = 0.0;
+    double lon = 0.0;
+    const fm::CsvRow row =
+        multiplexed ? fm::ParseFleetCsvRow(line, &a.stream, &lat, &lon,
+                                           &a.timestamp, &a.has_timestamp)
+                    : fm::ParseCsvPointRow(line, &lat, &lon, &a.timestamp,
+                                           &a.has_timestamp);
+    switch (row) {
+      case fm::CsvRow::kBlank:
+        continue;
+      case fm::CsvRow::kMalformed:
+        if (line_no == 1) continue;  // header row
+        return fm::Status::InvalidArgument(
+            multiplexed ? "malformed fleet row " + std::to_string(line_no) +
+                              " (expected stream,lat,lon[,timestamp])"
+                        : "malformed CSV row " + std::to_string(line_no));
+      case fm::CsvRow::kMalformedTimestamp:
+        return fm::Status::InvalidArgument("malformed timestamp on row " +
+                                           std::to_string(line_no));
+      case fm::CsvRow::kPoint:
+        break;
+    }
+    a.point = fm::LatLon(lat, lon);
+    FM_RETURN_IF_ERROR(ingest(a, line_no));
+  }
+  return fm::Status::Ok();
+}
+
 /// Shared --state-dir/--checkpoint handling for stream and fleet.
 fm::DurableOptions DurableConfig(const fm::Flags& flags) {
   fm::DurableOptions durable;
@@ -441,6 +484,84 @@ void PrintRecoveryNote(const fm::DurableFleet& fleet) {
                r.restored_snapshot ? "yes" : "no",
                static_cast<unsigned long long>(r.replayed_records),
                fleet.stream_count());
+}
+
+/// The window flags of the streaming commands (stream, fleet, serve).
+fm::StreamOptions StreamConfig(const fm::Flags& flags) {
+  fm::StreamOptions options;
+  options.window_length =
+      static_cast<fm::Index>(flags.GetInt("window", options.window_length));
+  options.slide_step =
+      static_cast<fm::Index>(flags.GetInt("slide", options.slide_step));
+  options.min_length_xi = static_cast<fm::Index>(flags.GetInt("xi", 100));
+  options.threads = Threads(flags);
+  options.approximation_epsilon = ApproxEps(flags);
+  return options;
+}
+
+/// StreamConfig plus the multi-stream engine flags of fleet and serve.
+fm::FleetOptions FleetConfig(const fm::Flags& flags) {
+  fm::FleetOptions options;
+  options.stream = StreamConfig(flags);
+  if (flags.Has("eps")) options.join_epsilon = flags.GetDouble("eps", 250.0);
+  options.reorder_capacity =
+      static_cast<fm::Index>(flags.GetInt("reorder", 0));
+  options.max_searches_per_drain =
+      static_cast<int>(flags.GetInt("budget", 0));
+  return options;
+}
+
+/// The engine stream and fleet run: a DurableFleet under --state-dir
+/// (noting on stderr what recovery restored), else the plain engine.
+fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> OpenEngine(
+    const fm::FleetOptions& options, const fm::Flags& flags) {
+  fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> opened =
+      fm::OpenFleetEngine(options, Metric(flags), DurableConfig(flags));
+  if (opened.ok()) {
+    if (const auto* durable =
+            dynamic_cast<const fm::DurableFleet*>(opened.value().get())) {
+      PrintRecoveryNote(*durable);
+    }
+  }
+  return opened;
+}
+
+/// End of feed (or interrupt): releases any reorder-buffered points,
+/// then forces a durable engine's journal tail to stable storage — the
+/// operator must never lose an already-reported window to an interrupt.
+fm::StatusOr<fm::FleetReport> EndFeed(fm::MotifFleetEngine* engine) {
+  fm::StatusOr<fm::FleetReport> flushed = engine->Flush();
+  if (!flushed.ok()) return flushed;
+  if (auto* durable = dynamic_cast<fm::DurableFleet*>(engine)) {
+    FM_RETURN_IF_ERROR(durable->Sync());
+  }
+  return flushed;
+}
+
+/// The "options" keys of the stream, fleet and serve summaries, in
+/// schema order; `fleet_keys` adds the multi-stream engine's.
+void JsonEngineOptions(fm::JsonWriter* w, const fm::FleetOptions& options,
+                       const fm::Flags& flags, bool fleet_keys) {
+  w->Key("window");
+  w->Int(options.stream.window_length);
+  w->Key("slide");
+  w->Int(options.stream.slide_step);
+  w->Key("xi");
+  w->Int(options.stream.min_length_xi);
+  w->Key("approx_eps");
+  w->Double(options.stream.approximation_epsilon);
+  if (fleet_keys) {
+    w->Key("eps_m");
+    w->Double(options.join_epsilon);
+    w->Key("reorder");
+    w->Int(options.reorder_capacity);
+    w->Key("budget");
+    w->Int(options.max_searches_per_drain);
+  }
+  w->Key("metric");
+  w->String(Metric(flags).Name());
+  w->Key("threads");
+  w->Int(options.stream.threads);
 }
 
 fm::MotifAlgorithm ParseAlgorithm(const std::string& name) {
@@ -633,38 +754,17 @@ int RunStream(const fm::Flags& flags) {
   const bool json = flags.GetBool("json", false);
   InstallInterruptHandlers();
 
-  fm::StreamOptions options;
-  options.window_length =
-      static_cast<fm::Index>(flags.GetInt("window", options.window_length));
-  options.slide_step =
-      static_cast<fm::Index>(flags.GetInt("slide", options.slide_step));
-  options.min_length_xi = static_cast<fm::Index>(flags.GetInt("xi", 100));
-  options.threads = Threads(flags);
-  options.approximation_epsilon = ApproxEps(flags);
-
-  // --state-dir routes the single stream through a one-stream
-  // DurableFleet (journal + snapshots + recovery); otherwise the plain
-  // in-memory monitor runs. Reports are bit-identical either way.
-  const fm::DurableOptions durable = DurableConfig(flags);
-  std::optional<fm::StreamingMotifMonitor> monitor;
-  std::optional<fm::DurableFleet> fleet;
-  if (durable.state_dir.empty()) {
-    fm::StatusOr<fm::StreamingMotifMonitor> created =
-        fm::StreamingMotifMonitor::Create(options, Metric(flags));
-    if (!created.ok()) return Fail(created.status());
-    monitor.emplace(std::move(created).value());
-  } else {
-    fm::FleetOptions fleet_options;
-    fleet_options.stream = options;
-    fm::StatusOr<fm::DurableFleet> opened =
-        fm::DurableFleet::Open(fleet_options, Metric(flags), durable);
-    if (!opened.ok()) return Fail(opened.status());
-    fleet.emplace(std::move(opened).value());
-    PrintRecoveryNote(*fleet);
-    if (fleet->stream_count() == 0) {
-      const fm::StatusOr<std::size_t> added = fleet->AddStream();
-      if (!added.ok()) return Fail(added.status());
-    }
+  // The feed runs through a one-stream fleet.
+  fm::FleetOptions options;
+  options.stream = StreamConfig(flags);
+  fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> opened =
+      OpenEngine(options, flags);
+  if (!opened.ok()) return Fail(opened.status());
+  fm::MotifFleetEngine& engine = *opened.value();
+  const auto* durable = dynamic_cast<const fm::DurableFleet*>(&engine);
+  if (engine.stream_count() == 0) {
+    const fm::StatusOr<std::size_t> added = engine.AddStream();
+    if (!added.ok()) return Fail(added.status());
   }
 
   std::int64_t slides = 0;
@@ -676,16 +776,8 @@ int RunStream(const fm::Flags& flags) {
       PrintStreamUpdateText(u);
     }
   };
-  const auto push = [&](const fm::Point& p, const double* ts) -> fm::Status {
-    if (monitor.has_value()) {
-      fm::StatusOr<std::optional<fm::StreamUpdate>> update =
-          ts != nullptr ? monitor->Push(p, *ts) : monitor->Push(p);
-      if (!update.ok()) return update.status();
-      if (update.value().has_value()) emit(*update.value());
-      return fm::Status::Ok();
-    }
-    fm::StatusOr<fm::FleetReport> report =
-        ts != nullptr ? fleet->Push(0, p, *ts) : fleet->Push(0, p);
+  const auto push = [&](const fm::FleetArrival& a, std::size_t) {
+    fm::StatusOr<fm::FleetReport> report = engine.Ingest({a});
     if (!report.ok()) return report.status();
     for (const fm::FleetStreamUpdate& fu : report.value().updates) {
       emit(fu.update);
@@ -707,70 +799,31 @@ int RunStream(const fm::Flags& flags) {
         return Fail(fm::Status::IoError("cannot open for reading: " + path));
       }
     }
-    std::istream& in = from_stdin ? std::cin : file;
-    std::string line;
-    std::size_t line_no = 0;
-    while (!g_interrupted && ReadFeedLine(in, from_stdin, &line)) {
-      ++line_no;
-      double lat = 0.0;
-      double lon = 0.0;
-      double ts = 0.0;
-      bool has_ts = false;
-      switch (fm::ParseCsvPointRow(line, &lat, &lon, &ts, &has_ts)) {
-        case fm::CsvRow::kBlank:
-          continue;
-        case fm::CsvRow::kMalformed:
-          if (line_no == 1) continue;  // header row
-          return Fail(fm::Status::InvalidArgument(
-              "malformed CSV row " + std::to_string(line_no)));
-        case fm::CsvRow::kMalformedTimestamp:
-          return Fail(fm::Status::InvalidArgument(
-              "malformed timestamp on row " + std::to_string(line_no)));
-        case fm::CsvRow::kPoint:
-          break;
-      }
-      const fm::Status pushed =
-          push(fm::LatLon(lat, lon), has_ts ? &ts : nullptr);
-      if (!pushed.ok()) return Fail(pushed);
-    }
+    const fm::Status fed = TailFeed(from_stdin ? std::cin : file, from_stdin,
+                                    /*multiplexed=*/false, push);
+    if (!fed.ok()) return Fail(fed);
   } else {
     fm::StatusOr<fm::Trajectory> t = LoadRaw(path);
     if (!t.ok()) return Fail(t.status());
     const bool timed = t.value().has_timestamps();
     for (fm::Index i = 0; !g_interrupted && i < t.value().size(); ++i) {
-      const double ts = timed ? t.value().timestamp(i) : 0.0;
-      const fm::Status pushed = push(t.value()[i], timed ? &ts : nullptr);
+      const fm::FleetArrival a{0, t.value()[i], timed,
+                               timed ? t.value().timestamp(i) : 0.0};
+      const fm::Status pushed = push(a, 0);
       if (!pushed.ok()) return Fail(pushed);
     }
   }
 
-  if (fleet.has_value()) {
-    // End of feed (or interrupt): release any reorder-buffered points,
-    // then force the journal tail to stable storage — the operator must
-    // never lose an already-reported window to an interrupt.
-    fm::StatusOr<fm::FleetReport> flushed = fleet->Flush();
-    if (!flushed.ok()) return Fail(flushed.status());
-    for (const fm::FleetStreamUpdate& fu : flushed.value().updates) {
-      emit(fu.update);
-    }
-    const fm::Status synced = fleet->Sync();
-    if (!synced.ok()) return Fail(synced);
+  fm::StatusOr<fm::FleetReport> flushed = EndFeed(&engine);
+  if (!flushed.ok()) return Fail(flushed.status());
+  for (const fm::FleetStreamUpdate& fu : flushed.value().updates) {
+    emit(fu.update);
   }
   if (g_interrupted) {
     std::fprintf(stderr, "interrupted: flushing summary\n");
   }
 
-  fm::StreamEngineStats engine;
-  if (monitor.has_value()) {
-    engine = monitor->engine_stats();
-  } else {
-    const fm::FleetStats stats = fleet->stats();
-    engine.points_ingested = stats.points_ingested;
-    engine.searches = stats.searches;
-    engine.seeded_searches = stats.seeded_searches;
-    engine.ground_distances_computed = stats.ground_distances_computed;
-    engine.dfd_cells_computed = stats.dfd_cells_computed;
-  }
+  const fm::FleetStats stats = engine.stats();
   if (json) {
     fm::JsonWriter w;
     w.BeginObject();
@@ -780,52 +833,37 @@ int RunStream(const fm::Flags& flags) {
     w.String(path);
     w.Key("options");
     w.BeginObject();
-    w.Key("window");
-    w.Int(options.window_length);
-    w.Key("slide");
-    w.Int(options.slide_step);
-    w.Key("xi");
-    w.Int(options.min_length_xi);
-    w.Key("approx_eps");
-    w.Double(options.approximation_epsilon);
-    w.Key("metric");
-    w.String(Metric(flags).Name());
-    w.Key("threads");
-    w.Int(options.threads);
+    JsonEngineOptions(&w, options, flags, /*fleet_keys=*/false);
     w.EndObject();
     w.Key("points_ingested");
-    w.Int(engine.points_ingested);
+    w.Int(stats.points_ingested);
     w.Key("slides");
     w.Int(slides);
     w.Key("seeded_searches");
-    w.Int(engine.seeded_searches);
+    w.Int(stats.seeded_searches);
     w.Key("ground_distances_computed");
-    w.Int(engine.ground_distances_computed);
+    w.Int(stats.ground_distances_computed);
     w.Key("dfd_cells_computed");
-    w.Int(engine.dfd_cells_computed);
+    w.Int(stats.dfd_cells_computed);
     // Optional keys only: the default schema (and its goldens) is
     // unchanged unless the run was durable or interrupted.
-    if (fleet.has_value()) {
-      // The durable path routes through an IngestFrontend, so its
-      // late-arrival and reorder-occupancy counters are observable here
-      // (the plain monitor path has no reorder stage).
-      const fm::FleetStats fleet_stats = fleet->stats();
+    if (durable != nullptr) {
       w.Key("reordered");
-      w.Int(fleet_stats.reordered);
+      w.Int(stats.reordered);
       w.Key("late_dropped");
-      w.Int(fleet_stats.late_dropped);
+      w.Int(stats.late_dropped);
       w.Key("reorder_buffered_peak");
-      w.Int(fleet_stats.reorder_buffered_peak);
+      w.Int(stats.reorder_buffered_peak);
       w.Key("durable");
       w.BeginObject();
       w.Key("state_dir");
-      w.String(durable.state_dir);
+      w.String(flags.GetString("state-dir", ""));
       w.Key("generation");
-      w.Int(static_cast<std::int64_t>(fleet->generation()));
+      w.Int(static_cast<std::int64_t>(durable->generation()));
       w.Key("restored_snapshot");
-      w.Bool(fleet->recovery().restored_snapshot);
+      w.Bool(durable->recovery().restored_snapshot);
       w.Key("replayed_records");
-      w.Int(static_cast<std::int64_t>(fleet->recovery().replayed_records));
+      w.Int(static_cast<std::int64_t>(durable->recovery().replayed_records));
       w.EndObject();
     }
     if (g_interrupted) {
@@ -838,11 +876,11 @@ int RunStream(const fm::Flags& flags) {
     std::printf(
         "%lld points, %lld slides (%lld seeded), %lld ground distances, "
         "%lld DFD cells\n",
-        static_cast<long long>(engine.points_ingested),
+        static_cast<long long>(stats.points_ingested),
         static_cast<long long>(slides),
-        static_cast<long long>(engine.seeded_searches),
-        static_cast<long long>(engine.ground_distances_computed),
-        static_cast<long long>(engine.dfd_cells_computed));
+        static_cast<long long>(stats.seeded_searches),
+        static_cast<long long>(stats.ground_distances_computed),
+        static_cast<long long>(stats.dfd_cells_computed));
   }
   return kExitOk;
 }
@@ -934,14 +972,6 @@ void PrintFleetReport(const fm::FleetReport& report, bool json,
   if (!json) std::fflush(stdout);
 }
 
-/// Parses a multiplexed stdin row `stream,lat,lon[,timestamp]`. The grammar
-/// lives in data/io.h (ParseFleetCsvRow) — `fmotif serve` speaks the same
-/// dialect over TCP, so both front ends share one parser.
-fm::CsvRow ParseFleetRow(const std::string& line, std::size_t* stream,
-                         double* lat, double* lon, double* ts, bool* has_ts) {
-  return fm::ParseFleetCsvRow(line, stream, lat, lon, ts, has_ts);
-}
-
 /// One --members token: `s` (single sliding window) or `x` (cross-trajectory
 /// window pair), optionally suffixed `:eps` to override --approx-eps for
 /// that member alone.
@@ -1001,75 +1031,28 @@ int RunFleet(const fm::Flags& flags) {
       flags.positional().size() == 2 && flags.positional()[1] == "-";
   InstallInterruptHandlers();
 
-  fm::FleetOptions options;
-  options.stream.window_length = static_cast<fm::Index>(
-      flags.GetInt("window", options.stream.window_length));
-  options.stream.slide_step =
-      static_cast<fm::Index>(flags.GetInt("slide", options.stream.slide_step));
-  options.stream.min_length_xi =
-      static_cast<fm::Index>(flags.GetInt("xi", 100));
-  options.stream.threads = Threads(flags);
-  options.stream.approximation_epsilon = ApproxEps(flags);
-  if (flags.Has("eps")) options.join_epsilon = flags.GetDouble("eps", 250.0);
-  options.reorder_capacity =
-      static_cast<fm::Index>(flags.GetInt("reorder", 0));
-  options.max_searches_per_drain =
-      static_cast<int>(flags.GetInt("budget", 0));
-
-  // --state-dir swaps the in-memory engine for a DurableFleet; every
-  // mutation below goes through the dispatch lambdas so both paths share
-  // one ingest loop.
-  const fm::DurableOptions durable_config = DurableConfig(flags);
-  std::optional<fm::MotifFleetEngine> plain;
-  std::optional<fm::DurableFleet> durable;
-  if (durable_config.state_dir.empty()) {
-    fm::StatusOr<fm::MotifFleetEngine> created =
-        fm::MotifFleetEngine::Create(options, Metric(flags));
-    if (!created.ok()) return Fail(created.status());
-    plain.emplace(std::move(created).value());
-  } else {
-    fm::StatusOr<fm::DurableFleet> opened =
-        fm::DurableFleet::Open(options, Metric(flags), durable_config);
-    if (!opened.ok()) return Fail(opened.status());
-    durable.emplace(std::move(opened).value());
-    PrintRecoveryNote(*durable);
-  }
-  const fm::MotifFleetEngine& view =
-      durable.has_value() ? durable->engine() : *plain;
-  const auto add_stream = [&]() -> fm::StatusOr<std::size_t> {
-    return durable.has_value() ? durable->AddStream() : plain->AddStream();
-  };
-  const auto ingest =
-      [&](const std::vector<fm::FleetArrival>& batch)
-      -> fm::StatusOr<fm::FleetReport> {
-    return durable.has_value() ? durable->Ingest(batch)
-                               : plain->Ingest(batch);
-  };
+  const fm::FleetOptions options = FleetConfig(flags);
+  fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> opened =
+      OpenEngine(options, flags);
+  if (!opened.ok()) return Fail(opened.status());
+  fm::MotifFleetEngine& engine = *opened.value();
 
   // --members pre-registers a heterogeneous fleet (per-member ε, cross
-  // pairs). The durable journal only replays default single-stream
-  // AddStream records, so the flag requires the in-memory engine.
+  // pairs). Members a state dir already recovered are not added again.
   const std::string members_spec = flags.GetString("members", "");
   if (!members_spec.empty()) {
-    if (durable.has_value()) {
-      return Fail(fm::Status::InvalidArgument(
-          "--members requires the in-memory engine (drop --state-dir)"));
-    }
     fm::StatusOr<std::vector<FleetMemberSpec>> members =
         ParseFleetMembers(members_spec);
     if (!members.ok()) return Fail(members.status());
-    for (const FleetMemberSpec& m : members.value()) {
+    for (std::size_t k = engine.member_count(); k < members.value().size();
+         ++k) {
+      const FleetMemberSpec& m = members.value()[k];
       fm::StreamOptions member_options = options.stream;
       if (m.has_eps) member_options.approximation_epsilon = m.eps;
-      if (m.cross) {
-        const fm::StatusOr<std::pair<std::size_t, std::size_t>> added =
-            plain->AddCrossPair(member_options);
-        if (!added.ok()) return Fail(added.status());
-      } else {
-        const fm::StatusOr<std::size_t> added =
-            plain->AddStream(member_options);
-        if (!added.ok()) return Fail(added.status());
-      }
+      const fm::Status added =
+          m.cross ? engine.AddCrossPair(member_options).status()
+                  : engine.AddStream(member_options).status();
+      if (!added.ok()) return Fail(added);
     }
   }
 
@@ -1078,47 +1061,23 @@ int RunFleet(const fm::Flags& flags) {
     // Multiplexed live tail: one `stream,lat,lon[,ts]` row per line, new
     // stream ids registering streams on the fly.
     constexpr std::size_t kMaxStreams = 4096;
-    std::string line;
-    std::size_t line_no = 0;
-    while (!g_interrupted && ReadFeedLine(std::cin, /*from_stdin=*/true,
-                                          &line)) {
-      ++line_no;
-      std::size_t stream = 0;
-      double lat = 0.0;
-      double lon = 0.0;
-      double ts = 0.0;
-      bool has_ts = false;
-      switch (ParseFleetRow(line, &stream, &lat, &lon, &ts, &has_ts)) {
-        case fm::CsvRow::kBlank:
-          continue;
-        case fm::CsvRow::kMalformed:
-          if (line_no == 1) continue;  // header row
-          return Fail(fm::Status::InvalidArgument(
-              "malformed fleet row " + std::to_string(line_no) +
-              " (expected stream,lat,lon[,timestamp])"));
-        case fm::CsvRow::kMalformedTimestamp:
-          return Fail(fm::Status::InvalidArgument(
-              "malformed timestamp on row " + std::to_string(line_no)));
-        case fm::CsvRow::kPoint:
-          break;
-      }
-      if (stream >= kMaxStreams) {
-        return Fail(fm::Status::InvalidArgument(
-            "fleet stream id out of range on row " + std::to_string(line_no)));
-      }
-      while (stream >= view.stream_count()) {
-        const fm::StatusOr<std::size_t> added = add_stream();
-        if (!added.ok()) return Fail(added.status());
-      }
-      fm::FleetArrival arrival;
-      arrival.stream = stream;
-      arrival.point = fm::LatLon(lat, lon);
-      arrival.has_timestamp = has_ts;
-      arrival.timestamp = has_ts ? ts : 0.0;
-      fm::StatusOr<fm::FleetReport> report = ingest({arrival});
-      if (!report.ok()) return Fail(report.status());
-      PrintFleetReport(report.value(), json, &slides);
-    }
+    const fm::Status fed = TailFeed(
+        std::cin, /*from_stdin=*/true, /*multiplexed=*/true,
+        [&](const fm::FleetArrival& a, std::size_t line_no) {
+          if (a.stream >= kMaxStreams) {
+            return fm::Status::InvalidArgument(
+                "fleet stream id out of range on row " +
+                std::to_string(line_no));
+          }
+          while (a.stream >= engine.stream_count()) {
+            FM_RETURN_IF_ERROR(engine.AddStream().status());
+          }
+          fm::StatusOr<fm::FleetReport> report = engine.Ingest({a});
+          if (!report.ok()) return report.status();
+          PrintFleetReport(report.value(), json, &slides);
+          return fm::Status::Ok();
+        });
+    if (!fed.ok()) return Fail(fed);
   } else {
     // One file per stream, replayed round-robin through one arrival loop.
     // A recovered state directory already has its streams registered, so
@@ -1127,8 +1086,8 @@ int RunFleet(const fm::Flags& flags) {
     for (std::size_t k = 1; k < flags.positional().size(); ++k) {
       fm::StatusOr<fm::Trajectory> t = Load(flags.positional()[k], flags);
       if (!t.ok()) return Fail(t.status());
-      while (view.stream_count() < k) {
-        const fm::StatusOr<std::size_t> added = add_stream();
+      while (engine.stream_count() < k) {
+        const fm::StatusOr<std::size_t> added = engine.AddStream();
         if (!added.ok()) return Fail(added.status());
       }
       streams.push_back(std::move(t).value());
@@ -1159,26 +1118,20 @@ int RunFleet(const fm::Flags& flags) {
           batch.push_back(arrival);
         }
       }
-      fm::StatusOr<fm::FleetReport> report = ingest(batch);
+      fm::StatusOr<fm::FleetReport> report = engine.Ingest(batch);
       if (!report.ok()) return Fail(report.status());
       PrintFleetReport(report.value(), json, &slides);
     }
   }
-  fm::StatusOr<fm::FleetReport> flushed =
-      durable.has_value() ? durable->Flush() : plain->Flush();
+  fm::StatusOr<fm::FleetReport> flushed = EndFeed(&engine);
   if (!flushed.ok()) return Fail(flushed.status());
   PrintFleetReport(flushed.value(), json, &slides);
-  if (durable.has_value()) {
-    const fm::Status synced = durable->Sync();
-    if (!synced.ok()) return Fail(synced);
-  }
   if (g_interrupted) {
     std::fprintf(stderr, "interrupted: flushing summary\n");
   }
 
-  const fm::FleetStats stats =
-      durable.has_value() ? durable->stats() : plain->stats();
-  const fm::IncrementalJoinStats* join = view.join_stats();
+  const fm::FleetStats stats = engine.stats();
+  const fm::IncrementalJoinStats* join = engine.join_stats();
   if (json) {
     fm::JsonWriter w;
     w.BeginObject();
@@ -1186,29 +1139,12 @@ int RunFleet(const fm::Flags& flags) {
     w.String("fleet");
     w.Key("options");
     w.BeginObject();
-    w.Key("window");
-    w.Int(options.stream.window_length);
-    w.Key("slide");
-    w.Int(options.stream.slide_step);
-    w.Key("xi");
-    w.Int(options.stream.min_length_xi);
-    w.Key("approx_eps");
-    w.Double(options.stream.approximation_epsilon);
-    w.Key("eps_m");
-    w.Double(options.join_epsilon);
-    w.Key("reorder");
-    w.Int(options.reorder_capacity);
-    w.Key("budget");
-    w.Int(options.max_searches_per_drain);
-    w.Key("metric");
-    w.String(Metric(flags).Name());
-    w.Key("threads");
-    w.Int(options.stream.threads);
+    JsonEngineOptions(&w, options, flags, /*fleet_keys=*/true);
     w.EndObject();
     w.Key("streams");
     w.Int(stats.streams);
     w.Key("members");
-    w.Int(static_cast<std::int64_t>(view.member_count()));
+    w.Int(static_cast<std::int64_t>(engine.member_count()));
     w.Key("points_ingested");
     w.Int(stats.points_ingested);
     w.Key("slides");
@@ -1242,7 +1178,7 @@ int RunFleet(const fm::Flags& flags) {
       w.Int(join->left_total);
       w.Key("current_matches");
       w.Int(static_cast<std::int64_t>(
-          view.CurrentJoinMatches().size()));
+          engine.CurrentJoinMatches().size()));
       w.EndObject();
     }
     w.EndObject();
@@ -1266,7 +1202,7 @@ int RunFleet(const fm::Flags& flags) {
           static_cast<long long>(join->verdicts_carried),
           static_cast<long long>(join->entered_total),
           static_cast<long long>(join->left_total),
-          view.CurrentJoinMatches().size());
+          engine.CurrentJoinMatches().size());
     }
   }
   return kExitOk;
@@ -1278,21 +1214,7 @@ int RunServe(const fm::Flags& flags) {
   InstallInterruptHandlers();
 
   fm::ServeOptions options;
-  options.fleet.stream.window_length = static_cast<fm::Index>(
-      flags.GetInt("window", options.fleet.stream.window_length));
-  options.fleet.stream.slide_step = static_cast<fm::Index>(
-      flags.GetInt("slide", options.fleet.stream.slide_step));
-  options.fleet.stream.min_length_xi =
-      static_cast<fm::Index>(flags.GetInt("xi", 100));
-  options.fleet.stream.threads = Threads(flags);
-  options.fleet.stream.approximation_epsilon = ApproxEps(flags);
-  if (flags.Has("eps")) {
-    options.fleet.join_epsilon = flags.GetDouble("eps", 250.0);
-  }
-  options.fleet.reorder_capacity =
-      static_cast<fm::Index>(flags.GetInt("reorder", 0));
-  options.fleet.max_searches_per_drain =
-      static_cast<int>(flags.GetInt("budget", 0));
+  options.fleet = FleetConfig(flags);
   options.durable = DurableConfig(flags);
   options.limits.max_connections = static_cast<int>(
       flags.GetInt("max-conns", options.limits.max_connections));
@@ -1335,24 +1257,7 @@ int RunServe(const fm::Flags& flags) {
     w.String("serve");
     w.Key("options");
     w.BeginObject();
-    w.Key("window");
-    w.Int(options.fleet.stream.window_length);
-    w.Key("slide");
-    w.Int(options.fleet.stream.slide_step);
-    w.Key("xi");
-    w.Int(options.fleet.stream.min_length_xi);
-    w.Key("approx_eps");
-    w.Double(options.fleet.stream.approximation_epsilon);
-    w.Key("eps_m");
-    w.Double(options.fleet.join_epsilon);
-    w.Key("reorder");
-    w.Int(options.fleet.reorder_capacity);
-    w.Key("budget");
-    w.Int(options.fleet.max_searches_per_drain);
-    w.Key("metric");
-    w.String(Metric(flags).Name());
-    w.Key("threads");
-    w.Int(options.fleet.stream.threads);
+    JsonEngineOptions(&w, options.fleet, flags, /*fleet_keys=*/true);
     w.Key("max_conns");
     w.Int(options.limits.max_connections);
     w.EndObject();
