@@ -26,7 +26,7 @@
 //   * the ε=0 rows are bit-identical to the exact baseline
 //     (extras.bit_identical_to_exact records the check for the CI gate).
 //
-// scripts/check_bench_approx.py re-validates the committed
+// scripts/check_bench.py re-validates the committed
 // BENCH_approx.json: cells non-increasing in ε, ratio <= 1+ε per row,
 // ε=0 bit-identity flags set.
 

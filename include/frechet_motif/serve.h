@@ -11,7 +11,9 @@
 /// routes arrivals into a `MotifFleetEngine` (journaled through
 /// `DurableFleet` when a state directory is configured), and pushes
 /// per-slide reports and join deltas to subscribers as newline-delimited
-/// single-line JSON frames.
+/// single-line JSON frames. `fmotif stream|fleet --json` prints the same
+/// frames (`SerializeReportFrame`, `SerializeJoinFrame`), so the CLI and
+/// a subscriber read identical bytes for the same feed.
 ///
 /// ```
 /// ServeOptions options;                    // fleet + limits + durability

@@ -124,6 +124,12 @@ std::string SerializeReportFrame(const FleetStreamUpdate& update) {
   w.EndArray();
   w.Key("dfd_cells");
   w.Int(u.stats.dfd_cells_computed);
+  w.Key("total_subsets");
+  w.Int(u.stats.total_subsets);
+  w.Key("pruned_subsets");
+  w.Int(u.stats.pruned_total());
+  w.Key("subsets_evaluated");
+  w.Int(u.stats.subsets_evaluated);
   w.EndObject();
   return w.str() + "\n";
 }
@@ -153,6 +159,84 @@ std::string SerializeJoinFrame(const JoinDelta& delta) {
   w.EndArray();
   w.EndObject();
   return w.str() + "\n";
+}
+
+void WriteServeStats(JsonWriter* w, const ServeStats& stats) {
+  w->Key("accepted");
+  w->Int(stats.accepted);
+  w->Key("rejected_busy");
+  w->Int(stats.rejected_busy);
+  w->Key("evicted_slow");
+  w->Int(stats.evicted_slow);
+  w->Key("evicted_idle");
+  w->Int(stats.evicted_idle);
+  w->Key("evicted_pending_overflow");
+  w->Int(stats.evicted_pending_overflow);
+  w->Key("closed_by_peer");
+  w->Int(stats.closed_by_peer);
+  w->Key("io_errors");
+  w->Int(stats.io_errors);
+  w->Key("lines_in");
+  w->Int(stats.lines_in);
+  w->Key("points_ingested");
+  w->Int(stats.points_ingested);
+  w->Key("parse_errors");
+  w->Int(stats.parse_errors);
+  w->Key("oversized_lines");
+  w->Int(stats.oversized_lines);
+  w->Key("engine_errors");
+  w->Int(stats.engine_errors);
+  w->Key("frames_pushed");
+  w->Int(stats.frames_pushed);
+  w->Key("frames_dropped");
+  w->Int(stats.frames_dropped);
+  w->Key("bytes_in");
+  w->Int(stats.bytes_in);
+  w->Key("bytes_out");
+  w->Int(stats.bytes_out);
+}
+
+void WriteFleetStats(JsonWriter* w, const FleetStats& stats) {
+  w->Key("fleet");
+  w->BeginObject();
+  w->Key("streams");
+  w->Int(stats.streams);
+  w->Key("points_ingested");
+  w->Int(stats.points_ingested);
+  w->Key("searches");
+  w->Int(stats.searches);
+  w->Key("seeded_searches");
+  w->Int(stats.seeded_searches);
+  w->Key("ground_distances_computed");
+  w->Int(stats.ground_distances_computed);
+  w->Key("dfd_cells_computed");
+  w->Int(stats.dfd_cells_computed);
+  w->Key("coalesced_slides");
+  w->Int(stats.coalesced_slides);
+  w->Key("reordered");
+  w->Int(stats.reordered);
+  w->Key("late_dropped");
+  w->Int(stats.late_dropped);
+  w->Key("reorder_buffered");
+  w->Int(stats.reorder_buffered);
+  w->Key("reorder_buffered_peak");
+  w->Int(stats.reorder_buffered_peak);
+  w->EndObject();
+}
+
+void WriteDurable(JsonWriter* w, const std::string& state_dir,
+                  const DurableFleet& fleet) {
+  w->Key("durable");
+  w->BeginObject();
+  w->Key("state_dir");
+  w->String(state_dir);
+  w->Key("generation");
+  w->Int(static_cast<std::int64_t>(fleet.generation()));
+  w->Key("restored_snapshot");
+  w->Bool(fleet.recovery().restored_snapshot);
+  w->Key("replayed_records");
+  w->Int(static_cast<std::int64_t>(fleet.recovery().replayed_records));
+  w->EndObject();
 }
 
 StatusOr<MotifServer> MotifServer::Create(const ServeOptions& options,
@@ -689,7 +773,6 @@ std::string MotifServer::HelloFrame() const {
 }
 
 std::string MotifServer::StatsFrame() const {
-  const FleetStats fleet = fleet_stats();
   JsonWriter w(JsonStyle::kCompact);
   w.BeginObject();
   w.Key("type");
@@ -698,47 +781,8 @@ std::string MotifServer::StatsFrame() const {
   w.Int(static_cast<std::int64_t>(conns_.size()));
   w.Key("draining");
   w.Bool(draining_);
-  w.Key("accepted");
-  w.Int(stats_.accepted);
-  w.Key("rejected_busy");
-  w.Int(stats_.rejected_busy);
-  w.Key("evicted_slow");
-  w.Int(stats_.evicted_slow);
-  w.Key("evicted_idle");
-  w.Int(stats_.evicted_idle);
-  w.Key("lines_in");
-  w.Int(stats_.lines_in);
-  w.Key("points_ingested");
-  w.Int(stats_.points_ingested);
-  w.Key("parse_errors");
-  w.Int(stats_.parse_errors);
-  w.Key("oversized_lines");
-  w.Int(stats_.oversized_lines);
-  w.Key("engine_errors");
-  w.Int(stats_.engine_errors);
-  w.Key("frames_pushed");
-  w.Int(stats_.frames_pushed);
-  w.Key("frames_dropped");
-  w.Int(stats_.frames_dropped);
-  w.Key("fleet");
-  w.BeginObject();
-  w.Key("streams");
-  w.Int(fleet.streams);
-  w.Key("points_ingested");
-  w.Int(fleet.points_ingested);
-  w.Key("searches");
-  w.Int(fleet.searches);
-  w.Key("coalesced_slides");
-  w.Int(fleet.coalesced_slides);
-  w.Key("reordered");
-  w.Int(fleet.reordered);
-  w.Key("late_dropped");
-  w.Int(fleet.late_dropped);
-  w.Key("reorder_buffered");
-  w.Int(fleet.reorder_buffered);
-  w.Key("reorder_buffered_peak");
-  w.Int(fleet.reorder_buffered_peak);
-  w.EndObject();
+  WriteServeStats(&w, stats_);
+  WriteFleetStats(&w, fleet_stats());
   w.Key("streams");
   w.BeginArray();
   const std::size_t count = engine().stream_count();

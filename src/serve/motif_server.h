@@ -139,11 +139,24 @@ struct ServeStats {
   std::int64_t bytes_out = 0;
 };
 
+class JsonWriter;
+
 /// Serializes one slide report / join delta as a single-line JSON frame
-/// (terminating '\n' included). Exposed so parity tests can render the
-/// batch oracle's reports with the identical bytes.
+/// (terminating '\n' included). These are the streaming tier's one
+/// output format: `fmotif stream|fleet --json` prints the same frames a
+/// `SUB all` subscriber receives, and parity tests render the batch
+/// oracle's reports with the identical bytes.
 std::string SerializeReportFrame(const FleetStreamUpdate& update);
 std::string SerializeJoinFrame(const JoinDelta& delta);
+
+/// The counter blocks of the `stats` frame and of the CLI's `summary`
+/// line, so each counter is named in one place. `WriteServeStats` writes
+/// its keys into the object `w` has open; `WriteFleetStats` and
+/// `WriteDurable` write one `"fleet"` / `"durable"` member holding theirs.
+void WriteServeStats(JsonWriter* w, const ServeStats& stats);
+void WriteFleetStats(JsonWriter* w, const FleetStats& stats);
+void WriteDurable(JsonWriter* w, const std::string& state_dir,
+                  const DurableFleet& fleet);
 
 class MotifServer {
  public:

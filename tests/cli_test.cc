@@ -135,6 +135,17 @@ bool LooksLikeValidJson(const std::string& text) {
   return depth == 0 && !in_string && saw_root;
 }
 
+/// The first line of NDJSON `text` whose frame type is `type` (empty when
+/// there is none).
+std::string FirstFrame(const std::string& text, const std::string& type) {
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.rfind("{\"type\":\"" + type + "\"", 0) == 0) return line;
+  }
+  return "";
+}
+
 /// Writes a fixed deterministic trace and returns its path.
 std::string WriteTrace(const std::string& name, const std::string& gen_args) {
   const std::string path = TempPath(name);
@@ -259,6 +270,23 @@ TEST(CliStream, JsonReportsPerSlideAndSummaryGolden) {
   ExpectMatchesGolden(Normalize(r.output), "stream_json.golden");
 }
 
+TEST(CliStream, JsonReportIsTheServeWireFrame) {
+  // The CLI prints the wire schema: `fmotif stream --json` reports are
+  // the frames a serve subscriber receives, pinned by the serve golden.
+  const std::string path =
+      WriteTrace("wire.csv", "--kind=geolife --n=120 --seed=7");
+  const CommandResult r =
+      RunFmotif("stream " + path + " --window=60 --slide=20 --xi=8 --json");
+  ASSERT_EQ(0, r.exit_code) << r.output;
+  std::ifstream golden(GoldenPath("serve_wire.golden"));
+  ASSERT_TRUE(golden.good());
+  std::stringstream wire;
+  wire << golden.rdbuf();
+  const std::string expected = FirstFrame(wire.str(), "report");
+  ASSERT_FALSE(expected.empty()) << wire.str();
+  EXPECT_EQ(Normalize(expected), Normalize(FirstFrame(r.output, "report")));
+}
+
 TEST(CliStream, StdinTailsIdenticallyToFileInput) {
   const std::string path =
       WriteTrace("sin.csv", "--kind=geolife --n=160 --seed=9");
@@ -368,7 +396,7 @@ TEST(CliFleet, MembersRunDurablyAndRecoverOnRestart) {
   ASSERT_EQ(0, resumed.exit_code) << resumed.output;
   EXPECT_NE(std::string::npos, resumed.output.find("recovered: snapshot=yes"))
       << resumed.output;
-  EXPECT_NE(std::string::npos, resumed.output.find("\"members\": 2"))
+  EXPECT_NE(std::string::npos, resumed.output.find("\"members\":2"))
       << resumed.output;
 }
 
@@ -455,7 +483,7 @@ TEST(CliFleet, JsonReportsSlidesJoinDeltasAndSummaryGolden) {
         "\"distance_m\"", "\"join_delta\"", "\"entered\"",
         "\"coalesced_slides\"", "\"late_dropped\"", "\"reordered\"",
         "\"verdicts_carried\"", "\"current_matches\"",
-        "\"command\": \"fleet\""}) {
+        "\"command\":\"fleet\""}) {
     EXPECT_NE(std::string::npos, r.output.find(key)) << key;
   }
   // 3 streams x ((160 - 60) / 20 + 1) slides, one report each.
@@ -470,26 +498,33 @@ TEST(CliFleet, JsonReportsSlidesJoinDeltasAndSummaryGolden) {
 }
 
 TEST(CliFleet, PerStreamOutputMatchesIndependentStreamRuns) {
-  // Each stream's slide lines in the fleet output must be exactly the
-  // lines `fmotif stream` prints for that file alone (prefixed s<k>).
+  // `stream X` is a one-stream `fleet X`: both print the same report
+  // lines and summary, as text and as NDJSON frames (where only the
+  // summary's command name differs).
   const std::string a = WriteTrace("fp.csv", "--kind=geolife --n=150 --seed=3");
   const std::string args = " --window=60 --slide=15 --xi=8";
-  const CommandResult alone = RunFmotif("stream " + a + args);
-  const CommandResult fleet = RunFmotif("fleet " + a + args);
-  ASSERT_EQ(0, alone.exit_code) << alone.output;
-  ASSERT_EQ(0, fleet.exit_code) << fleet.output;
-  std::istringstream alone_lines(alone.output);
-  std::istringstream fleet_lines(fleet.output);
-  std::string expected;
-  std::string actual;
-  int compared = 0;
-  while (std::getline(alone_lines, expected) &&
-         std::getline(fleet_lines, actual) && !expected.empty() &&
-         expected[0] == '@') {
-    EXPECT_EQ("s0 " + expected, actual);
-    ++compared;
+  for (const bool json : {false, true}) {
+    const std::string flags = args + (json ? " --json" : "");
+    const CommandResult alone = RunFmotif("stream " + a + flags);
+    const CommandResult fleet = RunFmotif("fleet " + a + flags);
+    ASSERT_EQ(0, alone.exit_code) << alone.output;
+    ASSERT_EQ(0, fleet.exit_code) << fleet.output;
+    std::string expected = alone.output;
+    if (json) {
+      const std::string command = "\"command\":\"stream\"";
+      const std::size_t at = expected.find(command);
+      ASSERT_NE(std::string::npos, at) << expected;
+      expected.replace(at, command.size(), "\"command\":\"fleet\"");
+    }
+    EXPECT_EQ(expected, fleet.output) << flags;
+    const std::string report = json ? "{\"type\":\"report\"" : "s0 @";
+    int reports = 0;
+    for (std::size_t at = 0;
+         (at = fleet.output.find(report, at)) != std::string::npos; ++at) {
+      ++reports;
+    }
+    EXPECT_GT(reports, 3) << fleet.output;
   }
-  EXPECT_GT(compared, 3);
 }
 
 TEST(CliFleet, StdinMultiplexRegistersStreamsOnTheFly) {
@@ -545,7 +580,12 @@ TEST(CliFleet, BudgetCapsSearchesAndCountsCoalescedSlides) {
   ASSERT_EQ(0, r.exit_code) << r.output;
   EXPECT_TRUE(LooksLikeValidJson(r.output));
   // With budget 1 and two always-due streams, slides coalesce.
-  EXPECT_EQ(std::string::npos, r.output.find("\"coalesced_slides\": 0,"));
+  const std::string summary = FirstFrame(r.output, "summary");
+  const std::string key = "\"coalesced_slides\":";
+  const std::size_t at = summary.find(key);
+  ASSERT_NE(std::string::npos, at) << summary;
+  EXPECT_GT(std::strtoll(summary.c_str() + at + key.size(), nullptr, 10), 0)
+      << summary;
 }
 
 TEST(CliJson, TopKReturnsAscendingDistances) {
@@ -719,9 +759,9 @@ TEST(CliServe, SigtermDrainsCheckpointsAndRestartRecovers) {
   EXPECT_NE(std::string::npos,
             r.output.find("{\"type\":\"bye\",\"reason\":\"draining\"}"))
       << r.output;
-  EXPECT_NE(std::string::npos, r.output.find("\"command\": \"serve\""))
+  EXPECT_NE(std::string::npos, r.output.find("\"command\":\"serve\""))
       << r.output;
-  EXPECT_NE(std::string::npos, r.output.find("\"points_ingested\": 40"))
+  EXPECT_NE(std::string::npos, r.output.find("\"points_ingested\":40"))
       << r.output;
   EXPECT_NE(std::string::npos, r.output.find("rc=0")) << r.output;
 
@@ -732,7 +772,7 @@ TEST(CliServe, SigtermDrainsCheckpointsAndRestartRecovers) {
   ASSERT_EQ(0, resumed.exit_code) << resumed.output;
   EXPECT_NE(std::string::npos, resumed.output.find("recovered: snapshot="))
       << resumed.output;
-  EXPECT_NE(std::string::npos, resumed.output.find("\"streams\": 1"))
+  EXPECT_NE(std::string::npos, resumed.output.find("\"streams\":1"))
       << resumed.output;
 }
 

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <functional>
 #include <utility>
 #include <iostream>
@@ -145,12 +144,15 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "(1+E) times that window's optimum (never compounding across "
         "slides).\n"
         "\n"
-        "CSV input is consumed line by line; pass `-` to tail stdin (e.g.\n"
-        "`tail -f live.csv | fmotif stream -`). GeoJSON/PLT files are "
-        "replayed\n"
-        "point by point. With --json, one JSON report per slide plus a "
-        "final\n"
-        "summary document go to stdout.\n"
+        "The file is read whole and replayed point by point; pass `-` to "
+        "tail\n"
+        "stdin row by row (e.g. `tail -f live.csv | fmotif stream -`). "
+        "`stream`\n"
+        "is a one-stream `fleet` and prints the same lines. With --json, "
+        "stdout\n"
+        "is NDJSON: one `report` frame per slide, byte for byte what a "
+        "`fmotif\n"
+        "serve` subscriber receives, then one `summary` line.\n"
         "\n"
         "--state-dir=DIR makes the run durable: engine state is "
         "checkpointed\n"
@@ -188,6 +190,12 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "per stream to fix out-of-order feeds (late arrivals below the\n"
         "watermark are dropped and counted). --budget=K caps searches per\n"
         "drain — a backlogged window coalesces its pending slides.\n"
+        "\n"
+        "With --json, stdout is NDJSON: one `report` frame per slide and "
+        "one\n"
+        "`join_delta` frame per join change, byte for byte what a `fmotif "
+        "serve`\n"
+        "subscriber receives, then one `summary` line.\n"
         "\n"
         "--members=SPEC declares a heterogeneous fleet up front: a comma-\n"
         "separated list of member specs, `s` (one sliding window) or `x` "
@@ -246,7 +254,11 @@ int CommandUsage(std::FILE* stream, const std::string& command) {
         "accepting stops, every subscriber queue is flushed, then the\n"
         "journal is checkpointed and synced. --max-runtime-ms drains\n"
         "automatically after a fixed runtime (0 = run until "
-        "signalled).\n");
+        "signalled).\n"
+        "\n"
+        "With --json, the run ends with one `summary` line on stdout, "
+        "built\n"
+        "from the same counter blocks as the `stats` frame.\n");
   } else if (command == "topk") {
     std::fprintf(
         stream,
@@ -539,9 +551,9 @@ fm::StatusOr<fm::FleetReport> EndFeed(fm::MotifFleetEngine* engine) {
 }
 
 /// The "options" keys of the stream, fleet and serve summaries, in
-/// schema order; `fleet_keys` adds the multi-stream engine's.
+/// schema order.
 void JsonEngineOptions(fm::JsonWriter* w, const fm::FleetOptions& options,
-                       const fm::Flags& flags, bool fleet_keys) {
+                       const fm::Flags& flags) {
   w->Key("window");
   w->Int(options.stream.window_length);
   w->Key("slide");
@@ -550,14 +562,12 @@ void JsonEngineOptions(fm::JsonWriter* w, const fm::FleetOptions& options,
   w->Int(options.stream.min_length_xi);
   w->Key("approx_eps");
   w->Double(options.stream.approximation_epsilon);
-  if (fleet_keys) {
-    w->Key("eps_m");
-    w->Double(options.join_epsilon);
-    w->Key("reorder");
-    w->Int(options.reorder_capacity);
-    w->Key("budget");
-    w->Int(options.max_searches_per_drain);
-  }
+  w->Key("eps_m");
+  w->Double(options.join_epsilon);
+  w->Key("reorder");
+  w->Int(options.reorder_capacity);
+  w->Key("budget");
+  w->Int(options.max_searches_per_drain);
   w->Key("metric");
   w->String(Metric(flags).Name());
   w->Key("threads");
@@ -699,252 +709,15 @@ int RunMotif(const fm::Flags& flags) {
   return kExitOk;
 }
 
-void PrintStreamUpdateJson(const fm::StreamUpdate& u) {
-  fm::JsonWriter w;
-  w.BeginObject();
-  w.Key("window_start");
-  w.Int(u.window_start);
-  w.Key("window_points");
-  w.Int(u.window_points);
-  w.Key("seeded");
-  w.Bool(u.seeded);
-  w.Key("carried");
-  w.Bool(u.carried);
-  w.Key("approx_eps");
-  w.Double(u.approximation_epsilon);
-  w.Key("result");
-  w.BeginObject();
-  w.Key("found");
-  w.Bool(u.motif.found);
-  w.Key("distance_m");
-  w.Double(u.motif.distance);
-  w.Key("first");
-  JsonRange(&w, u.motif.first());
-  w.Key("second");
-  JsonRange(&w, u.motif.second());
-  w.EndObject();
-  w.Key("stats");
-  w.BeginObject();
-  w.Key("total_subsets");
-  w.Int(u.stats.total_subsets);
-  w.Key("pruned_subsets");
-  w.Int(u.stats.pruned_total());
-  w.Key("subsets_evaluated");
-  w.Int(u.stats.subsets_evaluated);
-  w.Key("dfd_cells_computed");
-  w.Int(u.stats.dfd_cells_computed);
-  w.EndObject();
-  w.EndObject();
-  PrintJson(w);
-}
-
-void PrintStreamUpdateText(const fm::StreamUpdate& u) {
-  std::printf("@%lld  S[%d..%d] ~ S[%d..%d]  DFD=%.2f m  %s%scells=%lld\n",
-              static_cast<long long>(u.window_start), u.motif.best.i,
-              u.motif.best.ie, u.motif.best.j, u.motif.best.je,
-              u.motif.distance, u.seeded ? "seeded " : "cold ",
-              u.carried ? "carried " : "",
-              static_cast<long long>(u.stats.dfd_cells_computed));
-  std::fflush(stdout);
-}
-
-int RunStream(const fm::Flags& flags) {
-  if (flags.positional().size() != 2) return CommandUsage(stderr, "stream");
-  const std::string& path = flags.positional()[1];
-  const bool json = flags.GetBool("json", false);
-  InstallInterruptHandlers();
-
-  // The feed runs through a one-stream fleet.
-  fm::FleetOptions options;
-  options.stream = StreamConfig(flags);
-  fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> opened =
-      OpenEngine(options, flags);
-  if (!opened.ok()) return Fail(opened.status());
-  fm::MotifFleetEngine& engine = *opened.value();
-  const auto* durable = dynamic_cast<const fm::DurableFleet*>(&engine);
-  if (engine.stream_count() == 0) {
-    const fm::StatusOr<std::size_t> added = engine.AddStream();
-    if (!added.ok()) return Fail(added.status());
-  }
-
-  std::int64_t slides = 0;
-  const auto emit = [&](const fm::StreamUpdate& u) {
-    ++slides;
-    if (json) {
-      PrintStreamUpdateJson(u);
-    } else {
-      PrintStreamUpdateText(u);
-    }
-  };
-  const auto push = [&](const fm::FleetArrival& a, std::size_t) {
-    fm::StatusOr<fm::FleetReport> report = engine.Ingest({a});
-    if (!report.ok()) return report.status();
-    for (const fm::FleetStreamUpdate& fu : report.value().updates) {
-      emit(fu.update);
-    }
-    return fm::Status::Ok();
-  };
-
-  const bool from_stdin = path == "-";
-  const bool csv = from_stdin || !(HasSuffix(path, ".plt") ||
-                                   HasSuffix(path, ".geojson") ||
-                                   HasSuffix(path, ".json"));
-  if (csv) {
-    // Line-at-a-time ingestion: this is the live-tail path, so rows are
-    // pushed as they arrive rather than buffered into a Trajectory.
-    std::ifstream file;
-    if (!from_stdin) {
-      file.open(path);
-      if (!file) {
-        return Fail(fm::Status::IoError("cannot open for reading: " + path));
-      }
-    }
-    const fm::Status fed = TailFeed(from_stdin ? std::cin : file, from_stdin,
-                                    /*multiplexed=*/false, push);
-    if (!fed.ok()) return Fail(fed);
-  } else {
-    fm::StatusOr<fm::Trajectory> t = LoadRaw(path);
-    if (!t.ok()) return Fail(t.status());
-    const bool timed = t.value().has_timestamps();
-    for (fm::Index i = 0; !g_interrupted && i < t.value().size(); ++i) {
-      const fm::FleetArrival a{0, t.value()[i], timed,
-                               timed ? t.value().timestamp(i) : 0.0};
-      const fm::Status pushed = push(a, 0);
-      if (!pushed.ok()) return Fail(pushed);
-    }
-  }
-
-  fm::StatusOr<fm::FleetReport> flushed = EndFeed(&engine);
-  if (!flushed.ok()) return Fail(flushed.status());
-  for (const fm::FleetStreamUpdate& fu : flushed.value().updates) {
-    emit(fu.update);
-  }
-  if (g_interrupted) {
-    std::fprintf(stderr, "interrupted: flushing summary\n");
-  }
-
-  const fm::FleetStats stats = engine.stats();
-  if (json) {
-    fm::JsonWriter w;
-    w.BeginObject();
-    w.Key("command");
-    w.String("stream");
-    w.Key("input");
-    w.String(path);
-    w.Key("options");
-    w.BeginObject();
-    JsonEngineOptions(&w, options, flags, /*fleet_keys=*/false);
-    w.EndObject();
-    w.Key("points_ingested");
-    w.Int(stats.points_ingested);
-    w.Key("slides");
-    w.Int(slides);
-    w.Key("seeded_searches");
-    w.Int(stats.seeded_searches);
-    w.Key("ground_distances_computed");
-    w.Int(stats.ground_distances_computed);
-    w.Key("dfd_cells_computed");
-    w.Int(stats.dfd_cells_computed);
-    // Optional keys only: the default schema (and its goldens) is
-    // unchanged unless the run was durable or interrupted.
-    if (durable != nullptr) {
-      w.Key("reordered");
-      w.Int(stats.reordered);
-      w.Key("late_dropped");
-      w.Int(stats.late_dropped);
-      w.Key("reorder_buffered_peak");
-      w.Int(stats.reorder_buffered_peak);
-      w.Key("durable");
-      w.BeginObject();
-      w.Key("state_dir");
-      w.String(flags.GetString("state-dir", ""));
-      w.Key("generation");
-      w.Int(static_cast<std::int64_t>(durable->generation()));
-      w.Key("restored_snapshot");
-      w.Bool(durable->recovery().restored_snapshot);
-      w.Key("replayed_records");
-      w.Int(static_cast<std::int64_t>(durable->recovery().replayed_records));
-      w.EndObject();
-    }
-    if (g_interrupted) {
-      w.Key("interrupted");
-      w.Bool(true);
-    }
-    w.EndObject();
-    PrintJson(w);
-  } else {
-    std::printf(
-        "%lld points, %lld slides (%lld seeded), %lld ground distances, "
-        "%lld DFD cells\n",
-        static_cast<long long>(stats.points_ingested),
-        static_cast<long long>(slides),
-        static_cast<long long>(stats.seeded_searches),
-        static_cast<long long>(stats.ground_distances_computed),
-        static_cast<long long>(stats.dfd_cells_computed));
-  }
-  return kExitOk;
-}
-
-void PrintFleetUpdateJson(const fm::FleetStreamUpdate& fu) {
-  const fm::StreamUpdate& u = fu.update;
-  fm::JsonWriter w;
-  w.BeginObject();
-  w.Key("stream");
-  w.Int(static_cast<std::int64_t>(fu.stream));
-  w.Key("window_start");
-  w.Int(u.window_start);
-  w.Key("window_points");
-  w.Int(u.window_points);
-  w.Key("seeded");
-  w.Bool(u.seeded);
-  w.Key("carried");
-  w.Bool(u.carried);
-  w.Key("approx_eps");
-  w.Double(u.approximation_epsilon);
-  w.Key("result");
-  w.BeginObject();
-  w.Key("found");
-  w.Bool(u.motif.found);
-  w.Key("distance_m");
-  w.Double(u.motif.distance);
-  w.Key("first");
-  JsonRange(&w, u.motif.first());
-  w.Key("second");
-  JsonRange(&w, u.motif.second());
-  w.EndObject();
-  w.Key("dfd_cells_computed");
-  w.Int(u.stats.dfd_cells_computed);
-  w.EndObject();
-  PrintJson(w);
-}
-
-void PrintJoinDeltaJson(const fm::JoinDelta& delta) {
-  fm::JsonWriter w;
-  w.BeginObject();
-  w.Key("join_delta");
-  w.BeginObject();
-  for (const auto* side : {&delta.entered, &delta.left}) {
-    w.Key(side == &delta.entered ? "entered" : "left");
-    w.BeginArray();
-    for (const fm::JoinPair& p : *side) {
-      w.BeginArray();
-      w.Int(static_cast<std::int64_t>(p.li));
-      w.Int(static_cast<std::int64_t>(p.ri));
-      w.EndArray();
-    }
-    w.EndArray();
-  }
-  w.EndObject();
-  w.EndObject();
-  PrintJson(w);
-}
-
+/// Prints one drain's output. Under --json each report and join delta is
+/// the exact frame a serve `SUB all` subscriber receives (NDJSON, one
+/// line per frame); otherwise one text line each.
 void PrintFleetReport(const fm::FleetReport& report, bool json,
                       std::int64_t* slides) {
   *slides += static_cast<std::int64_t>(report.updates.size());
   for (const fm::FleetStreamUpdate& fu : report.updates) {
     if (json) {
-      PrintFleetUpdateJson(fu);
+      std::fputs(fm::SerializeReportFrame(fu).c_str(), stdout);
       continue;
     }
     const fm::StreamUpdate& u = fu.update;
@@ -957,7 +730,7 @@ void PrintFleetReport(const fm::FleetReport& report, bool json,
   }
   if (!report.join_delta.empty()) {
     if (json) {
-      PrintJoinDeltaJson(report.join_delta);
+      std::fputs(fm::SerializeJoinFrame(report.join_delta).c_str(), stdout);
     } else {
       std::printf("join");
       for (const fm::JoinPair& p : report.join_delta.entered) {
@@ -969,7 +742,7 @@ void PrintFleetReport(const fm::FleetReport& report, bool json,
       std::printf("\n");
     }
   }
-  if (!json) std::fflush(stdout);
+  std::fflush(stdout);
 }
 
 /// One --members token: `s` (single sliding window) or `x` (cross-trajectory
@@ -1024,14 +797,38 @@ fm::StatusOr<std::vector<FleetMemberSpec>> ParseFleetMembers(
   return members;
 }
 
+/// Opens the `summary` line that ends every streaming command's --json
+/// output.
+void BeginSummary(fm::JsonWriter* w, const char* command) {
+  w->BeginObject();
+  w->Key("type");
+  w->String("summary");
+  w->Key("command");
+  w->String(command);
+}
+
+/// stream and fleet: one engine fed from files or a stdin tail. `stream`
+/// is a one-member fleet configured by StreamConfig alone whose stdin
+/// carries plain `lat,lon[,timestamp]` rows; `fleet -` multiplexes
+/// stdin by stream id.
 int RunFleet(const fm::Flags& flags) {
-  if (flags.positional().size() < 2) return CommandUsage(stderr, "fleet");
+  const std::string& command = flags.positional()[0];
+  const bool single = command == "stream";
+  if (flags.positional().size() < 2 ||
+      (single && flags.positional().size() != 2)) {
+    return CommandUsage(stderr, command);
+  }
   const bool json = flags.GetBool("json", false);
   const bool from_stdin =
       flags.positional().size() == 2 && flags.positional()[1] == "-";
   InstallInterruptHandlers();
 
-  const fm::FleetOptions options = FleetConfig(flags);
+  fm::FleetOptions options;
+  if (single) {
+    options.stream = StreamConfig(flags);
+  } else {
+    options = FleetConfig(flags);
+  }
   fm::StatusOr<std::unique_ptr<fm::MotifFleetEngine>> opened =
       OpenEngine(options, flags);
   if (!opened.ok()) return Fail(opened.status());
@@ -1039,7 +836,8 @@ int RunFleet(const fm::Flags& flags) {
 
   // --members pre-registers a heterogeneous fleet (per-member ε, cross
   // pairs). Members a state dir already recovered are not added again.
-  const std::string members_spec = flags.GetString("members", "");
+  const std::string members_spec =
+      single ? "" : flags.GetString("members", "");
   if (!members_spec.empty()) {
     fm::StatusOr<std::vector<FleetMemberSpec>> members =
         ParseFleetMembers(members_spec);
@@ -1058,11 +856,11 @@ int RunFleet(const fm::Flags& flags) {
 
   std::int64_t slides = 0;
   if (from_stdin) {
-    // Multiplexed live tail: one `stream,lat,lon[,ts]` row per line, new
-    // stream ids registering streams on the fly.
+    // Live tail: one row per line; multiplexed `stream,lat,lon[,ts]` rows
+    // register new stream ids on the fly.
     constexpr std::size_t kMaxStreams = 4096;
     const fm::Status fed = TailFeed(
-        std::cin, /*from_stdin=*/true, /*multiplexed=*/true,
+        std::cin, /*from_stdin=*/true, /*multiplexed=*/!single,
         [&](const fm::FleetArrival& a, std::size_t line_no) {
           if (a.stream >= kMaxStreams) {
             return fm::Status::InvalidArgument(
@@ -1133,38 +931,21 @@ int RunFleet(const fm::Flags& flags) {
   const fm::FleetStats stats = engine.stats();
   const fm::IncrementalJoinStats* join = engine.join_stats();
   if (json) {
-    fm::JsonWriter w;
-    w.BeginObject();
-    w.Key("command");
-    w.String("fleet");
+    fm::JsonWriter w(fm::JsonStyle::kCompact);
+    BeginSummary(&w, command.c_str());
+    if (flags.positional().size() == 2) {
+      w.Key("input");
+      w.String(flags.positional()[1]);
+    }
     w.Key("options");
     w.BeginObject();
-    JsonEngineOptions(&w, options, flags, /*fleet_keys=*/true);
+    JsonEngineOptions(&w, options, flags);
     w.EndObject();
-    w.Key("streams");
-    w.Int(stats.streams);
     w.Key("members");
     w.Int(static_cast<std::int64_t>(engine.member_count()));
-    w.Key("points_ingested");
-    w.Int(stats.points_ingested);
     w.Key("slides");
     w.Int(slides);
-    w.Key("seeded_searches");
-    w.Int(stats.seeded_searches);
-    w.Key("coalesced_slides");
-    w.Int(stats.coalesced_slides);
-    w.Key("reordered");
-    w.Int(stats.reordered);
-    w.Key("late_dropped");
-    w.Int(stats.late_dropped);
-    w.Key("reorder_buffered");
-    w.Int(stats.reorder_buffered);
-    w.Key("reorder_buffered_peak");
-    w.Int(stats.reorder_buffered_peak);
-    w.Key("ground_distances_computed");
-    w.Int(stats.ground_distances_computed);
-    w.Key("dfd_cells_computed");
-    w.Int(stats.dfd_cells_computed);
+    fm::WriteFleetStats(&w, stats);
     if (join != nullptr) {
       w.Key("join");
       w.BeginObject();
@@ -1181,8 +962,15 @@ int RunFleet(const fm::Flags& flags) {
           engine.CurrentJoinMatches().size()));
       w.EndObject();
     }
+    if (const auto* durable = dynamic_cast<const fm::DurableFleet*>(&engine)) {
+      fm::WriteDurable(&w, flags.GetString("state-dir", ""), *durable);
+    }
+    if (g_interrupted) {
+      w.Key("interrupted");
+      w.Bool(true);
+    }
     w.EndObject();
-    PrintJson(w);
+    std::printf("%s\n", w.str().c_str());
   } else {
     std::printf(
         "%lld streams, %lld points, %lld slides (%lld seeded, %lld "
@@ -1251,64 +1039,22 @@ int RunServe(const fm::Flags& flags) {
   const fm::ServeStats& s = server.value().stats();
   const fm::FleetStats fleet = server.value().fleet_stats();
   if (json) {
-    fm::JsonWriter w;
-    w.BeginObject();
-    w.Key("command");
-    w.String("serve");
+    fm::JsonWriter w(fm::JsonStyle::kCompact);
+    BeginSummary(&w, "serve");
     w.Key("options");
     w.BeginObject();
-    JsonEngineOptions(&w, options.fleet, flags, /*fleet_keys=*/true);
+    JsonEngineOptions(&w, options.fleet, flags);
     w.Key("max_conns");
     w.Int(options.limits.max_connections);
     w.EndObject();
-    w.Key("accepted");
-    w.Int(s.accepted);
-    w.Key("rejected_busy");
-    w.Int(s.rejected_busy);
-    w.Key("evicted_slow");
-    w.Int(s.evicted_slow);
-    w.Key("evicted_idle");
-    w.Int(s.evicted_idle);
-    w.Key("closed_by_peer");
-    w.Int(s.closed_by_peer);
-    w.Key("lines_in");
-    w.Int(s.lines_in);
-    w.Key("points_ingested");
-    w.Int(s.points_ingested);
-    w.Key("parse_errors");
-    w.Int(s.parse_errors);
-    w.Key("oversized_lines");
-    w.Int(s.oversized_lines);
-    w.Key("engine_errors");
-    w.Int(s.engine_errors);
-    w.Key("frames_pushed");
-    w.Int(s.frames_pushed);
-    w.Key("frames_dropped");
-    w.Int(s.frames_dropped);
-    w.Key("bytes_in");
-    w.Int(s.bytes_in);
-    w.Key("bytes_out");
-    w.Int(s.bytes_out);
-    w.Key("streams");
-    w.Int(fleet.streams);
-    w.Key("reordered");
-    w.Int(fleet.reordered);
-    w.Key("late_dropped");
-    w.Int(fleet.late_dropped);
-    w.Key("reorder_buffered_peak");
-    w.Int(fleet.reorder_buffered_peak);
+    fm::WriteServeStats(&w, s);
+    fm::WriteFleetStats(&w, fleet);
     if (server.value().durable() != nullptr) {
-      w.Key("durable");
-      w.BeginObject();
-      w.Key("state_dir");
-      w.String(options.durable.state_dir);
-      w.Key("generation");
-      w.Int(static_cast<std::int64_t>(
-          server.value().durable()->generation()));
-      w.EndObject();
+      fm::WriteDurable(&w, options.durable.state_dir,
+                       *server.value().durable());
     }
     w.EndObject();
-    PrintJson(w);
+    std::printf("%s\n", w.str().c_str());
   } else {
     std::printf(
         "%lld conns (%lld shed), %lld lines, %lld points, %lld streams, "
@@ -1796,8 +1542,7 @@ int main(int argc, char** argv) {
     if (flags.GetInt("topk", 1) > 1) return RunTopK(flags);
     return RunMotif(flags);
   }
-  if (command == "stream") return RunStream(flags);
-  if (command == "fleet") return RunFleet(flags);
+  if (command == "stream" || command == "fleet") return RunFleet(flags);
   if (command == "serve") return RunServe(flags);
   if (command == "topk") return RunTopK(flags);
   if (command == "cross") return RunCross(flags);
