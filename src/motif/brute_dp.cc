@@ -33,34 +33,21 @@ StatusOr<MotifResult> BruteDpMotif(const DistanceProvider& dist,
   });
 
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
-
-  MotifResult result;
-  result.best = state.best;
-  result.distance = state.best_distance;
-  result.found = state.found;
-  return result;
+  return state.result();
 }
 
 StatusOr<MotifResult> BruteDpMotif(const Trajectory& s,
                                    const GroundMetric& metric,
                                    const MotifOptions& options,
                                    MotifStats* stats) {
-  Timer timer;
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, metric);
-  if (!dg.ok()) return dg.status();
-  if (stats != nullptr) stats->precompute_seconds += timer.ElapsedSeconds();
-  return BruteDpMotif(dg.value(), options, stats);
+  return SearchOnMatrix(BruteDpMotif, options, metric, stats, s);
 }
 
 StatusOr<MotifResult> BruteDpMotif(const Trajectory& s, const Trajectory& t,
                                    const GroundMetric& metric,
                                    const MotifOptions& options,
                                    MotifStats* stats) {
-  Timer timer;
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, t, metric);
-  if (!dg.ok()) return dg.status();
-  if (stats != nullptr) stats->precompute_seconds += timer.ElapsedSeconds();
-  return BruteDpMotif(dg.value(), options, stats);
+  return SearchOnMatrix(BruteDpMotif, options, metric, stats, s, t);
 }
 
 StatusOr<MotifResult> NaiveMotif(const DistanceProvider& dist,

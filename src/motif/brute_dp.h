@@ -27,7 +27,9 @@ StatusOr<MotifResult> BruteDpMotif(const Trajectory& s,
                                    const MotifOptions& options,
                                    MotifStats* stats = nullptr);
 
-/// Convenience overload for the two-trajectory variant.
+/// Convenience overload for the two-trajectory variant (sets
+/// options.variant to kCrossTrajectory, as every other search's
+/// two-trajectory overload does).
 StatusOr<MotifResult> BruteDpMotif(const Trajectory& s, const Trajectory& t,
                                    const GroundMetric& metric,
                                    const MotifOptions& options,

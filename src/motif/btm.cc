@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <vector>
 
 #include "motif/bounds.h"
@@ -18,108 +18,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Relaxed-bound path: all bounds are O(1) after the precomputation pass,
-/// so the combined bound of every subset is computed up front, the list is
-/// sorted and handed to the shared best-first loop (Algorithm 2 verbatim).
-MotifResult RunRelaxed(const DistanceProvider& dist, const BtmOptions& options,
-                       const RelaxedBounds& rb, MotifStats* stats,
-                       ThreadPool* pool) {
-  const Index n = dist.rows();
-  const Index m = dist.cols();
-  Timer timer;
-
-  auto components = [&](Index i, Index j) {
-    double cell = -kInf;
-    double cross = -kInf;
-    double band = -kInf;
-    if (options.use_cell) cell = LbCell(dist, i, j);
-    if (options.use_cross) cross = rb.StartCross(i, j);
-    if (options.use_band) band = std::max(rb.BandRow(j), rb.BandCol(i));
-    return std::array<double, 3>{cell, cross, band};
-  };
-
-  std::vector<SubsetEntry> entries;
-  entries.reserve(
-      static_cast<std::size_t>(CountValidSubsets(options.motif, n, m)));
-  ForEachValidSubset(options.motif, n, m, [&](Index i, Index j) {
-    entries.push_back(SubsetEntry{0.0, i, j});
-  });
-  FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    const auto c = components(i, j);
-    return std::max({c[0], c[1], c[2]});
-  });
-  if (stats != nullptr) {
-    stats->total_subsets = static_cast<std::int64_t>(entries.size());
-    stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
-    stats->memory.Add(2 * static_cast<std::size_t>(m) * sizeof(double));
-    stats->precompute_seconds += timer.ElapsedSeconds();
-  }
-
-  timer.Restart();
-  SearchState state;
-  RunSubsetQueue(dist, options.motif, &entries, &rb, options.use_end_cross,
-                 options.sort_subsets, &state, stats, /*caps=*/nullptr,
-                 1.0 + options.approximation_epsilon, pool);
-  if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
-
-  // Figure 15 accounting: classify each subset by the first bound in the
-  // cascade (cell -> cross -> band) exceeding the final threshold.
-  if (stats != nullptr && options.collect_breakdown) {
-    ForEachValidSubset(options.motif, n, m, [&](Index i, Index j) {
-      const auto c = components(i, j);
-      if (c[0] > state.threshold) {
-        ++stats->pruned_by_cell;
-      } else if (c[1] > state.threshold) {
-        ++stats->pruned_by_cross;
-      } else if (c[2] > state.threshold) {
-        ++stats->pruned_by_band;
-      }
-    });
-  }
-
-  MotifResult result;
-  result.best = state.best;
-  result.distance = state.best_distance;
-  result.found = state.found;
-  return result;
-}
-
-/// Tight-bound path (the Section 4.2 variant benchmarked in Figures 13/14):
+/// Tight-bound loop (the Section 4.2 variant benchmarked in Figures 13/14):
 /// a tight cross bound costs O(n) and a tight band bound O(ξn), so they
 /// cannot be computed for all O(n²) subsets up front. Instead the queue is
 /// ordered by the O(1) cell bound and the expensive bounds are evaluated
 /// lazily, per subset, in the cascade order — each either prunes the subset
 /// or is followed by the shared DP.
-MotifResult RunTight(const DistanceProvider& dist, const BtmOptions& options,
-                     const RelaxedBounds* rb, MotifStats* stats,
-                     ThreadPool* pool) {
-  const Index n = dist.rows();
-  const Index m = dist.cols();
-  Timer timer;
-
-  std::vector<SubsetEntry> entries;
-  entries.reserve(
-      static_cast<std::size_t>(CountValidSubsets(options.motif, n, m)));
-  ForEachValidSubset(options.motif, n, m, [&](Index i, Index j) {
-    entries.push_back(SubsetEntry{0.0, i, j});
-  });
-  FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    return options.use_cell ? LbCell(dist, i, j) : -kInf;
-  });
-  if (options.sort_subsets) {
-    std::sort(entries.begin(), entries.end(),
-              [](const SubsetEntry& a, const SubsetEntry& b) {
-                return a.lb < b.lb;
-              });
-  }
-  if (stats != nullptr) {
-    stats->total_subsets = static_cast<std::int64_t>(entries.size());
-    stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
-    stats->memory.Add(2 * static_cast<std::size_t>(m) * sizeof(double));
-    stats->precompute_seconds += timer.ElapsedSeconds();
-  }
-
-  timer.Restart();
+SearchState RunTight(const DistanceProvider& dist, const BtmOptions& options,
+                     const std::vector<SubsetEntry>& entries,
+                     const RelaxedBounds* rb, MotifStats* stats) {
   SearchState state;
   const double lb_scale = 1.0 + options.approximation_epsilon;
   FrechetScratch scratch;
@@ -154,13 +61,7 @@ MotifResult RunTight(const DistanceProvider& dist, const BtmOptions& options,
     EvaluateSubset(dist, options.motif, e.i, e.j, rb, options.use_end_cross,
                    EndpointCaps{}, &state, stats, &scratch);
   }
-  if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
-
-  MotifResult result;
-  result.best = state.best;
-  result.distance = state.best_distance;
-  result.found = state.found;
-  return result;
+  return state;
 }
 
 }  // namespace
@@ -170,60 +71,96 @@ StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
   const Index n = dist.rows();
   const Index m = dist.cols();
   FM_RETURN_IF_ERROR(ValidateMotifInput(options.motif, n, m));
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
-  }
+  FM_RETURN_IF_ERROR(
+      ValidateApproximationEpsilon(options.approximation_epsilon));
 
   if (stats != nullptr) stats->memory.Add(dist.MemoryBytes());
-
-  // Worker pool for the bound sweep and the verification batches; absent
-  // (null) on the default threads=1 serial path.
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  const int threads = ResolveThreadCount(options.motif.threads);
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
+  const std::unique_ptr<ThreadPool> pool = MakeSearchPool(options.motif);
 
   // Relaxed-bound arrays serve both the relaxed subset bounds and the
   // end-cross / endpoint-cap pruning inside the DP.
   const bool need_relaxed = options.relaxed || options.use_end_cross;
   RelaxedBounds rb;
+  Timer timer;
   if (need_relaxed) {
-    Timer timer;
-    rb = RelaxedBounds::Build(dist, options.motif, pool);
+    rb = RelaxedBounds::Build(dist, options.motif, pool.get());
     if (stats != nullptr) {
       stats->memory.Add(rb.MemoryBytes());
       stats->precompute_seconds += timer.ElapsedSeconds();
     }
   }
 
-  if (options.relaxed) {
-    return RunRelaxed(dist, options, rb, stats, pool);
+  // The relaxed bound components, each -infinity when its ablation toggle
+  // is off; the queue key and the Figure 15 breakdown both read them.
+  const auto components = [&](Index i, Index j) {
+    double cell = -kInf;
+    double cross = -kInf;
+    double band = -kInf;
+    if (options.use_cell) cell = LbCell(dist, i, j);
+    if (options.use_cross) cross = rb.StartCross(i, j);
+    if (options.use_band) band = std::max(rb.BandRow(j), rb.BandCol(i));
+    return std::array<double, 3>{cell, cross, band};
+  };
+
+  // Relaxed: every bound is O(1) after the precomputation pass, so the
+  // combined bound of every subset keys the queue (Algorithm 2 verbatim).
+  // Tight: the queue is keyed by the cell bound alone and sorted here; the
+  // loop evaluates the rest lazily.
+  timer.Restart();
+  std::vector<SubsetEntry> entries = BuildSubsetQueue(
+      options.motif, n, m, pool.get(), [&](Index i, Index j) {
+        if (!options.relaxed) {
+          return options.use_cell ? LbCell(dist, i, j) : -kInf;
+        }
+        const auto c = components(i, j);
+        return std::max({c[0], c[1], c[2]});
+      });
+  if (!options.relaxed && options.sort_subsets) SortSubsetQueue(&entries);
+  if (stats != nullptr) {
+    stats->total_subsets = static_cast<std::int64_t>(entries.size());
+    stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
+    stats->memory.Add(2 * static_cast<std::size_t>(m) * sizeof(double));
+    stats->precompute_seconds += timer.ElapsedSeconds();
   }
-  return RunTight(dist, options, need_relaxed ? &rb : nullptr, stats, pool);
+
+  timer.Restart();
+  SearchState state;
+  if (options.relaxed) {
+    RunSubsetQueue(dist, options.motif, &entries, &rb, options.use_end_cross,
+                   options.sort_subsets, &state, stats, /*caps=*/nullptr,
+                   1.0 + options.approximation_epsilon, pool.get());
+  } else {
+    state = RunTight(dist, options, entries, need_relaxed ? &rb : nullptr,
+                     stats);
+  }
+  if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
+
+  // Figure 15 accounting: classify each subset by the first bound in the
+  // cascade (cell -> cross -> band) exceeding the final threshold.
+  if (options.relaxed && stats != nullptr && options.collect_breakdown) {
+    ForEachValidSubset(options.motif, n, m, [&](Index i, Index j) {
+      const auto c = components(i, j);
+      if (c[0] > state.threshold) {
+        ++stats->pruned_by_cell;
+      } else if (c[1] > state.threshold) {
+        ++stats->pruned_by_cross;
+      } else if (c[2] > state.threshold) {
+        ++stats->pruned_by_band;
+      }
+    });
+  }
+  return state.result();
 }
 
 StatusOr<MotifResult> BtmMotif(const Trajectory& s, const GroundMetric& metric,
                                const BtmOptions& options, MotifStats* stats) {
-  Timer timer;
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, metric);
-  if (!dg.ok()) return dg.status();
-  if (stats != nullptr) stats->precompute_seconds += timer.ElapsedSeconds();
-  return BtmMotif(dg.value(), options, stats);
+  return SearchOnMatrix(BtmMotif, options, metric, stats, s);
 }
 
 StatusOr<MotifResult> BtmMotif(const Trajectory& s, const Trajectory& t,
                                const GroundMetric& metric,
                                const BtmOptions& options, MotifStats* stats) {
-  Timer timer;
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, t, metric);
-  if (!dg.ok()) return dg.status();
-  if (stats != nullptr) stats->precompute_seconds += timer.ElapsedSeconds();
-  BtmOptions cross_options = options;
-  cross_options.motif.variant = MotifVariant::kCrossTrajectory;
-  return BtmMotif(dg.value(), cross_options, stats);
+  return SearchOnMatrix(BtmMotif, options, metric, stats, s, t);
 }
 
 }  // namespace frechet_motif

@@ -8,7 +8,16 @@
 namespace frechet_motif {
 
 namespace {
+
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// A group pair queued by PruneGroupPairs, with its pattern bound.
+struct GroupEntry {
+  double lb = 0.0;
+  Index u = 0;
+  Index v = 0;
+};
+
 }  // namespace
 
 Grouping Grouping::Build(const DistanceProvider& dist,
@@ -180,6 +189,59 @@ std::size_t Grouping::MemoryBytes() const {
   return (dmin_.capacity() + dmax_.capacity() + grmin_.capacity() +
           gcmin_.capacity() + gband_row_.capacity() + gband_col_.capacity()) *
          sizeof(double);
+}
+
+std::vector<std::pair<Index, Index>> PruneGroupPairs(
+    const Grouping& grouping, const std::vector<std::pair<Index, Index>>* pairs,
+    double lb_scale, double* threshold, MotifStats* stats) {
+  std::vector<GroupEntry> entries;
+  const auto queue = [&](Index u, Index v) {
+    if (!grouping.AdmitsCandidate(u, v)) return;
+    entries.push_back(GroupEntry{grouping.PatternLb(u, v), u, v});
+  };
+  if (pairs != nullptr) {
+    for (const auto& [u, v] : *pairs) queue(u, v);
+  } else {
+    for (Index u = 0; u < grouping.num_row_groups(); ++u) {
+      for (Index v = 0; v < grouping.num_col_groups(); ++v) queue(u, v);
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const GroupEntry& a, const GroupEntry& b) {
+              return a.lb < b.lb;
+            });
+  const ScopedAllocation entries_mem(
+      stats != nullptr ? &stats->memory : nullptr,
+      entries.capacity() * sizeof(GroupEntry));
+
+  std::vector<std::pair<Index, Index>> survivors;
+  for (std::size_t k = 0; k < entries.size(); ++k) {
+    const GroupEntry& e = entries[k];
+    if (stats != nullptr) ++stats->group_pairs_total;
+    if (e.lb * lb_scale > *threshold) {
+      // Sorted queue: every remaining pattern bound is at least as large.
+      if (stats != nullptr) {
+        stats->group_pairs_pruned_pattern +=
+            static_cast<std::int64_t>(entries.size() - k);
+        stats->group_pairs_total +=
+            static_cast<std::int64_t>(entries.size() - k - 1);
+      }
+      break;
+    }
+    double glb = 0.0;
+    double gub = 0.0;
+    grouping.DfdBounds(e.u, e.v, *threshold, &glb, &gub);
+    if (gub * lb_scale < *threshold) {
+      *threshold = gub * lb_scale;
+      if (stats != nullptr) ++stats->gub_tightenings;
+    }
+    if (glb * lb_scale > *threshold) {
+      if (stats != nullptr) ++stats->group_pairs_pruned_dfd_bound;
+      continue;
+    }
+    survivors.emplace_back(e.u, e.v);
+  }
+  return survivors;
 }
 
 }  // namespace frechet_motif

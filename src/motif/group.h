@@ -2,10 +2,12 @@
 #define FRECHET_MOTIF_MOTIF_GROUP_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/distance_matrix.h"
 #include "core/options.h"
+#include "motif/stats.h"
 
 namespace frechet_motif {
 
@@ -112,6 +114,26 @@ class Grouping {
   std::vector<double> gband_row_;  // sliding max of grmin_, window window_
   std::vector<double> gband_col_;  // sliding max of gcmin_, window window_
 };
+
+/// One group-pair pruning round at `grouping`'s τ (Algorithm 3 lines
+/// 3-13), shared by GTM (one round per level) and GTM* (its single
+/// level): queues the pairs that admit a candidate, sorts them by pattern
+/// bound, and walks them best-first, tightening `*threshold` with GUB_DFD
+/// along the way. Returns the survivors in bound order. `pairs` null
+/// means every (u, v) pair of the grouping, row-major.
+///
+/// `lb_scale` = 1+ε implements the approximate mode: lower-bound prunes
+/// fire at lb·(1+ε) > threshold, and a GUB tightening contributes
+/// gub·(1+ε) so the candidate witnessing the upper bound (dF <= gub, see
+/// Grouping::DfdBounds) can never be ε-pruned — its containing pair's
+/// glb <= gub keeps glb·(1+ε) <= gub·(1+ε) <= threshold at every round,
+/// which preserves both found-ness and the (1+ε) result guarantee.
+///
+/// `stats` may be null; the sorted pair list is registered with its
+/// memory tracker for the duration of the round.
+std::vector<std::pair<Index, Index>> PruneGroupPairs(
+    const Grouping& grouping, const std::vector<std::pair<Index, Index>>* pairs,
+    double lb_scale, double* threshold, MotifStats* stats);
 
 }  // namespace frechet_motif
 

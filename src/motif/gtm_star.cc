@@ -1,7 +1,7 @@
 #include "motif/gtm_star.h"
 
-#include <algorithm>
-#include <optional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "motif/group.h"
@@ -12,16 +12,6 @@
 
 namespace frechet_motif {
 
-namespace {
-
-struct GroupEntry {
-  double lb = 0.0;
-  Index u = 0;
-  Index v = 0;
-};
-
-}  // namespace
-
 StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
                                    const GtmStarOptions& options,
                                    MotifStats* stats) {
@@ -31,9 +21,8 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   if (options.group_size_tau < 1) {
     return Status::InvalidArgument("group_size_tau must be >= 1");
   }
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
-  }
+  FM_RETURN_IF_ERROR(
+      ValidateApproximationEpsilon(options.approximation_epsilon));
   // (1+ε) scale on every lower-bound prune; GUB tightenings contribute
   // gub·(1+ε) so the upper bound's witness stays unprunable (see
   // GtmOptions::approximation_epsilon).
@@ -43,21 +32,13 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   Timer timer;
   if (stats != nullptr) stats->memory.Add(dist.MemoryBytes());
 
-  // Worker pool for the bound sweep and the block verification batches;
-  // absent (null) on the default threads=1 serial path.
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  const int threads = ResolveThreadCount(motif.threads);
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
+  const std::unique_ptr<ThreadPool> pool = MakeSearchPool(motif);
 
   // Single grouping pass at τ (Idea iii) and O(n+m)-space relaxed bounds;
   // both scan the provider on the fly (Idea i).
   const Grouping grouping = Grouping::Build(dist, motif,
                                             options.group_size_tau);
-  const RelaxedBounds rb = RelaxedBounds::Build(dist, motif, pool);
+  const RelaxedBounds rb = RelaxedBounds::Build(dist, motif, pool.get());
   if (stats != nullptr) {
     stats->memory.Add(grouping.MemoryBytes());
     stats->memory.Add(rb.MemoryBytes());
@@ -68,77 +49,31 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
   timer.Restart();
   SearchState state;
 
-  // Group-pair pruning, best-first by pattern bound.
-  std::vector<GroupEntry> entries;
-  for (Index u = 0; u < grouping.num_row_groups(); ++u) {
-    for (Index v = 0; v < grouping.num_col_groups(); ++v) {
-      if (!grouping.AdmitsCandidate(u, v)) continue;
-      entries.push_back(GroupEntry{grouping.PatternLb(u, v), u, v});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const GroupEntry& a, const GroupEntry& b) {
-              return a.lb < b.lb;
-            });
-  if (stats != nullptr) {
-    stats->memory.Add(entries.capacity() * sizeof(GroupEntry));
-  }
-
-  std::vector<GroupEntry> survivors;
-  for (std::size_t k = 0; k < entries.size(); ++k) {
-    const GroupEntry& e = entries[k];
-    if (stats != nullptr) ++stats->group_pairs_total;
-    if (e.lb * lb_scale > state.threshold) {
-      if (stats != nullptr) {
-        stats->group_pairs_pruned_pattern +=
-            static_cast<std::int64_t>(entries.size() - k);
-        stats->group_pairs_total +=
-            static_cast<std::int64_t>(entries.size() - k - 1);
-      }
-      break;
-    }
-    double glb = 0.0;
-    double gub = 0.0;
-    grouping.DfdBounds(e.u, e.v, state.threshold, &glb, &gub);
-    if (gub * lb_scale < state.threshold) {
-      state.threshold = gub * lb_scale;
-      if (stats != nullptr) ++stats->gub_tightenings;
-    }
-    if (glb * lb_scale > state.threshold) {
-      if (stats != nullptr) ++stats->group_pairs_pruned_dfd_bound;
-      continue;
-    }
-    survivors.push_back(e);
-  }
+  // Group-pair pruning, best-first by pattern bound: one round over every
+  // pair of the single grouping level.
+  const std::vector<std::pair<Index, Index>> survivors =
+      PruneGroupPairs(grouping, /*pairs=*/nullptr, lb_scale, &state.threshold,
+                      stats);
 
   // Point-level phase: process each surviving block with the bounded
   // best-first subset loop, keeping per-block memory at O(τ²). The
   // endpoint caps are global facts, so they persist across blocks.
   std::vector<SubsetEntry> block;
   EndpointCaps caps;
-  for (const GroupEntry& e : survivors) {
+  for (const auto& [u, v] : survivors) {
     block.clear();
-    for (Index i = grouping.RowFirst(e.u); i <= grouping.RowLast(e.u); ++i) {
-      for (Index j = grouping.ColFirst(e.v); j <= grouping.ColLast(e.v);
-           ++j) {
+    for (Index i = grouping.RowFirst(u); i <= grouping.RowLast(u); ++i) {
+      for (Index j = grouping.ColFirst(v); j <= grouping.ColLast(v); ++j) {
         if (!IsValidSubsetStart(motif, n, m, i, j)) continue;
-        const double lb =
-            std::max({dist.Distance(i, j), rb.StartCross(i, j),
-                      rb.BandRow(j), rb.BandCol(i)});
-        block.push_back(SubsetEntry{lb, i, j});
+        block.push_back(SubsetEntry{rb.SubsetLb(dist, i, j), i, j});
       }
     }
     RunSubsetQueue(dist, motif, &block, &rb, options.use_end_cross,
                    /*sort_entries=*/true, &state, stats, &caps,
-                   lb_scale, pool);
+                   lb_scale, pool.get());
   }
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
-
-  MotifResult result;
-  result.best = state.best;
-  result.distance = state.best_distance;
-  result.found = state.found;
-  return result;
+  return state.result();
 }
 
 namespace {
@@ -149,32 +84,39 @@ bool IsHaversine(const GroundMetric& metric) {
   return dynamic_cast<const HaversineMetric*>(&metric) != nullptr;
 }
 
+/// The trajectory overloads: one trajectory (Problem 1, the caller's
+/// variant) or two (the cross variant, which this sets), read through an
+/// on-the-fly provider instead of a materialized dG.
+template <typename... Trajectories>
+StatusOr<MotifResult> GtmStarOnTheFly(GtmStarOptions options,
+                                      const GroundMetric& metric,
+                                      MotifStats* stats,
+                                      const Trajectories&... trajectories) {
+  if (sizeof...(Trajectories) == 2) {
+    options.motif.variant = MotifVariant::kCrossTrajectory;
+  }
+  if (IsHaversine(metric)) {
+    const CachedHaversineDistance dist(trajectories...);
+    return GtmStarMotif(dist, options, stats);
+  }
+  const OnTheFlyDistance dist(trajectories..., metric);
+  return GtmStarMotif(dist, options, stats);
+}
+
 }  // namespace
 
 StatusOr<MotifResult> GtmStarMotif(const Trajectory& s,
                                    const GroundMetric& metric,
                                    const GtmStarOptions& options,
                                    MotifStats* stats) {
-  if (IsHaversine(metric)) {
-    const CachedHaversineDistance dist(s);
-    return GtmStarMotif(dist, options, stats);
-  }
-  const OnTheFlyDistance dist(s, metric);
-  return GtmStarMotif(dist, options, stats);
+  return GtmStarOnTheFly(options, metric, stats, s);
 }
 
 StatusOr<MotifResult> GtmStarMotif(const Trajectory& s, const Trajectory& t,
                                    const GroundMetric& metric,
                                    const GtmStarOptions& options,
                                    MotifStats* stats) {
-  GtmStarOptions cross_options = options;
-  cross_options.motif.variant = MotifVariant::kCrossTrajectory;
-  if (IsHaversine(metric)) {
-    const CachedHaversineDistance dist(s, t);
-    return GtmStarMotif(dist, cross_options, stats);
-  }
-  const OnTheFlyDistance dist(s, t, metric);
-  return GtmStarMotif(dist, cross_options, stats);
+  return GtmStarOnTheFly(options, metric, stats, s, t);
 }
 
 }  // namespace frechet_motif

@@ -1,5 +1,7 @@
 #include "motif/motif.h"
 
+#include "motif/subset_search.h"
+
 namespace frechet_motif {
 
 std::string AlgorithmName(MotifAlgorithm algorithm) {
@@ -18,13 +20,46 @@ std::string AlgorithmName(MotifAlgorithm algorithm) {
 
 namespace {
 
-MotifOptions MakeMotifOptions(const FindMotifOptions& options,
-                              MotifVariant variant) {
+/// Both FindMotif overloads: one trajectory (Problem 1) or two (the cross
+/// variant).
+template <typename... Trajectories>
+StatusOr<MotifResult> Find(const FindMotifOptions& options,
+                           const GroundMetric& metric, MotifStats* stats,
+                           const Trajectories&... trajectories) {
+  // BruteDP ignores ε, so the knob is checked here for every algorithm.
+  FM_RETURN_IF_ERROR(
+      ValidateApproximationEpsilon(options.approximation_epsilon));
   MotifOptions motif;
   motif.min_length_xi = options.min_length_xi;
-  motif.variant = variant;
+  motif.variant = sizeof...(Trajectories) == 2
+                      ? MotifVariant::kCrossTrajectory
+                      : MotifVariant::kSingleTrajectory;
   motif.threads = options.threads;
-  return motif;
+  switch (options.algorithm) {
+    case MotifAlgorithm::kBruteDp:
+      return BruteDpMotif(trajectories..., metric, motif, stats);
+    case MotifAlgorithm::kBtm: {
+      BtmOptions btm;
+      btm.motif = motif;
+      btm.approximation_epsilon = options.approximation_epsilon;
+      return BtmMotif(trajectories..., metric, btm, stats);
+    }
+    case MotifAlgorithm::kGtm: {
+      GtmOptions gtm;
+      gtm.motif = motif;
+      gtm.group_size_tau = options.group_size_tau;
+      gtm.approximation_epsilon = options.approximation_epsilon;
+      return GtmMotif(trajectories..., metric, gtm, stats);
+    }
+    case MotifAlgorithm::kGtmStar: {
+      GtmStarOptions star;
+      star.motif = motif;
+      star.group_size_tau = options.group_size_tau;
+      star.approximation_epsilon = options.approximation_epsilon;
+      return GtmStarMotif(trajectories..., metric, star, stats);
+    }
+  }
+  return Status::InvalidArgument("unknown motif algorithm");
 }
 
 }  // namespace
@@ -32,72 +67,14 @@ MotifOptions MakeMotifOptions(const FindMotifOptions& options,
 StatusOr<MotifResult> FindMotif(const Trajectory& s, const GroundMetric& metric,
                                 const FindMotifOptions& options,
                                 MotifStats* stats) {
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
-  }
-  const MotifOptions motif =
-      MakeMotifOptions(options, MotifVariant::kSingleTrajectory);
-  switch (options.algorithm) {
-    case MotifAlgorithm::kBruteDp:
-      return BruteDpMotif(s, metric, motif, stats);
-    case MotifAlgorithm::kBtm: {
-      BtmOptions btm;
-      btm.motif = motif;
-      btm.approximation_epsilon = options.approximation_epsilon;
-      return BtmMotif(s, metric, btm, stats);
-    }
-    case MotifAlgorithm::kGtm: {
-      GtmOptions gtm;
-      gtm.motif = motif;
-      gtm.group_size_tau = options.group_size_tau;
-      gtm.approximation_epsilon = options.approximation_epsilon;
-      return GtmMotif(s, metric, gtm, stats);
-    }
-    case MotifAlgorithm::kGtmStar: {
-      GtmStarOptions star;
-      star.motif = motif;
-      star.group_size_tau = options.group_size_tau;
-      star.approximation_epsilon = options.approximation_epsilon;
-      return GtmStarMotif(s, metric, star, stats);
-    }
-  }
-  return Status::InvalidArgument("unknown motif algorithm");
+  return Find(options, metric, stats, s);
 }
 
 StatusOr<MotifResult> FindMotif(const Trajectory& s, const Trajectory& t,
                                 const GroundMetric& metric,
                                 const FindMotifOptions& options,
                                 MotifStats* stats) {
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
-  }
-  const MotifOptions motif =
-      MakeMotifOptions(options, MotifVariant::kCrossTrajectory);
-  switch (options.algorithm) {
-    case MotifAlgorithm::kBruteDp:
-      return BruteDpMotif(s, t, metric, motif, stats);
-    case MotifAlgorithm::kBtm: {
-      BtmOptions btm;
-      btm.motif = motif;
-      btm.approximation_epsilon = options.approximation_epsilon;
-      return BtmMotif(s, t, metric, btm, stats);
-    }
-    case MotifAlgorithm::kGtm: {
-      GtmOptions gtm;
-      gtm.motif = motif;
-      gtm.group_size_tau = options.group_size_tau;
-      gtm.approximation_epsilon = options.approximation_epsilon;
-      return GtmMotif(s, t, metric, gtm, stats);
-    }
-    case MotifAlgorithm::kGtmStar: {
-      GtmStarOptions star;
-      star.motif = motif;
-      star.group_size_tau = options.group_size_tau;
-      star.approximation_epsilon = options.approximation_epsilon;
-      return GtmStarMotif(s, t, metric, star, stats);
-    }
-  }
-  return Status::InvalidArgument("unknown motif algorithm");
+  return Find(options, metric, stats, s, t);
 }
 
 }  // namespace frechet_motif

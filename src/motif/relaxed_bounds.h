@@ -1,6 +1,7 @@
 #ifndef FRECHET_MOTIF_MOTIF_RELAXED_BOUNDS_H_
 #define FRECHET_MOTIF_MOTIF_RELAXED_BOUNDS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
@@ -95,6 +96,14 @@ class RelaxedBounds {
 
   /// rLB_band^col(i) (Equation 15).
   double BandCol(Index i) const { return band_col_[i]; }
+
+  /// The combined relaxed bound of candidate subset CS(i,j), the key every
+  /// subset queue is ordered by: max(LB_cell = dG(i,j), rLB_cross^start,
+  /// rLB_band^row, rLB_band^col).
+  double SubsetLb(const DistanceProvider& dist, Index i, Index j) const {
+    return std::max({dist.Distance(i, j), StartCross(i, j), BandRow(j),
+                     BandCol(i)});
+  }
 
   /// Bytes held by the four arrays (Figure 19 accounting).
   std::size_t MemoryBytes() const;

@@ -195,105 +195,98 @@ void TightenCaps(const RelaxedBounds& relaxed, const SearchState& state,
   }
 }
 
-void RunSubsetQueueSerial(const DistanceProvider& dist,
-                          const MotifOptions& options,
-                          const std::vector<SubsetEntry>& entries,
-                          const RelaxedBounds* relaxed, bool use_end_cross,
-                          bool sort_entries, SearchState* state,
-                          MotifStats* stats, EndpointCaps& caps,
-                          double lb_scale) {
-  const Index xi = options.min_length_xi;
-  FrechetScratch scratch;
-  for (const SubsetEntry& entry : entries) {
-    if (entry.lb * lb_scale > state->threshold) {
-      // With a sorted queue every remaining bound is at least as large, so
-      // the search is complete (best-first paradigm of Algorithm 2).
-      if (sort_entries) break;
-      continue;
-    }
-    // Global endpoint caps: skip subsets that start at or left of a wall
-    // but too close to reach a valid endpoint before it. Subsets starting
-    // past a wall (entry.j > cap+1) are on its far side and unaffected.
-    if ((entry.j - 1 <= caps.je_cap && entry.j > caps.je_cap - xi - 1) ||
-        (entry.i - 1 <= caps.ie_cap && entry.i > caps.ie_cap - xi - 1)) {
-      continue;
-    }
-    const double threshold_before = state->threshold;
-    EvaluateSubset(dist, options, entry.i, entry.j, relaxed, use_end_cross,
-                   caps, state, stats, &scratch);
-    if (relaxed != nullptr && state->found &&
-        state->threshold < threshold_before) {
-      TightenCaps(*relaxed, *state, &caps);
-    }
+/// What the queue does with one entry.
+enum class Admission { kEvaluate, kSkip, kStop };
+
+/// The queue's one admission test. An entry whose scaled bound exceeds the
+/// threshold is skipped — or, in a sorted queue, ends the search: every
+/// remaining bound is at least as large (best-first paradigm of
+/// Algorithm 2). An entry that starts at or left of an endpoint-cap wall
+/// but too close to reach a valid endpoint before it is skipped too;
+/// subsets starting past a wall (j > cap+1) are on its far side and
+/// unaffected.
+Admission Admit(const SubsetEntry& entry, double threshold, double lb_scale,
+                bool sorted, const EndpointCaps& caps, Index xi) {
+  if (entry.lb * lb_scale > threshold) {
+    return sorted ? Admission::kStop : Admission::kSkip;
   }
+  if ((entry.j - 1 <= caps.je_cap && entry.j > caps.je_cap - xi - 1) ||
+      (entry.i - 1 <= caps.ie_cap && entry.i > caps.ie_cap - xi - 1)) {
+    return Admission::kSkip;
+  }
+  return Admission::kEvaluate;
 }
 
-void RunSubsetQueueParallel(const DistanceProvider& dist,
-                            const MotifOptions& options,
-                            const std::vector<SubsetEntry>& entries,
-                            const RelaxedBounds* relaxed, bool use_end_cross,
-                            bool sort_entries, SearchState* state,
-                            MotifStats* stats, EndpointCaps& caps,
-                            double lb_scale, ThreadPool* pool) {
-  const Index xi = options.min_length_xi;
-  const int lanes = pool->threads();
+}  // namespace
+
+void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
+                    std::vector<SubsetEntry>* entries,
+                    const RelaxedBounds* relaxed, bool use_end_cross,
+                    bool sort_entries, SearchState* state, MotifStats* stats,
+                    EndpointCaps* caps_io, double lb_scale, ThreadPool* pool) {
+  if (sort_entries) SortSubsetQueue(entries);
+  EndpointCaps local_caps;
+  EndpointCaps& caps = caps_io != nullptr ? *caps_io : local_caps;
+  // Batches of one lane are the serial loop. Approximate mode (lb_scale >
+  // 1) must stay serial: a subset the serial loop skips under the scaled
+  // bound may hold a candidate *better* than the running best, so a batch
+  // admitted against a stale threshold could legitimately return a
+  // different (1+ε)-valid answer. Exact mode has no such subsets — skipped
+  // means provably worse — which is what makes the pooled path
+  // bit-identical.
+  const int lanes =
+      pool != nullptr && lb_scale == 1.0 ? pool->threads() : 1;
   std::vector<FrechetScratch> scratch(lanes);
   std::vector<SearchState> lane_state(lanes);
   std::vector<MotifStats> lane_stats(lanes);
   std::vector<std::size_t> batch;
   batch.reserve(lanes);
+  const auto evaluate = [&](int lane) {
+    if (lane >= static_cast<int>(batch.size())) return;
+    lane_state[lane] = *state;  // frozen snapshot of threshold/best
+    lane_stats[lane] = MotifStats{};
+    const SubsetEntry& entry =
+        (*entries)[batch[static_cast<std::size_t>(lane)]];
+    EvaluateSubset(dist, options, entry.i, entry.j, relaxed, use_end_cross,
+                   caps, &lane_state[lane],
+                   stats != nullptr ? &lane_stats[lane] : nullptr,
+                   &scratch[lane]);
+  };
 
   std::size_t k = 0;
   bool done = false;
-  while (!done && k < entries.size()) {
-    // Admit the next up-to-`lanes` subsets the serial loop could not have
-    // skipped for sure: the lb and cap tests use the batch-start state, so
-    // the batch may contain a few subsets the serial order would have
+  while (!done && k < entries->size()) {
+    // Admit the next up-to-`lanes` subsets against the batch-start state:
+    // a pooled batch may contain a few subsets the serial order would have
     // pruned — harmless, they only re-derive candidates above the
     // threshold (see header contract).
     batch.clear();
-    while (k < entries.size() && static_cast<int>(batch.size()) < lanes) {
-      const SubsetEntry& entry = entries[k];
-      if (entry.lb * lb_scale > state->threshold) {
-        if (sort_entries) {
-          done = true;
-          break;
-        }
-        ++k;
-        continue;
+    while (k < entries->size() && static_cast<int>(batch.size()) < lanes) {
+      const Admission admission =
+          Admit((*entries)[k], state->threshold, lb_scale, sort_entries, caps,
+                options.min_length_xi);
+      if (admission == Admission::kStop) {
+        done = true;
+        break;
       }
-      if ((entry.j - 1 <= caps.je_cap && entry.j > caps.je_cap - xi - 1) ||
-          (entry.i - 1 <= caps.ie_cap && entry.i > caps.ie_cap - xi - 1)) {
-        ++k;
-        continue;
-      }
-      batch.push_back(k);
+      if (admission == Admission::kEvaluate) batch.push_back(k);
       ++k;
     }
     if (batch.empty()) continue;
 
     const double threshold_before = state->threshold;
-    pool->RunOnAllLanes([&](int lane) {
-      if (lane >= static_cast<int>(batch.size())) return;
-      lane_state[lane] = *state;  // frozen snapshot of threshold/best
-      lane_stats[lane] = MotifStats{};
-      const SubsetEntry& entry = entries[batch[static_cast<std::size_t>(
-          lane)]];
-      EvaluateSubset(dist, options, entry.i, entry.j, relaxed, use_end_cross,
-                     caps, &lane_state[lane],
-                     stats != nullptr ? &lane_stats[lane] : nullptr,
-                     &scratch[lane]);
-    });
-
+    if (lanes > 1) {
+      pool->RunOnAllLanes(evaluate);
+    } else {
+      evaluate(0);
+    }
     // Deterministic merge in queue order. Record resolves equal-distance
     // candidates to the canonical (i, j, ie, je) minimum, so the merged
     // best is the same candidate the serial loop records no matter how
     // the batch partitioned the evaluations.
     for (std::size_t b = 0; b < batch.size(); ++b) {
-      SearchState& ls = lane_state[b];
-      if (ls.found) {
-        state->Record(ls.best, ls.best_distance);
-      }
+      const SearchState& ls = lane_state[b];
+      if (ls.found) state->Record(ls.best, ls.best_distance);
       if (ls.threshold < state->threshold) state->threshold = ls.threshold;
       if (stats != nullptr) MergeEvaluationStats(lane_stats[b], stats);
     }
@@ -304,76 +297,13 @@ void RunSubsetQueueParallel(const DistanceProvider& dist,
   }
 }
 
-}  // namespace
-
-void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
-                    std::vector<SubsetEntry>* entries,
-                    const RelaxedBounds* relaxed, bool use_end_cross,
-                    bool sort_entries, SearchState* state, MotifStats* stats,
-                    EndpointCaps* caps_io, double lb_scale, ThreadPool* pool) {
-  if (sort_entries) {
-    // Deterministic total order: ties on the bound break by (i, j), so
-    // the processing order does not depend on std::sort's treatment of
-    // equal keys — and, crucially for the streaming engine, filtering
-    // entries out of the array beforehand cannot reorder the survivors
-    // relative to the unfiltered queue.
-    std::sort(entries->begin(), entries->end(),
-              [](const SubsetEntry& a, const SubsetEntry& b) {
-                if (a.lb != b.lb) return a.lb < b.lb;
-                if (a.i != b.i) return a.i < b.i;
-                return a.j < b.j;
-              });
-  }
-  EndpointCaps local_caps;
-  EndpointCaps& caps = caps_io != nullptr ? *caps_io : local_caps;
-  // Approximate mode (lb_scale > 1) must stay serial: a subset the serial
-  // loop skips under the scaled bound may hold a candidate *better* than
-  // the running best, so a batch admitted against a stale threshold could
-  // legitimately return a different (1+ε)-valid answer. Exact mode has no
-  // such subsets — skipped means provably worse — which is what makes the
-  // parallel path bit-identical.
-  if (pool != nullptr && pool->threads() > 1 && lb_scale == 1.0) {
-    RunSubsetQueueParallel(dist, options, *entries, relaxed, use_end_cross,
-                           sort_entries, state, stats, caps, lb_scale, pool);
-    return;
-  }
-  RunSubsetQueueSerial(dist, options, *entries, relaxed, use_end_cross,
-                       sort_entries, state, stats, caps, lb_scale);
-}
-
-void FillSubsetBounds(std::vector<SubsetEntry>* entries, ThreadPool* pool,
-                      const std::function<double(Index, Index)>& bound) {
-  const auto fill = [&](std::int64_t lo, std::int64_t hi) {
-    for (std::int64_t k = lo; k < hi; ++k) {
-      SubsetEntry& e = (*entries)[static_cast<std::size_t>(k)];
-      e.lb = bound(e.i, e.j);
-    }
-  };
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->ParallelFor(
-        static_cast<std::int64_t>(entries->size()),
-        [&](int, std::int64_t lo, std::int64_t hi) { fill(lo, hi); });
-  } else {
-    fill(0, static_cast<std::int64_t>(entries->size()));
-  }
-}
-
-void ForEachValidSubset(const MotifOptions& options, Index n, Index m,
-                        const std::function<void(Index, Index)>& fn) {
-  const Index xi = options.min_length_xi;
-  if (options.variant == MotifVariant::kSingleTrajectory) {
-    for (Index i = 0; i <= m - 2 * xi - 4; ++i) {
-      for (Index j = i + xi + 2; j <= m - xi - 2; ++j) {
-        fn(i, j);
-      }
-    }
-  } else {
-    for (Index i = 0; i <= n - xi - 2; ++i) {
-      for (Index j = 0; j <= m - xi - 2; ++j) {
-        fn(i, j);
-      }
-    }
-  }
+void SortSubsetQueue(std::vector<SubsetEntry>* entries) {
+  std::sort(entries->begin(), entries->end(),
+            [](const SubsetEntry& a, const SubsetEntry& b) {
+              if (a.lb != b.lb) return a.lb < b.lb;
+              if (a.i != b.i) return a.i < b.i;
+              return a.j < b.j;
+            });
 }
 
 std::int64_t CountValidSubsets(const MotifOptions& options, Index n, Index m) {
@@ -399,6 +329,18 @@ bool IsValidSubsetStart(const MotifOptions& options, Index n, Index m, Index i,
     return i <= m - 2 * xi - 4 && j >= i + xi + 2 && j <= m - xi - 2;
   }
   return i <= n - xi - 2 && j <= m - xi - 2;
+}
+
+Status ValidateApproximationEpsilon(double epsilon) {
+  if (epsilon < 0.0) {
+    return Status::InvalidArgument("approximation_epsilon must be >= 0");
+  }
+  return Status::Ok();
+}
+
+std::unique_ptr<ThreadPool> MakeSearchPool(const MotifOptions& options) {
+  const int threads = ResolveThreadCount(options.threads);
+  return threads > 1 ? std::make_unique<ThreadPool>(threads) : nullptr;
 }
 
 }  // namespace frechet_motif

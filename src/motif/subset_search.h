@@ -1,16 +1,39 @@
 #ifndef FRECHET_MOTIF_MOTIF_SUBSET_SEARCH_H_
 #define FRECHET_MOTIF_MOTIF_SUBSET_SEARCH_H_
 
-#include <functional>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "core/distance_matrix.h"
 #include "core/options.h"
+#include "geo/metric.h"
 #include "motif/relaxed_bounds.h"
 #include "motif/stats.h"
 #include "similarity/frechet.h"
+#include "util/status.h"
 #include "util/thread_pool.h"
+#include "util/timer.h"
+
+/// The one subset-search pipeline behind every motif search — BruteDP,
+/// BTM, GTM, GTM*, top-k and the streaming engine's WindowState:
+///
+///   build    BuildSubsetQueue: every valid CS(i,j) with its lower bound
+///            (RelaxedBounds::SubsetLb, or BTM's ablation components);
+///   sort     SortSubsetQueue: ascending (lb, i, j);
+///   admit    RunSubsetQueue's one admission test per entry (scaled bound,
+///            sorted-tail stop, endpoint caps);
+///   evaluate EvaluateSubset, the shared DP over one subset.
+///
+/// GTM and GTM* first narrow the queue with the group-pair pruner they
+/// share (PruneGroupPairs, motif/group.h). Two loops drain a queue their
+/// own way on purpose: BTM's tight-bound cascade, which evaluates its
+/// bounds lazily per subset, and top-k's per-subset heap. BruteDP walks
+/// every subset with no queue at all. SearchState::result() is every
+/// search's answer and MakeSearchPool its worker pool; SearchOnMatrix
+/// implements the trajectory overloads of the matrix-backed searches.
 
 namespace frechet_motif {
 
@@ -49,6 +72,9 @@ struct SearchState {
     }
     if (d < threshold) threshold = d;
   }
+
+  /// The search's answer: the best candidate recorded so far.
+  MotifResult result() const { return MotifResult{best, best_distance, found}; }
 };
 
 /// Caps on candidate endpoints, justified by whole-row/column minima
@@ -97,13 +123,15 @@ struct SubsetEntry {
   Index j = 0;
 };
 
-/// The best-first subset loop shared by BTM, GTM and GTM* (Algorithm 2
-/// lines 3-13): optionally sorts `entries` ascending by lower bound, then
-/// evaluates each subset whose bound does not strictly exceed the running
-/// threshold. With sorting enabled the loop stops at the first bound above
-/// the threshold (every later entry is at least as large). Maintains the
-/// global endpoint caps after each best-so-far improvement when `relaxed`
-/// is provided.
+/// The best-first subset loop shared by BTM, GTM, GTM* and the streaming
+/// engine (Algorithm 2 lines 3-13): optionally sorts `entries` with
+/// SortSubsetQueue, then evaluates each subset whose bound does not
+/// strictly exceed the running threshold. With sorting enabled the loop
+/// stops at the first bound above the threshold (every later entry is at
+/// least as large). Maintains the global endpoint caps after each
+/// best-so-far improvement when `relaxed` is provided. Every entry passes
+/// one admission test (scaled bound, sorted tail, endpoint caps) before it
+/// is evaluated, on the serial and the pooled path alike.
 /// `caps` optionally carries the endpoint caps across calls (GTM* processes
 /// one block per call but the caps are global facts); pass null to use
 /// fresh caps for the call.
@@ -139,25 +167,113 @@ void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
                     EndpointCaps* caps = nullptr, double lb_scale = 1.0,
                     ThreadPool* pool = nullptr);
 
-/// Fills entries[k].lb = bound(entries[k].i, entries[k].j) for every
-/// entry, sharded across `pool` when one is given (null or single-lane
-/// runs serially). Each index is written by exactly one lane, so the
-/// parallel sweep is bit-identical to the serial one. Shared by the
-/// algorithms' bound-precomputation phases.
-void FillSubsetBounds(std::vector<SubsetEntry>* entries, ThreadPool* pool,
-                      const std::function<double(Index, Index)>& bound);
+/// The one queue order: ascending lower bound, ties broken by (i, j). A
+/// total order, so the processing order never depends on std::sort's
+/// treatment of equal keys — and, for the streaming engine, filtering
+/// entries out of the queue beforehand cannot reorder the survivors.
+void SortSubsetQueue(std::vector<SubsetEntry>* entries);
 
 /// Invokes `fn(i, j)` for every candidate subset CS(i,j) that admits at
 /// least one valid candidate under `options`, in row-major order.
+template <typename Fn>
 void ForEachValidSubset(const MotifOptions& options, Index n, Index m,
-                        const std::function<void(Index, Index)>& fn);
+                        const Fn& fn) {
+  const Index xi = options.min_length_xi;
+  if (options.variant == MotifVariant::kSingleTrajectory) {
+    for (Index i = 0; i <= m - 2 * xi - 4; ++i) {
+      for (Index j = i + xi + 2; j <= m - xi - 2; ++j) fn(i, j);
+    }
+  } else {
+    for (Index i = 0; i <= n - xi - 2; ++i) {
+      for (Index j = 0; j <= m - xi - 2; ++j) fn(i, j);
+    }
+  }
+}
+
+/// Fills entries[k].lb = bound(entries[k].i, entries[k].j) for every
+/// entry, sharded across `pool` when one is given (null or single-lane
+/// runs serially). Each index is written by exactly one lane, so the
+/// parallel sweep is bit-identical to the serial one.
+template <typename Bound>
+void FillSubsetBounds(std::vector<SubsetEntry>* entries, ThreadPool* pool,
+                      const Bound& bound) {
+  const auto fill = [entries, &bound](std::int64_t lo, std::int64_t hi) {
+    for (std::int64_t k = lo; k < hi; ++k) {
+      SubsetEntry& e = (*entries)[static_cast<std::size_t>(k)];
+      e.lb = bound(e.i, e.j);
+    }
+  };
+  const auto size = static_cast<std::int64_t>(entries->size());
+  if (pool != nullptr && pool->threads() > 1) {
+    pool->ParallelFor(size, [&](int, std::int64_t lo, std::int64_t hi) {
+      fill(lo, hi);
+    });
+  } else {
+    fill(0, size);
+  }
+}
 
 /// Number of subsets ForEachValidSubset would visit.
 std::int64_t CountValidSubsets(const MotifOptions& options, Index n, Index m);
 
+/// The subset queue of an n×m search: every valid CS(i,j) in row-major
+/// order with lb = bound(i, j), filled by FillSubsetBounds. Unsorted;
+/// RunSubsetQueue or SortSubsetQueue orders it.
+template <typename Bound>
+std::vector<SubsetEntry> BuildSubsetQueue(const MotifOptions& options,
+                                          Index n, Index m, ThreadPool* pool,
+                                          const Bound& bound) {
+  std::vector<SubsetEntry> entries;
+  entries.reserve(static_cast<std::size_t>(CountValidSubsets(options, n, m)));
+  ForEachValidSubset(options, n, m, [&entries](Index i, Index j) {
+    entries.push_back(SubsetEntry{0.0, i, j});
+  });
+  FillSubsetBounds(&entries, pool, bound);
+  return entries;
+}
+
 /// True iff CS(i,j) admits at least one valid candidate under `options`.
 bool IsValidSubsetStart(const MotifOptions& options, Index n, Index m, Index i,
                         Index j);
+
+/// InvalidArgument unless `epsilon` >= 0 (the approximation knob of every
+/// search).
+Status ValidateApproximationEpsilon(double epsilon);
+
+/// The worker pool of one search (bound sweeps and verification batches),
+/// sized by ResolveThreadCount(options.threads); null on the threads=1
+/// serial path.
+std::unique_ptr<ThreadPool> MakeSearchPool(const MotifOptions& options);
+
+/// The MotifOptions of an algorithm's options struct (BruteDP takes
+/// MotifOptions itself).
+inline MotifOptions& MotifOptionsOf(MotifOptions& options) { return options; }
+template <typename Options>
+MotifOptions& MotifOptionsOf(Options& options) {
+  return options.motif;
+}
+
+/// The trajectory overloads of every matrix-backed search: builds dG over
+/// one trajectory (Problem 1, the caller's variant) or two (the cross
+/// variant, which this sets), adds the build time to
+/// stats->precompute_seconds, and runs `search` on the matrix.
+template <typename Result, typename Options, typename... Trajectories>
+StatusOr<Result> SearchOnMatrix(
+    StatusOr<Result> (*search)(const DistanceProvider&, const Options&,
+                               MotifStats*),
+    Options options, const GroundMetric& metric, MotifStats* stats,
+    const Trajectories&... trajectories) {
+  static_assert(sizeof...(Trajectories) == 1 || sizeof...(Trajectories) == 2,
+                "one trajectory, or two for the cross variant");
+  Timer timer;
+  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(trajectories..., metric);
+  if (!dg.ok()) return dg.status();
+  if (stats != nullptr) stats->precompute_seconds += timer.ElapsedSeconds();
+  if (sizeof...(Trajectories) == 2) {
+    MotifOptionsOf(options).variant = MotifVariant::kCrossTrajectory;
+  }
+  return search(dg.value(), options, stats);
+}
 
 }  // namespace frechet_motif
 

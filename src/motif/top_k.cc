@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -44,43 +44,25 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
   if (options.min_start_separation < 1) {
     return Status::InvalidArgument("min_start_separation must be >= 1");
   }
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
-  }
+  FM_RETURN_IF_ERROR(
+      ValidateApproximationEpsilon(options.approximation_epsilon));
   const double lb_scale = 1.0 + options.approximation_epsilon;
 
   Timer timer;
   if (stats != nullptr) stats->memory.Add(dist.MemoryBytes());
 
-  // Worker pool for the bounds build and the subset-bound sweep; absent
-  // (null) on the default threads=1 serial path. The evaluation loop
-  // below stays serial — its heap threshold evolves with every subset.
-  std::optional<ThreadPool> pool_storage;
-  ThreadPool* pool = nullptr;
-  const int threads = ResolveThreadCount(options.motif.threads);
-  if (threads > 1) {
-    pool_storage.emplace(threads);
-    pool = &*pool_storage;
-  }
-  const RelaxedBounds rb = RelaxedBounds::Build(dist, options.motif, pool);
+  // Worker pool for the bounds build and the subset-bound sweep; the
+  // evaluation loop below stays serial — its heap threshold evolves with
+  // every subset.
+  const std::unique_ptr<ThreadPool> pool = MakeSearchPool(options.motif);
+  const RelaxedBounds rb =
+      RelaxedBounds::Build(dist, options.motif, pool.get());
 
   // Candidate subsets in ascending combined-lower-bound order, as in BTM.
-  std::vector<SubsetEntry> entries;
-  entries.reserve(
-      static_cast<std::size_t>(CountValidSubsets(options.motif, n, m)));
-  ForEachValidSubset(options.motif, n, m, [&](Index i, Index j) {
-    entries.push_back(SubsetEntry{0.0, i, j});
-  });
-  FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    return std::max({dist.Distance(i, j), rb.StartCross(i, j), rb.BandRow(j),
-                     rb.BandCol(i)});
-  });
-  std::sort(entries.begin(), entries.end(),
-            [](const SubsetEntry& a, const SubsetEntry& b) {
-              if (a.lb != b.lb) return a.lb < b.lb;
-              if (a.i != b.i) return a.i < b.i;
-              return a.j < b.j;
-            });
+  std::vector<SubsetEntry> entries = BuildSubsetQueue(
+      options.motif, n, m, pool.get(),
+      [&](Index i, Index j) { return rb.SubsetLb(dist, i, j); });
+  SortSubsetQueue(&entries);
   if (stats != nullptr) {
     stats->total_subsets = static_cast<std::int64_t>(entries.size());
     stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
@@ -123,9 +105,12 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
   }
 
   // Greedy selection in ascending distance order, honouring separation.
+  // Equal distances resolve in candidate order, as SearchState::Record
+  // resolves them.
   std::sort(candidate_pool.begin(), candidate_pool.end(),
             [](const PoolEntry& a, const PoolEntry& b) {
-              return a.distance < b.distance;
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return CandidateOrderedBefore(a.candidate, b.candidate);
             });
   std::vector<MotifResult> results;
   for (const PoolEntry& entry : candidate_pool) {
@@ -153,9 +138,7 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const Trajectory& s,
                                               const GroundMetric& metric,
                                               const TopKOptions& options,
                                               MotifStats* stats) {
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, metric);
-  if (!dg.ok()) return dg.status();
-  return TopKMotifs(dg.value(), options, stats);
+  return SearchOnMatrix(TopKMotifs, options, metric, stats, s);
 }
 
 StatusOr<std::vector<MotifResult>> TopKMotifs(const Trajectory& s,
@@ -163,11 +146,7 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const Trajectory& s,
                                               const GroundMetric& metric,
                                               const TopKOptions& options,
                                               MotifStats* stats) {
-  StatusOr<DistanceMatrix> dg = DistanceMatrix::Build(s, t, metric);
-  if (!dg.ok()) return dg.status();
-  TopKOptions cross_options = options;
-  cross_options.motif.variant = MotifVariant::kCrossTrajectory;
-  return TopKMotifs(dg.value(), cross_options, stats);
+  return SearchOnMatrix(TopKMotifs, options, metric, stats, s, t);
 }
 
 }  // namespace frechet_motif

@@ -53,7 +53,10 @@ struct TopKOptions {
 /// equally-separated set with smaller distances may exist.
 ///
 /// Results are sorted ascending by distance; fewer than k are returned
-/// when the trajectory does not admit that many. `stats` may be null.
+/// when the trajectory does not admit that many. Ties resolve canonically:
+/// equal distances are ordered (and, under separation, selected) by
+/// CandidateOrderedBefore, the order SearchState::Record uses, so the
+/// top-1 result is exactly FindMotif's candidate. `stats` may be null.
 StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
                                               const TopKOptions& options,
                                               MotifStats* stats = nullptr);

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "motif/bounds.h"
 #include "motif/subset_search.h"
 #include "util/timer.h"
 
@@ -221,20 +220,14 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   }
 
   // The relaxed bounding search of BtmMotif (Algorithm 2 with the
-  // Section 4.3 bounds), mirrored verbatim so the result is bit-identical
-  // to the from-scratch baseline — the only difference is the seeded
-  // initial threshold.
-  std::vector<SubsetEntry> entries;
-  entries.reserve(static_cast<std::size_t>(CountValidSubsets(motif, n, m)));
-  ForEachValidSubset(motif, n, m, [&](Index i, Index j) {
-    entries.push_back(SubsetEntry{0.0, i, j});
-  });
-  FillSubsetBounds(&entries, pool, [&](Index i, Index j) {
-    const double cell = LbCell(ring_, i, j);
-    const double cross_lb = rb.StartCross(i, j);
-    const double band = std::max(rb.BandRow(j), rb.BandCol(i));
-    return std::max({cell, cross_lb, band});
-  });
+  // Section 4.3 bounds), built and drained through the same subset-search
+  // pipeline, so the result is bit-identical to the from-scratch baseline
+  // — the only differences are the seeded initial threshold and the
+  // dirty-frontier filter below.
+  std::vector<SubsetEntry> entries =
+      BuildSubsetQueue(motif, n, m, pool, [&](Index i, Index j) {
+        return rb.SubsetLb(ring_, i, j);
+      });
   update.stats.total_subsets = static_cast<std::int64_t>(entries.size());
 
   // Dirty-region restriction (seeded slides only). Clean candidates —
@@ -373,9 +366,7 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
     update.motif.distance = previous_distance_;
     update.motif.found = true;
   } else {
-    update.motif.best = state.best;
-    update.motif.distance = state.best_distance;
-    update.motif.found = state.found;
+    update.motif = state.result();
   }
 
   previous_best_ = update.motif.best;

@@ -4,6 +4,7 @@
 
 #include "core/options.h"
 #include "geo/metric.h"
+#include "motif/btm.h"
 #include "motif/subset_search.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
@@ -123,6 +124,27 @@ TEST(BruteDpTest, CrossVariantUsesBothTrajectories) {
   // Cross variant: no ordering constraint between the two ranges.
   EXPECT_LE(c.ie, s.size() - 1);
   EXPECT_LE(c.je, t.size() - 1);
+}
+
+TEST(BruteDpTest, TwoTrajectoryOverloadSetsTheCrossVariant) {
+  // Left at the default (single-trajectory) variant, the two-trajectory
+  // overload must still solve the cross problem — no ie < j constraint
+  // between two different trajectories — exactly as BtmMotif's does.
+  MotifOptions options;
+  options.min_length_xi = 2;
+  BtmOptions btm;
+  btm.motif = options;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    const Trajectory s = MakePlanarWalk(20, 2 * seed + 1);
+    const Trajectory t = MakePlanarWalk(24, 2 * seed + 2);
+    StatusOr<MotifResult> brute = BruteDpMotif(s, t, Euclidean(), options);
+    StatusOr<MotifResult> bounded = BtmMotif(s, t, Euclidean(), btm);
+    ASSERT_TRUE(brute.ok());
+    ASSERT_TRUE(bounded.ok());
+    EXPECT_EQ(brute.value().distance, bounded.value().distance)
+        << "seed=" << seed;
+    EXPECT_EQ(brute.value().best, bounded.value().best) << "seed=" << seed;
+  }
 }
 
 TEST(BruteDpTest, StatsCountSubsetsAndCells) {

@@ -15,10 +15,12 @@
 #include "data/planted.h"
 #include "geo/metric.h"
 #include "join/similarity_join.h"
+#include "motif/brute_dp.h"
 #include "motif/btm.h"
 #include "motif/gtm.h"
 #include "motif/gtm_star.h"
 #include "motif/subset_search.h"
+#include "motif/top_k.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -28,6 +30,8 @@ namespace {
 
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::MakeTiedCrossMatrix;
+using testing_util::MakeTiedSelfMatrix;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -265,47 +269,80 @@ TEST(ThreadedSearchParityTest, GtmStarPlantedMotif) {
 }
 
 TEST(ThreadedSearchParityTest, RandomMatrixAllAlgorithmsAgree) {
-  // On an adversarial random matrix every algorithm's threads=4 run must
-  // reproduce its own serial run exactly (candidate included), and all
-  // algorithms must agree on the optimal distance. The reported candidate
-  // may differ *across* algorithms when distinct candidates tie on the
-  // optimum — visit order is algorithm-specific — so cross-algorithm
-  // equality is asserted on the distance only.
+  // On adversarial random matrices every algorithm's threads=4 run must
+  // reproduce its own serial run exactly, and every algorithm — BTM with
+  // relaxed and with tight bounds, GTM, GTM*, top-1 — must report
+  // BruteDP's candidate, not just its distance. The tied family
+  // (integer-valued entries) gives many distinct candidates the optimal
+  // distance; SearchState::Record's canonical order still makes the
+  // answer a function of the input alone.
   const Index n = 44;
-  const DistanceMatrix dg = MakeRandomSelfMatrix(n, 2024);
-  MotifOptions motif;
-  motif.min_length_xi = 3;
-
-  BtmOptions btm;
-  btm.motif = motif;
-  const MotifResult reference = BtmMotif(dg, btm).value();
-
   const auto with_threads = [](auto options, int threads) {
     options.motif.threads = threads;
     return options;
   };
+  for (const bool cross : {false, true}) {
+    for (const bool tied : {false, true}) {
+      for (std::uint64_t seed = 2024; seed < 2027; ++seed) {
+        SCOPED_TRACE(::testing::Message() << "cross=" << cross
+                                          << " tied=" << tied
+                                          << " seed=" << seed);
+        const DistanceMatrix dg =
+            tied ? (cross ? MakeTiedCrossMatrix(n, n, seed)
+                          : MakeTiedSelfMatrix(n, seed))
+                 : (cross ? MakeRandomCrossMatrix(n, n, seed)
+                          : MakeRandomSelfMatrix(n, seed));
+        MotifOptions motif;
+        motif.min_length_xi = 3;
+        if (cross) motif.variant = MotifVariant::kCrossTrajectory;
+        const MotifResult reference = BruteDpMotif(dg, motif).value();
+        ASSERT_TRUE(reference.found);
 
-  const MotifResult rb = BtmMotif(dg, with_threads(btm, 4)).value();
-  EXPECT_EQ(rb.distance, reference.distance);
-  EXPECT_EQ(rb.best, reference.best);
+        BtmOptions btm;
+        btm.motif = motif;
+        const MotifResult rb1 = BtmMotif(dg, btm).value();
+        const MotifResult rb4 = BtmMotif(dg, with_threads(btm, 4)).value();
+        EXPECT_EQ(rb1.distance, reference.distance);
+        EXPECT_EQ(rb1.best, reference.best);
+        EXPECT_EQ(rb4.distance, rb1.distance);
+        EXPECT_EQ(rb4.best, rb1.best);
 
-  GtmOptions gtm;
-  gtm.motif = motif;
-  gtm.group_size_tau = 8;
-  const MotifResult rg1 = GtmMotif(dg, gtm).value();
-  const MotifResult rg4 = GtmMotif(dg, with_threads(gtm, 4)).value();
-  EXPECT_EQ(rg1.distance, reference.distance);
-  EXPECT_EQ(rg4.distance, rg1.distance);
-  EXPECT_EQ(rg4.best, rg1.best);
+        BtmOptions tight = btm;
+        tight.relaxed = false;
+        const MotifResult rt = BtmMotif(dg, tight).value();
+        EXPECT_EQ(rt.distance, reference.distance);
+        EXPECT_EQ(rt.best, reference.best);
 
-  GtmStarOptions gs;
-  gs.motif = motif;
-  gs.group_size_tau = 8;
-  const MotifResult rgs1 = GtmStarMotif(dg, gs).value();
-  const MotifResult rgs4 = GtmStarMotif(dg, with_threads(gs, 4)).value();
-  EXPECT_EQ(rgs1.distance, reference.distance);
-  EXPECT_EQ(rgs4.distance, rgs1.distance);
-  EXPECT_EQ(rgs4.best, rgs1.best);
+        GtmOptions gtm;
+        gtm.motif = motif;
+        gtm.group_size_tau = 8;
+        const MotifResult rg1 = GtmMotif(dg, gtm).value();
+        const MotifResult rg4 = GtmMotif(dg, with_threads(gtm, 4)).value();
+        EXPECT_EQ(rg1.distance, reference.distance);
+        EXPECT_EQ(rg1.best, reference.best);
+        EXPECT_EQ(rg4.distance, rg1.distance);
+        EXPECT_EQ(rg4.best, rg1.best);
+
+        GtmStarOptions gs;
+        gs.motif = motif;
+        gs.group_size_tau = 8;
+        const MotifResult rgs1 = GtmStarMotif(dg, gs).value();
+        const MotifResult rgs4 = GtmStarMotif(dg, with_threads(gs, 4)).value();
+        EXPECT_EQ(rgs1.distance, reference.distance);
+        EXPECT_EQ(rgs1.best, reference.best);
+        EXPECT_EQ(rgs4.distance, rgs1.distance);
+        EXPECT_EQ(rgs4.best, rgs1.best);
+
+        TopKOptions top;
+        top.motif = motif;
+        top.k = 1;
+        const std::vector<MotifResult> top1 = TopKMotifs(dg, top).value();
+        ASSERT_EQ(top1.size(), 1u);
+        EXPECT_EQ(top1[0].distance, reference.distance);
+        EXPECT_EQ(top1[0].best, reference.best);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

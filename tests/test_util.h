@@ -73,6 +73,33 @@ inline DistanceMatrix MakeRandomCrossMatrix(Index n, Index m,
   return DistanceMatrix::FromValues(n, m, std::move(values)).value();
 }
 
+/// Tied random matrices: like MakeRandomSelfMatrix / MakeRandomCrossMatrix,
+/// but every off-diagonal entry is an integer in [0, levels). Many distinct
+/// candidates then share the optimal DFD, which is the adversarial input
+/// for the canonical tie order (CandidateOrderedBefore).
+inline DistanceMatrix MakeTiedSelfMatrix(Index n, std::uint64_t seed,
+                                         int levels = 6) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<std::size_t>(n) * n, 0.0);
+  for (Index i = 0; i < n; ++i) {
+    for (Index j = i + 1; j < n; ++j) {
+      const auto d = static_cast<double>(rng.NextInt(0, levels - 1));
+      values[static_cast<std::size_t>(i) * n + j] = d;
+      values[static_cast<std::size_t>(j) * n + i] = d;
+    }
+  }
+  return DistanceMatrix::FromValues(n, n, std::move(values)).value();
+}
+
+inline DistanceMatrix MakeTiedCrossMatrix(Index n, Index m,
+                                          std::uint64_t seed,
+                                          int levels = 6) {
+  Rng rng(seed);
+  std::vector<double> values(static_cast<std::size_t>(n) * m);
+  for (double& v : values) v = static_cast<double>(rng.NextInt(0, levels - 1));
+  return DistanceMatrix::FromValues(n, m, std::move(values)).value();
+}
+
 /// Small planar random-walk trajectory (coordinates in meters, for use
 /// with the Euclidean metric).
 inline Trajectory MakePlanarWalk(Index n, std::uint64_t seed,

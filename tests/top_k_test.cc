@@ -15,7 +15,10 @@ namespace frechet_motif {
 namespace {
 
 using testing_util::MakePlanarWalk;
+using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::MakeTiedCrossMatrix;
+using testing_util::MakeTiedSelfMatrix;
 
 /// Oracle: the exact optimum of every candidate subset, by brute force.
 std::vector<double> AllSubsetOptima(const DistanceMatrix& dg,
@@ -50,20 +53,34 @@ TEST(TopKTest, RejectsBadArguments) {
 }
 
 TEST(TopKTest, TopOneMatchesBtm) {
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    const DistanceMatrix dg = MakeRandomSelfMatrix(32, seed);
-    TopKOptions options;
-    options.motif.min_length_xi = 3;
-    options.k = 1;
-    BtmOptions btm;
-    btm.motif = options.motif;
-    StatusOr<std::vector<MotifResult>> top = TopKMotifs(dg, options);
-    StatusOr<MotifResult> best = BtmMotif(dg, btm);
-    ASSERT_TRUE(top.ok());
-    ASSERT_TRUE(best.ok());
-    ASSERT_EQ(top.value().size(), 1u);
-    EXPECT_DOUBLE_EQ(top.value()[0].distance, best.value().distance)
-        << "seed=" << seed;
+  // k = 1 is the motif itself, candidate included: ties resolve in the
+  // canonical candidate order, as in every other search. The tied family
+  // (integer-valued entries) has many equal-distance subset optima.
+  for (const bool cross : {false, true}) {
+    for (const bool tied : {false, true}) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        const DistanceMatrix dg =
+            tied ? (cross ? MakeTiedCrossMatrix(32, 32, seed)
+                          : MakeTiedSelfMatrix(32, seed))
+                 : (cross ? MakeRandomCrossMatrix(32, 32, seed)
+                          : MakeRandomSelfMatrix(32, seed));
+        TopKOptions options;
+        options.motif.min_length_xi = 3;
+        if (cross) options.motif.variant = MotifVariant::kCrossTrajectory;
+        options.k = 1;
+        BtmOptions btm;
+        btm.motif = options.motif;
+        StatusOr<std::vector<MotifResult>> top = TopKMotifs(dg, options);
+        StatusOr<MotifResult> best = BtmMotif(dg, btm);
+        ASSERT_TRUE(top.ok());
+        ASSERT_TRUE(best.ok());
+        ASSERT_EQ(top.value().size(), 1u);
+        EXPECT_DOUBLE_EQ(top.value()[0].distance, best.value().distance)
+            << "seed=" << seed << " cross=" << cross << " tied=" << tied;
+        EXPECT_EQ(top.value()[0].best, best.value().best)
+            << "seed=" << seed << " cross=" << cross << " tied=" << tied;
+      }
+    }
   }
 }
 
