@@ -13,7 +13,7 @@
 // For each ε in {0, 0.01, 0.05, 0.1} two legs run:
 //
 //   batch_search    FindMotif (GTM) over the whole trajectory
-//   stream_search   StreamingMotifMonitor replay, per-slide answers
+//   stream_search   one-member MotifFleetEngine replay, per-slide answers
 //                   compared against a from-scratch exact search on the
 //                   identical window
 //
@@ -42,7 +42,7 @@
 #include "bench_common.h"
 #include "geo/metric.h"
 #include "motif/motif.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream/motif_fleet_engine.h"
 
 namespace frechet_motif {
 namespace bench {
@@ -124,25 +124,25 @@ struct StreamRun {
 /// indexed by slide number — every ε leg sees the same slide schedule.
 StreamRun RunStream(const Trajectory& t, const StreamOptions& base,
                     double eps, std::vector<double>* exact_by_slide) {
-  StreamOptions options = base;
-  options.approximation_epsilon = eps;
-  auto monitor = StreamingMotifMonitor::Create(options, Euclidean());
-  if (!monitor.ok()) {
-    std::fprintf(stderr, "monitor: %s\n",
-                 monitor.status().ToString().c_str());
+  FleetOptions options;
+  options.stream = base;
+  options.stream.approximation_epsilon = eps;
+  auto fleet = MotifFleetEngine::Create(options, Euclidean());
+  if (!fleet.ok() || !fleet.value().AddStream().ok()) {
+    std::fprintf(stderr, "fleet: %s\n", fleet.status().ToString().c_str());
     std::exit(1);
   }
 
   StreamRun m;
   for (Index k = 0; k < t.size(); ++k) {
-    auto update = monitor.value().Push(t[k]);
-    if (!update.ok()) {
+    auto report = fleet.value().Push(0, t[k]);
+    if (!report.ok()) {
       std::fprintf(stderr, "push: %s\n",
-                   update.status().ToString().c_str());
+                   report.status().ToString().c_str());
       std::exit(1);
     }
-    if (!update.value().has_value()) continue;
-    const StreamUpdate& u = *update.value();
+    if (report.value().updates.empty()) continue;
+    const StreamUpdate& u = report.value().updates.front().update;
     m.cells += u.stats.dfd_cells_computed;
 
     // Exact per-window baseline, computed on the first (ε=0) leg and

@@ -1,6 +1,6 @@
 // Self-timed throughput benchmark of the fleet streaming engine
-// (src/stream/motif_fleet_engine.h) against N independent
-// StreamingMotifMonitors fed the identical points, in the same JSON
+// (src/stream/motif_fleet_engine.h) against N independent one-member
+// fleets ("monitors") fed the identical points, in the same JSON
 // pipeline as the other benches:
 //
 //   ./bench_fleet_throughput [--smoke] [--lengths=256] [--n=STREAMS]
@@ -9,8 +9,8 @@
 // For each window length W it synthesizes N (--n, default 8) GeoLife-like
 // streams of 3W points and replays them three ways:
 //
-//   monitors         N independent monitors, round-robin pushes — the
-//                    pre-fleet baseline.
+//   monitors         N independent one-member fleets, round-robin
+//                    pushes — every stream searched on its own.
 //   fleet_parity     MotifFleetEngine, unbudgeted: one arrival loop, one
 //                    scheduler, one pool. Every per-stream report is
 //                    asserted bit-identical to its monitor's (candidate,
@@ -37,7 +37,6 @@
 #include "data/datasets.h"
 #include "geo/metric.h"
 #include "stream/motif_fleet_engine.h"
-#include "stream/streaming_motif_monitor.h"
 #include "util/timer.h"
 
 namespace frechet_motif {
@@ -84,11 +83,14 @@ FleetMeasurement ReplayFleet(Index window, Index streams,
   FleetMeasurement m;
   m.points = static_cast<std::int64_t>(streams) * points_per_stream;
 
-  // --- N independent monitors, round-robin. ---
-  std::vector<StreamingMotifMonitor> monitors;
+  // --- N independent one-member fleets, round-robin. ---
+  FleetOptions monitor_options;
+  monitor_options.stream = stream_options;
+  std::vector<MotifFleetEngine> monitors;
   for (Index s = 0; s < streams; ++s) {
-    auto monitor = StreamingMotifMonitor::Create(stream_options, metric);
+    auto monitor = MotifFleetEngine::Create(monitor_options, metric);
     if (!monitor.ok()) Die(monitor.status(), "monitor");
+    if (!monitor.value().AddStream().ok()) Die(Status::Internal(""), "add");
     monitors.push_back(std::move(monitor).value());
   }
   std::vector<std::vector<StreamUpdate>> monitor_updates(
@@ -96,11 +98,11 @@ FleetMeasurement ReplayFleet(Index window, Index streams,
   Timer timer;
   for (Index k = 0; k < points_per_stream; ++k) {
     for (Index s = 0; s < streams; ++s) {
-      auto update = monitors[static_cast<std::size_t>(s)].Push(data[s][k]);
-      if (!update.ok()) Die(update.status(), "monitor push");
-      if (update.value().has_value()) {
+      auto report = monitors[static_cast<std::size_t>(s)].Push(0, data[s][k]);
+      if (!report.ok()) Die(report.status(), "monitor push");
+      for (FleetStreamUpdate& fu : report.value().updates) {
         monitor_updates[static_cast<std::size_t>(s)].push_back(
-            *update.value());
+            std::move(fu.update));
       }
     }
   }

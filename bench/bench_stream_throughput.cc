@@ -5,10 +5,10 @@
 //       [--threads=N] [--json[=path]]
 //
 // For each window length W it replays a GeoLife-like stream through a
-// StreamingMotifMonitor (slide step W/16) and measures end-to-end
-// points/second, then re-answers every slide from scratch with
-// FindMotif(kBtm) on the identical window. Three kernels per W land in
-// the JSON:
+// one-member MotifFleetEngine, one point per Push (slide step W/16), and
+// measures end-to-end points/second, then re-answers every slide from
+// scratch with FindMotif(kBtm) on the identical window. Three kernels
+// per W land in the JSON:
 //
 //   stream_ingest       ns per ingested point (searches amortized in)
 //   stream_search       ns per slide, incremental engine
@@ -22,13 +22,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "bench_common.h"
 #include "data/datasets.h"
 #include "geo/metric.h"
 #include "motif/motif.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream/motif_fleet_engine.h"
 #include "util/timer.h"
 
 namespace frechet_motif {
@@ -61,21 +62,25 @@ ReplayMeasurement ReplayWindow(Index window, const BenchConfig& config) {
   const HaversineMetric metric;
 
   ReplayMeasurement m;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  if (!monitor.ok()) {
-    std::fprintf(stderr, "monitor: %s\n", monitor.status().ToString().c_str());
+  FleetOptions fleet_options;
+  fleet_options.stream = options;
+  auto fleet = MotifFleetEngine::Create(fleet_options, metric);
+  if (!fleet.ok() || !fleet.value().AddStream().ok()) {
+    std::fprintf(stderr, "fleet: %s\n", fleet.status().ToString().c_str());
     std::exit(1);
   }
 
   std::vector<StreamUpdate> updates;
   Timer timer;
   for (Index k = 0; k < t.size(); ++k) {
-    auto update = monitor.value().Push(t[k]);
-    if (!update.ok()) {
-      std::fprintf(stderr, "push: %s\n", update.status().ToString().c_str());
+    auto report = fleet.value().Push(0, t[k]);
+    if (!report.ok()) {
+      std::fprintf(stderr, "push: %s\n", report.status().ToString().c_str());
       std::exit(1);
     }
-    if (update.value().has_value()) updates.push_back(*update.value());
+    for (FleetStreamUpdate& fu : report.value().updates) {
+      updates.push_back(std::move(fu.update));
+    }
   }
   m.ingest_seconds = timer.ElapsedSeconds();
   m.points = t.size();

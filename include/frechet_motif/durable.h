@@ -36,10 +36,9 @@
 ///
 /// `OpenFleetEngine` picks between a plain engine and a DurableFleet by
 /// whether `DurableOptions::state_dir` is set — how the CLI and the
-/// serve tier hold a single engine either way. Single-stream monitors
-/// snapshot through the same machinery:
-/// `StreamingMotifMonitor::Snapshot`/`Restore` round-trips a monitor
-/// through raw bytes.
+/// serve tier hold a single engine either way. Underneath,
+/// `MotifFleetEngine::Snapshot`/`Restore` round-trips any engine — a
+/// single stream is a one-member fleet — through raw bytes.
 
 #include "durable/durable_fleet.h"
 #include "durable/durable_fs.h"

@@ -30,10 +30,9 @@
 ///  * `<frechet_motif/similarity.h>` — DFD kernels + Table 1 measures;
 ///  * `<frechet_motif/motif.h>` — FindMotif front door, BTM/GTM/GTM*,
 ///    top-k;
-///  * `<frechet_motif/stream.h>` — incremental sliding-window motif
-///    maintenance over live point streams;
-///  * `<frechet_motif/fleet.h>` — N streams behind one arrival loop,
-///    scheduler and incremental ε-join (MotifFleetEngine);
+///  * `<frechet_motif/fleet.h>` — incremental sliding-window motif
+///    maintenance over live point streams: one or N streams behind one
+///    arrival loop, scheduler and incremental ε-join (MotifFleetEngine);
 ///  * `<frechet_motif/durable.h>` — crash-safe snapshot + journal
 ///    persistence for the streaming engines (DurableFleet);
 ///  * `<frechet_motif/join.h>` — DFD similarity join, batch and
@@ -56,7 +55,6 @@
 #include "frechet_motif/serve.h"
 #include "frechet_motif/similarity.h"
 #include "frechet_motif/status.h"
-#include "frechet_motif/stream.h"
 #include "frechet_motif/symbolic.h"
 #include "frechet_motif/trajectory.h"
 

@@ -120,7 +120,7 @@ class OnTheFlyDistance final : public DistanceProvider {
 /// ((i + row_head) mod row_capacity, (j + col_head) mod col_capacity), so
 /// algorithms see an ordinary DistanceProvider over the current window.
 ///
-/// This is the incremental-matrix API behind StreamingMotifMonitor
+/// This is the incremental-matrix API behind the streaming WindowState
 /// (src/stream/): a window slide costs O(s·W) metric evaluations instead
 /// of the O(W²) a from-scratch DistanceMatrix::Build pays. Cells are
 /// bit-identical to Build's because the caller computes them with the

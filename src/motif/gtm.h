@@ -39,7 +39,7 @@ struct GtmOptions {
   /// what keeps the guarantee: the candidate witnessing the upper bound
   /// satisfies every scaled prune (its bounds never exceed gub), so a
   /// result no worse than gub is always found. 0 (default) keeps GTM
-  /// exact and bit-identical to today's output. Must be >= 0.
+  /// exact and bit-identical to today's output. Must be finite and >= 0.
   double approximation_epsilon = 0.0;
 };
 

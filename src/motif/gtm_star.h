@@ -31,7 +31,7 @@ struct GtmStarOptions {
   /// prunes (pattern, GLB_DFD, per-block subset queue) fire at
   /// lb·(1+ε) > threshold, GUB tightenings contribute gub·(1+ε), and the
   /// returned distance is at most (1+ε) times the optimum. 0 (default)
-  /// keeps GTM* exact and bit-identical. Must be >= 0.
+  /// keeps GTM* exact and bit-identical. Must be finite and >= 0.
   double approximation_epsilon = 0.0;
 };
 

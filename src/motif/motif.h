@@ -53,7 +53,7 @@ struct FindMotifOptions {
   /// in exchange for more aggressive bound pruning. 0 (default) keeps
   /// every algorithm exact and bit-identical to its ε-less behaviour.
   /// BruteDP ignores this knob (it evaluates every subset and is always
-  /// exact). Must be >= 0.
+  /// exact). Must be finite and >= 0.
   double approximation_epsilon = 0.0;
 };
 

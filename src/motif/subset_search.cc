@@ -1,6 +1,7 @@
 #include "motif/subset_search.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 
@@ -332,8 +333,10 @@ bool IsValidSubsetStart(const MotifOptions& options, Index n, Index m, Index i,
 }
 
 Status ValidateApproximationEpsilon(double epsilon) {
-  if (epsilon < 0.0) {
-    return Status::InvalidArgument("approximation_epsilon must be >= 0");
+  // A NaN ε would compare false everywhere and silently disable pruning.
+  if (!std::isfinite(epsilon) || epsilon < 0.0) {
+    return Status::InvalidArgument(
+        "approximation_epsilon must be finite and >= 0");
   }
   return Status::Ok();
 }

@@ -236,8 +236,8 @@ std::vector<SubsetEntry> BuildSubsetQueue(const MotifOptions& options,
 bool IsValidSubsetStart(const MotifOptions& options, Index n, Index m, Index i,
                         Index j);
 
-/// InvalidArgument unless `epsilon` >= 0 (the approximation knob of every
-/// search).
+/// InvalidArgument unless `epsilon` is finite and >= 0 (the approximation
+/// knob of every search, batch and streaming).
 Status ValidateApproximationEpsilon(double epsilon);
 
 /// The worker pool of one search (bound sweeps and verification batches),

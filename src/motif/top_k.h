@@ -36,7 +36,7 @@ struct TopKOptions {
   /// best subset optimum, and (with min_start_separation == 1) the r-th
   /// reported distance is guaranteed to be at most (1+ε) times the exact
   /// r-th smallest subset optimum, for every rank r. 0 (default) keeps
-  /// the search exact and bit-identical. Must be >= 0.
+  /// the search exact and bit-identical. Must be finite and >= 0.
   double approximation_epsilon = 0.0;
 };
 

@@ -4,8 +4,8 @@
 /// Arrival-side frontend for one streaming window: timestamps, batching,
 /// and a watermark-based reorder buffer for out-of-order feeds.
 ///
-/// The window engines (`WindowState`, and through it the monitor and the
-/// fleet) require in-order arrivals — an appended point is immediately
+/// The window engine (`WindowState`, and through it the fleet) requires
+/// in-order arrivals — an appended point is immediately
 /// part of the ring matrix and can never be re-ordered. Real feeds
 /// (mobile uplinks, message queues) deliver slightly out of order, so
 /// the frontend buffers up to `reorder_capacity` timestamped points in a

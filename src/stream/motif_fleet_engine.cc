@@ -1,6 +1,7 @@
 #include "stream/motif_fleet_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -24,6 +25,11 @@ StatusOr<MotifFleetEngine> MotifFleetEngine::Create(
     return Status::InvalidArgument(
         "FleetOptions::max_searches_per_drain must be >= 0");
   }
+  // Negative disables the join. NaN would silently read as disabled, and
+  // could never match its own snapshot echo on restore.
+  if (std::isnan(options.join_epsilon)) {
+    return Status::InvalidArgument("FleetOptions::join_epsilon is NaN");
+  }
   MotifFleetEngine engine(options, metric);
   if (options.join_epsilon >= 0.0) {
     StatusOr<IncrementalDfdJoin> join =
@@ -42,7 +48,6 @@ StatusOr<std::size_t> MotifFleetEngine::AddMember(
   const std::size_t member = windows_.size();
   const std::size_t primary = stream_map_.size();
   windows_.push_back(std::move(state).value());
-  member_options_.push_back(stream_options);
   member_primary_.push_back(primary);
   stream_map_.push_back(StreamRef{member, 0});
   frontends_.emplace_back(options_.reorder_capacity);
@@ -96,7 +101,7 @@ Status MotifFleetEngine::Deliver(std::size_t stream, const Point& p,
   const StreamRef ref = stream_map_[stream];
   // Parity guard (unbudgeted mode only): a due window must be searched
   // before it slides any further, so its search sees exactly the window
-  // an independent monitor's would have.
+  // a one-member fleet's would have.
   if (options_.max_searches_per_drain == 0 && scheduler_.IsDue(ref.member)) {
     FM_RETURN_IF_ERROR(RunOne(ref.member, report));
   }
@@ -106,21 +111,23 @@ Status MotifFleetEngine::Deliver(std::size_t stream, const Point& p,
   return Status::Ok();
 }
 
-Status MotifFleetEngine::RunOne(std::size_t member, FleetReport* report) {
+ThreadPool* MotifFleetEngine::SearchPool() {
   const int threads = ResolveThreadCount(options_.stream.threads);
-  if (threads > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(threads);
-  }
+  if (threads <= 1) return nullptr;
+  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads);
+  return pool_.get();
+}
+
+Status MotifFleetEngine::RunOne(std::size_t member, FleetReport* report) {
   WindowState& window = windows_[member];
   // A deferred search covers every slide that accumulated while it
   // waited; count the merged ones.
   if (window.searched_once()) {
     const Index pending =
-        window.appended_since_search() / member_options_[member].slide_step;
+        window.appended_since_search() / window.options().slide_step;
     if (pending > 1) coalesced_slides_ += pending - 1;
   }
-  StatusOr<StreamUpdate> update =
-      window.RunSearch(threads > 1 ? pool_.get() : nullptr);
+  StatusOr<StreamUpdate> update = window.RunSearch(SearchPool());
   if (!update.ok()) return update.status();
   scheduler_.NoteSearched(member);
   if (join_.has_value()) {
@@ -134,16 +141,14 @@ Status MotifFleetEngine::RunOne(std::size_t member, FleetReport* report) {
 Status MotifFleetEngine::RunManyParallel(const std::vector<std::size_t>& order,
                                          std::size_t budget,
                                          FleetReport* report) {
-  const int threads = ResolveThreadCount(options_.stream.threads);
-  if (pool_ == nullptr) pool_ = std::make_unique<ThreadPool>(threads);
+  ThreadPool* pool = SearchPool();
   // Coalescing accounting reads appended_since_search(), which RunSearch
   // resets — capture it for every window before any search runs.
   std::vector<Index> pending(budget, 0);
   for (std::size_t k = 0; k < budget; ++k) {
     const WindowState& window = windows_[order[k]];
     if (window.searched_once()) {
-      pending[k] =
-          window.appended_since_search() / member_options_[order[k]].slide_step;
+      pending[k] = window.appended_since_search() / window.options().slide_step;
     }
   }
   // Compute phase: lane k searches its static chunk of the drain order,
@@ -158,11 +163,11 @@ Status MotifFleetEngine::RunManyParallel(const std::vector<std::size_t>& order,
   // analysis has no barrier concept, so this invariant stays enforced
   // dynamically by the TSan leg over tests/fleet_drain_test.cc.
   std::vector<std::optional<StatusOr<StreamUpdate>>> updates(budget);
-  pool_->RunOnAllLanes([&](int lane) {
+  pool->RunOnAllLanes([&](int lane) {
     std::int64_t begin = 0;
     std::int64_t end = 0;
     ThreadPool::ChunkRange(static_cast<std::int64_t>(budget),
-                           pool_->threads(), lane, &begin, &end);
+                           pool->threads(), lane, &begin, &end);
     for (std::int64_t k = begin; k < end; ++k) {
       updates[static_cast<std::size_t>(k)].emplace(
           windows_[order[static_cast<std::size_t>(k)]].RunSearch(nullptr));
@@ -199,7 +204,7 @@ Status MotifFleetEngine::DrainInternal(FleetReport* report) {
     // amortize best with one window per lane (independent searches, no
     // intra-search synchronization); a single due window keeps the
     // intra-search parallelism RunOne provides.
-    if (ResolveThreadCount(options_.stream.threads) > 1 && budget > 1) {
+    if (budget > 1 && SearchPool() != nullptr) {
       FM_RETURN_IF_ERROR(RunManyParallel(order, budget, report));
     } else {
       for (std::size_t k = 0; k < budget; ++k) {
@@ -332,13 +337,13 @@ Status MotifFleetEngine::Snapshot(std::string* out) const {
   // map is derived, not stored — ids were allocated in member order,
   // one per single member, two per cross member.
   writer.PutU64(windows_.size());
-  for (std::size_t m = 0; m < windows_.size(); ++m) {
-    writer.PutBool(windows_[m].cross());
-    writer.PutI32(member_options_[m].window_length);
-    writer.PutI32(member_options_[m].slide_step);
-    writer.PutI32(member_options_[m].min_length_xi);
-    writer.PutDouble(member_options_[m].approximation_epsilon);
-    windows_[m].SaveTo(&writer);
+  for (const WindowState& window : windows_) {
+    writer.PutBool(window.cross());
+    writer.PutI32(window.options().window_length);
+    writer.PutI32(window.options().slide_step);
+    writer.PutI32(window.options().min_length_xi);
+    writer.PutDouble(window.options().approximation_epsilon);
+    window.SaveTo(&writer);
   }
   writer.PutU64(frontends_.size());
   for (const IngestFrontend& frontend : frontends_) {
@@ -417,7 +422,6 @@ StatusOr<MotifFleetEngine> MotifFleetEngine::Restore(
     engine.stream_map_.push_back(StreamRef{member, 0});
     if (cross) engine.stream_map_.push_back(StreamRef{member, 1});
     engine.windows_.push_back(std::move(window).value());
-    engine.member_options_.push_back(member_options);
   }
   std::uint64_t frontend_count = 0;
   FM_RETURN_IF_ERROR(reader.GetU64(&frontend_count));
@@ -451,14 +455,7 @@ StatusOr<MotifFleetEngine> MotifFleetEngine::Restore(
 FleetStats MotifFleetEngine::stats() const {
   FleetStats stats;
   stats.streams = static_cast<std::int64_t>(stream_map_.size());
-  for (const WindowState& window : windows_) {
-    const StreamEngineStats& e = window.engine_stats();
-    stats.points_ingested += e.points_ingested;
-    stats.searches += e.searches;
-    stats.seeded_searches += e.seeded_searches;
-    stats.ground_distances_computed += e.ground_distances_computed;
-    stats.dfd_cells_computed += e.dfd_cells_computed;
-  }
+  for (const WindowState& window : windows_) stats += window.engine_stats();
   for (const IngestFrontend& frontend : frontends_) {
     stats.reordered += frontend.stats().reordered;
     stats.late_dropped += frontend.stats().late_dropped;

@@ -1,16 +1,11 @@
 #ifndef FRECHET_MOTIF_STREAM_MOTIF_FLEET_ENGINE_H_
 #define FRECHET_MOTIF_STREAM_MOTIF_FLEET_ENGINE_H_
 
-/// Fleet-scale streaming: N sliding-window motif monitors' worth of
-/// state behind **one** arrival loop, one scheduler, one worker pool —
-/// with an incrementally maintained DFD ε-join across the fleet's
-/// windows.
-///
-/// One `StreamingMotifMonitor` per stream does not scale to a fleet:
-/// every monitor re-searches on its own fixed cadence the moment it
-/// becomes due, owns its own thread pool, and knows nothing about the
-/// other streams. `MotifFleetEngine` instead composes the reusable
-/// streaming components:
+/// The streaming engine: N sliding windows behind **one** arrival loop,
+/// one scheduler, one worker pool — with an incrementally maintained DFD
+/// ε-join across the windows. A single stream is simply a one-member
+/// fleet; `fmotif stream`, `fmotif fleet` and `fmotif serve` all drive
+/// this class. It composes the reusable streaming components:
 ///
 ///  * a `WindowState` per **member** (ring matrix + incremental bounds +
 ///    carried threshold — stream/window_state.h). A member is either a
@@ -37,10 +32,12 @@
 /// With `max_searches_per_drain == 0` (default) the engine is
 /// **parity-exact**: every due search runs within the `Ingest` call that
 /// made it due (and before any further append to that stream), so each
-/// stream's report sequence is bit-identical — candidate, distance,
-/// seeded/carried flags, DP-cell counters — to an independent
-/// `StreamingMotifMonitor` fed the same points. The scheduler still
-/// orders the batch-end drain (dirtiest window first), which is where a
+/// member's report sequence is bit-identical — candidate, distance,
+/// seeded/carried flags, DP-cell counters — to a one-member fleet fed the
+/// same points one per `Push`, and every reported motif is bit-identical
+/// to `FindMotif(BaselineOptions())` on the window (the exactness
+/// argument is in stream/window_state.h). The scheduler still orders the
+/// batch-end drain (dirtiest window first), which is where a
 /// multi-stream batch amortizes: one tight append loop, then one
 /// prioritized search pass sharing a single pool.
 ///
@@ -52,8 +49,8 @@
 /// sound). Every individual answer is still bit-identical to a
 /// from-scratch `FindMotif` on the window at search time; the fleet just
 /// answers for fewer intermediate windows. `bench_fleet_throughput`
-/// measures the resulting DP-cells-per-slide ratio against N independent
-/// monitors.
+/// measures the resulting DP-cells-per-slide ratio against N one-member
+/// fleets.
 ///
 /// ## Join deltas
 ///
@@ -108,7 +105,7 @@ struct FleetOptions {
   Index reorder_capacity = 0;
 
   /// Search admission per Ingest/Drain call: 0 = run every due search
-  /// (parity-exact with independent monitors); k > 0 = at most k,
+  /// (parity-exact with one-member fleets); k > 0 = at most k,
   /// dirtiest-first, deferring (and coalescing) the rest.
   int max_searches_per_drain = 0;
 
@@ -148,15 +145,11 @@ struct FleetReport {
   bool empty() const { return updates.empty() && join_delta.empty(); }
 };
 
-/// Fleet-wide counter snapshot (aggregated over streams, frontends and
-/// the engine's own scheduling).
-struct FleetStats {
+/// Fleet-wide counter snapshot: the per-window engine counters summed
+/// over members, plus the frontends' and the engine's own scheduling
+/// counters.
+struct FleetStats : StreamEngineStats {
   std::int64_t streams = 0;
-  std::int64_t points_ingested = 0;
-  std::int64_t searches = 0;
-  std::int64_t seeded_searches = 0;
-  std::int64_t ground_distances_computed = 0;
-  std::int64_t dfd_cells_computed = 0;
   /// Slides merged into deferred searches under a search budget (a
   /// search covering 3 slide-steps' worth of appends counts 2).
   std::int64_t coalesced_slides = 0;
@@ -215,7 +208,7 @@ class MotifFleetEngine {
 
   /// The window configuration of the member owning `stream`.
   const StreamOptions& stream_options(std::size_t stream) const {
-    return member_options_[stream_map_[stream].member];
+    return windows_[stream_map_[stream].member].options();
   }
 
   /// Ingests a batch through one arrival loop: appends every point (via
@@ -356,6 +349,10 @@ class MotifFleetEngine {
   Status Deliver(std::size_t stream, const Point& p, const double* timestamp,
                  FleetReport* report);
 
+  /// The shared search pool, created on first use; null when the fleet
+  /// searches serially (FleetOptions::stream.threads resolves to 1).
+  ThreadPool* SearchPool();
+
   /// Runs `member`'s search now and appends its report (keyed by the
   /// member's side-0 stream id).
   Status RunOne(std::size_t member, FleetReport* report);
@@ -384,13 +381,12 @@ class MotifFleetEngine {
   const GroundMetric* metric_;
 
   /// Members (one WindowState each — a cross member's state holds the
-  /// window pair), with each member's own options and its side-0
-  /// ("primary") stream id. The scheduler and the join are keyed by
-  /// member index; `stream_map_` resolves a public stream id to its
-  /// member and side. Frontends are per stream id — each side of a
-  /// cross pair reorders and watermarks independently.
+  /// window pair, and its options are the member's own), with each
+  /// member's side-0 ("primary") stream id. The scheduler and the join
+  /// are keyed by member index; `stream_map_` resolves a public stream
+  /// id to its member and side. Frontends are per stream id — each side
+  /// of a cross pair reorders and watermarks independently.
   std::vector<WindowState> windows_;
-  std::vector<StreamOptions> member_options_;
   std::vector<std::size_t> member_primary_;
   std::vector<StreamRef> stream_map_;
   std::vector<IngestFrontend> frontends_;

@@ -4,20 +4,19 @@
 /// Staleness/dirty-cell search scheduling for a fleet of streaming
 /// windows.
 ///
-/// One monitor per stream re-searches on a fixed per-stream cadence; a
-/// shared engine instead accumulates *due* windows and decides which to
-/// re-search first (and, under a search budget, which to defer — a
-/// deferred window simply coalesces its pending slides into one larger
-/// search). The scheduler tracks, per stream, the appends since the last
-/// search (each append dirties one ring row+column, i.e. Θ(W) matrix
-/// cells, so appends order streams exactly as dirty-cell counts do) and
-/// a last-searched tick for staleness.
+/// Searching each window the moment its cadence fires treats every
+/// stream alone; a shared engine instead accumulates *due* windows and
+/// decides which to re-search first (and, under a search budget, which
+/// to defer — a deferred window simply coalesces its pending slides into
+/// one larger search). The scheduler tracks, per stream, the appends
+/// since the last search (each append dirties one ring row+column, i.e.
+/// Θ(W) matrix cells, so appends order streams exactly as dirty-cell
+/// counts do) and a last-searched tick for staleness.
 ///
 /// Priority is deterministic: most dirty appends first, then least
 /// recently searched, then smallest stream id. Determinism matters — the
-/// fleet's answers are compared bit-for-bit against independent
-/// monitors, and a stable drain order keeps every report sequence
-/// reproducible.
+/// fleet's answers are compared bit-for-bit against one-member fleets,
+/// and a stable drain order keeps every report sequence reproducible.
 ///
 /// The scheduler is pure bookkeeping: it never touches window state, so
 /// callers are free to run the searches it orders on any thread.

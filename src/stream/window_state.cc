@@ -36,10 +36,8 @@ StatusOr<WindowState> WindowState::Create(const StreamOptions& options,
   if (options.slide_step < 1) {
     return Status::InvalidArgument("StreamOptions::slide_step must be >= 1");
   }
-  if (options.approximation_epsilon < 0.0) {
-    return Status::InvalidArgument(
-        "StreamOptions::approximation_epsilon must be >= 0");
-  }
+  FM_RETURN_IF_ERROR(
+      ValidateApproximationEpsilon(options.approximation_epsilon));
   MotifOptions motif;
   motif.min_length_xi = options.min_length_xi;
   motif.variant = cross ? MotifVariant::kCrossTrajectory
@@ -210,7 +208,7 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   // Threshold carry: sound iff the previous best pair is still inside the
   // window after the slide (its distance is then achievable, so pruning
   // against it can never discard the optimum — see the proof in
-  // streaming_motif_monitor.h).
+  // window_state.h).
   const Index shift_row = appended_since_search_first_;
   const Index shift_col = cross_ ? appended_since_search_second_ : shift_row;
   if (searched_once_ && have_previous_ && previous_best_.i >= shift_row &&

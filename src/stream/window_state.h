@@ -2,7 +2,7 @@
 #define FRECHET_MOTIF_STREAM_WINDOW_STATE_H_
 
 /// Per-stream sliding-window state: the reusable core of the streaming
-/// engines.
+/// engine.
 ///
 /// A WindowState owns everything one bounded window needs to answer
 /// motif queries incrementally — the ring ground-distance matrix (one
@@ -10,17 +10,68 @@
 /// maintained RelaxedBounds minima, the window point/timestamp caches,
 /// and the previous optimum carried as the next search's pruning
 /// threshold. It deliberately contains **no scheduling policy**: when to
-/// run a search is the caller's decision (`StreamingMotifMonitor` runs
-/// one the moment `SearchDue()` turns true; `MotifFleetEngine` batches
-/// due windows through a `SearchScheduler`). Because a search's answer
+/// run a search is the caller's decision (`MotifFleetEngine` batches due
+/// windows through a `SearchScheduler`). Because a search's answer
 /// depends only on the window contents at search time, any caller that
 /// runs the search before the next append to this window reproduces the
-/// single-monitor behavior bit for bit.
+/// search-on-every-slide behavior bit for bit.
 ///
-/// The exactness contract of `RunSearch()` — bit-identical candidate and
-/// distance to a from-scratch `FindMotif` with
-/// `StreamOptions::BaselineOptions()` on the identical window — is
-/// stated and proved in streaming_motif_monitor.h.
+/// ## Exactness (the contract of `RunSearch()`)
+///
+/// Every search — candidate and distance, ties included — is
+/// **bit-identical** to a from-scratch `FindMotif` over the same window
+/// with `StreamOptions::BaselineOptions()` (the relaxed BTM
+/// configuration). The argument, in brief:
+///
+///  * Ring-matrix cells are the same doubles a fresh
+///    DistanceMatrix::Build computes, and the maintained bound arrays
+///    equal a fresh RelaxedBounds::Build (minima of identical values).
+///  * On a seeded slide the search walks the baseline's sorted subset
+///    queue (identical (lb, i, j) order) with two sound restrictions.
+///    (1) Its initial threshold is T = the previous window's motif
+///    distance, achievable because the previous best pair still lies in
+///    the window — so the optimum d* <= T. (2) *Clean* candidates
+///    (every point surviving from the previous window) were valid
+///    candidates there, hence have DFD >= T; only *dirty* candidates —
+///    reaching into the freshly appended points — can strictly improve,
+///    and a dirty candidate's coupling path crosses every column from
+///    its start to the dirty frontier, so subsets whose frontier
+///    crossing bound (a suffix-max of Rmin) exceeds T are dropped before
+///    any DP work.
+///  * Every pruning rule anywhere in the search (queue skip, dirty-
+///    frontier drop, endpoint caps, end-cross freeze) discards only
+///    candidates *strictly* worse than the running threshold >= d*, so
+///    both searches evaluate every d*-achiever that is dirty, and
+///    `SearchState::Record` resolves achievers to the canonical
+///    (i, j, ie, je) minimum regardless of evaluation order.
+///  * Ties across the clean/dirty split resolve by comparing the
+///    search's best against the previous optimum shifted into the new
+///    window: candidate order is shift-invariant, so the shifted
+///    previous pair — the canonical minimum of the *whole* previous
+///    window, by induction — is the canonical minimum among clean
+///    achievers, and the smaller of the two under (distance, candidate)
+///    order is exactly the from-scratch answer. When the previous pair
+///    wins, the slide reports it as `carried` without re-deriving it.
+///
+/// When the previous best pair was evicted (or on the first full
+/// window), the slide falls back to an unseeded, unrestricted search —
+/// identical to the from-scratch baseline by construction. A deferred
+/// search (several slides' worth of appends) is covered by the same
+/// argument: the carry checks eviction against the whole shift.
+///
+/// ## Cost per slide
+///
+/// O(s·W) ground-metric evaluations (s = slide step, W = window) for the
+/// fresh matrix cells instead of Build's O(W²), O(s·W) amortized reads
+/// for bound maintenance, plus — on seeded slides — one O(W²) pass of
+/// plain matrix *reads* (no metric evaluations, no DP arithmetic) to
+/// compute the dirty-frontier bounds; the subset enumeration itself is
+/// already Θ(W²), so this does not change the slide's asymptotic read
+/// cost. In exchange the subset search's DP work
+/// (`StreamUpdate::stats.dfd_cells_computed`) is never more than the
+/// from-scratch search's: the dirty-frontier restriction drops the
+/// subsets far from the new points and the carried threshold prunes the
+/// rest from the first evaluation on.
 
 #include <cstdint>
 #include <deque>
@@ -72,7 +123,7 @@ struct StreamOptions {
   /// in-window candidate, so each search independently prunes against
   /// bounds scaled by (1+ε) of a valid value. 0 (default) keeps the
   /// stream exact and bit-identical to the from-scratch baseline.
-  /// Must be >= 0.
+  /// Must be finite and >= 0.
   double approximation_epsilon = 0.0;
 
   /// The from-scratch FindMotif configuration every streaming answer is
@@ -111,8 +162,8 @@ struct StreamUpdate {
   /// into the new window) under the canonical (distance, candidate)
   /// order, so the motif is that shifted previous pair. Carried or not,
   /// the reported candidate and distance are bit-identical to the
-  /// from-scratch answer (ties included — see the tie-stability contract
-  /// in streaming_motif_monitor.h).
+  /// from-scratch answer (ties included — see the exactness argument in
+  /// the file comment).
   bool carried = false;
 
   /// The approximation tolerance the search ran with
@@ -140,6 +191,17 @@ struct StreamEngineStats {
   std::int64_t dfd_cells_computed = 0;
   /// Bound-maintenance rescans caused by evicted minimizers.
   std::int64_t bound_rescans = 0;
+
+  /// Field-wise sum (aggregating windows into fleet totals).
+  StreamEngineStats& operator+=(const StreamEngineStats& other) {
+    points_ingested += other.points_ingested;
+    searches += other.searches;
+    seeded_searches += other.seeded_searches;
+    ground_distances_computed += other.ground_distances_computed;
+    dfd_cells_computed += other.dfd_cells_computed;
+    bound_rescans += other.bound_rescans;
+    return *this;
+  }
 };
 
 /// The one arrival check every ingest path runs before a point may touch
@@ -171,11 +233,12 @@ class WindowState {
   /// last search — or no search yet) says a search should run now.
   bool SearchDue() const;
 
-  /// The seeded (or cold) relaxed subset search over the current window.
-  /// `pool` (optional) parallelizes it; results are bit-identical either
-  /// way. Callers normally gate on SearchDue(), but any moment with a
-  /// full window is valid — a deferred search simply covers a larger
-  /// slide (the threshold carry checks eviction itself).
+  /// The seeded (or cold) relaxed subset search over the current window,
+  /// bit-identical to the from-scratch baseline (see "Exactness" in the
+  /// file comment). `pool` (optional) parallelizes it; results are
+  /// bit-identical either way. Callers normally gate on SearchDue(), but
+  /// any moment with a full window is valid — a deferred search simply
+  /// covers a larger slide (the threshold carry checks eviction itself).
   StatusOr<StreamUpdate> RunSearch(ThreadPool* pool);
 
   /// The current window contents (with timestamps when pushed), in

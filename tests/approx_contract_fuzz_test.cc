@@ -6,7 +6,9 @@
 // Random trajectories, random ξ, both metrics; seeds reproduce via
 // FMOTIF_FUZZ_SEED exactly like the other fuzz suites.
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -15,7 +17,8 @@
 #include "gtest/gtest.h"
 #include "motif/motif.h"
 #include "motif/top_k.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream/motif_fleet_engine.h"
+#include "stream_test_util.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -182,9 +185,9 @@ TEST(ApproxContractFuzz, TopKThreadedMatchesSerialAtEveryEps) {
 }
 
 TEST(ApproxContractFuzz, StreamingPerWindowContract) {
-  // Every slide of an ε-relaxed monitor stays within (1+ε) of the exact
+  // Every slide of an ε-relaxed stream stays within (1+ε) of the exact
   // from-scratch answer on the identical window — per window, not
-  // compounding — and the ε=0 monitor is bit-identical to it.
+  // compounding — and the ε=0 stream is bit-identical to it.
   const std::uint64_t seed = testing_util::FuzzSeed(20260811);
   const int rounds = testing_util::FuzzRounds(4);
   Rng rng(seed);
@@ -208,15 +211,15 @@ TEST(ApproxContractFuzz, StreamingPerWindowContract) {
 
     StreamOptions relaxed = base;
     relaxed.approximation_epsilon = eps;
-    auto exact_monitor = StreamingMotifMonitor::Create(base, metric);
-    auto approx_monitor = StreamingMotifMonitor::Create(relaxed, metric);
-    ASSERT_TRUE(exact_monitor.ok()) << exact_monitor.status();
-    ASSERT_TRUE(approx_monitor.ok()) << approx_monitor.status();
+    auto exact_stream = testing_util::OneMemberFleet(base, metric);
+    auto approx_stream = testing_util::OneMemberFleet(relaxed, metric);
+    ASSERT_TRUE(exact_stream.ok()) << exact_stream.status();
+    ASSERT_TRUE(approx_stream.ok()) << approx_stream.status();
 
     int slides = 0;
     for (Index k = 0; k < t.size(); ++k) {
-      auto eu = exact_monitor.value().Push(t[k]);
-      auto au = approx_monitor.value().Push(t[k]);
+      auto eu = testing_util::SoleUpdate(exact_stream.value().Push(0, t[k]));
+      auto au = testing_util::SoleUpdate(approx_stream.value().Push(0, t[k]));
       ASSERT_TRUE(eu.ok()) << eu.status();
       ASSERT_TRUE(au.ok()) << au.status();
       ASSERT_EQ(eu.value().has_value(), au.value().has_value());
@@ -240,25 +243,42 @@ TEST(ApproxContractFuzz, StreamingPerWindowContract) {
 }
 
 TEST(ApproxContractFuzz, NegativeEpsilonIsRejectedEverywhere) {
+  // Negative, NaN and infinite ε are all rejected by every entry point —
+  // a NaN ε would otherwise compare false everywhere and silently turn
+  // pruning off.
   const EuclideanMetric metric;
   const Trajectory t = testing_util::MakePlanarWalk(40, 1);
+  for (const double eps : {-0.1, -1e-9, std::nan(""),
+                           std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(::testing::Message() << "eps=" << eps);
+    FindMotifOptions motif;
+    motif.min_length_xi = 6;
+    motif.approximation_epsilon = eps;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              FindMotif(t, metric, motif).status().code());
 
-  FindMotifOptions motif;
-  motif.min_length_xi = 6;
-  motif.approximation_epsilon = -0.1;
-  EXPECT_FALSE(FindMotif(t, metric, motif).ok());
+    TopKOptions topk;
+    topk.motif.min_length_xi = 6;
+    topk.approximation_epsilon = eps;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              TopKMotifs(t, metric, topk).status().code());
 
-  TopKOptions topk;
-  topk.motif.min_length_xi = 6;
-  topk.approximation_epsilon = -1e-9;
-  EXPECT_FALSE(TopKMotifs(t, metric, topk).ok());
-
-  StreamOptions stream;
-  stream.window_length = 30;
-  stream.slide_step = 5;
-  stream.min_length_xi = 6;
-  stream.approximation_epsilon = -0.5;
-  EXPECT_FALSE(StreamingMotifMonitor::Create(stream, metric).ok());
+    StreamOptions stream;
+    stream.window_length = 30;
+    stream.slide_step = 5;
+    stream.min_length_xi = 6;
+    stream.approximation_epsilon = eps;
+    FleetOptions fleet_options;
+    fleet_options.stream = stream;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              MotifFleetEngine::Create(fleet_options, metric).status().code());
+    // The per-member path validates too.
+    fleet_options.stream.approximation_epsilon = 0.0;
+    auto fleet = MotifFleetEngine::Create(fleet_options, metric);
+    ASSERT_TRUE(fleet.ok()) << fleet.status();
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              fleet.value().AddStream(stream).status().code());
+  }
 }
 
 }  // namespace

@@ -214,6 +214,28 @@ TEST(CliDiagnostics, MalformedGeoJsonIsRuntimeError) {
   EXPECT_NE(std::string::npos, r.output.find("coordinates"));
 }
 
+TEST(CliDiagnostics, NonFiniteEpsilonIsInvalidArgument) {
+  // A NaN or infinite ε is rejected where it enters the engine — it would
+  // otherwise switch pruning off, and a durable run started with it could
+  // never recover (NaN never equals its own snapshot echo).
+  const std::string path =
+      WriteTrace("nan_eps.csv", "--kind=geolife --n=150 --seed=3");
+  const std::string window = " --window=60 --slide=15 --xi=8";
+  const std::string state = TempPath("nan_eps_state");
+  RunShell("rm -rf " + state);
+  for (const std::string& args :
+       {"motif " + path + " --xi=8 --approx-eps=nan",
+        "motif " + path + " --xi=8 --approx-eps=inf --json",
+        "stream " + path + window + " --approx-eps=nan",
+        "fleet " + path + " " + path + window + " --approx-eps=nan",
+        "fleet " + path + " " + path + window + " --eps=nan",
+        "fleet " + path + window + " --eps=nan --state-dir=" + state}) {
+    const CommandResult r = RunFmotif(args);
+    EXPECT_EQ(1, r.exit_code) << args << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find("InvalidArgument")) << args;
+  }
+}
+
 TEST(CliGen, DeterministicPerSeed) {
   const CommandResult a = RunFmotif("gen --kind=truck --n=50 --seed=9");
   const CommandResult b = RunFmotif("gen --kind=truck --n=50 --seed=9");

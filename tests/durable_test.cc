@@ -1,8 +1,8 @@
 // Unit tests for the durability subsystem: the binary codec, the
 // generation-based StateStore (rotation, recovery, corruption
 // fallback), PosixFs, and bit-exact snapshot/restore round-trips of
-// the monitor, the fleet engine, and DurableFleet. The randomized
-// crash schedules live in durable_recovery_fuzz_test.cc.
+// the fleet engine and DurableFleet. The randomized crash schedules
+// live in durable_recovery_fuzz_test.cc.
 
 #include <cmath>
 #include <cstdint>
@@ -18,7 +18,6 @@
 #include "geo/metric.h"
 #include "gtest/gtest.h"
 #include "stream/motif_fleet_engine.h"
-#include "stream/streaming_motif_monitor.h"
 #include "test_util.h"
 #include "util/binary_codec.h"
 #include "util/random.h"
@@ -281,65 +280,53 @@ StreamOptions SmallStreamOptions() {
 }
 
 TEST(MonitorSnapshot, RestoredMonitorContinuesBitIdentically) {
-  const StreamOptions options = SmallStreamOptions();
+  // A one-stream fleet is the single-trajectory streaming monitor.
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
   const EuclideanMetric metric;
   const Trajectory t = testing_util::MakePlanarWalk(90, 7001);
 
-  auto original = StreamingMotifMonitor::Create(options, metric);
+  auto original = MotifFleetEngine::Create(options, metric);
   ASSERT_TRUE(original.ok());
+  ASSERT_EQ(0u, original.value().AddStream().value());
   std::string snapshot;
   // Mid-stream split point chosen after several searches so the carried
   // threshold, tie-break state, and achiever arrays are all non-trivial.
   for (Index k = 0; k < 55; ++k) {
-    ASSERT_TRUE(original.value().Push(t[k]).ok());
+    ASSERT_TRUE(original.value().Push(0, t[k]).ok());
   }
   ASSERT_TRUE(original.value().Snapshot(&snapshot).ok());
 
-  auto restored = StreamingMotifMonitor::Restore(options, metric, snapshot);
+  auto restored = MotifFleetEngine::Restore(options, metric, snapshot);
   ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(original.value().points_seen(), restored.value().points_seen());
+  EXPECT_EQ(original.value().stats().points_ingested,
+            restored.value().stats().points_ingested);
 
+  std::size_t compared = 0;
   for (Index k = 55; k < t.size(); ++k) {
-    auto a = original.value().Push(t[k]);
-    auto b = restored.value().Push(t[k]);
+    auto a = original.value().Push(0, t[k]);
+    auto b = restored.value().Push(0, t[k]);
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value().has_value(), b.value().has_value());
-    if (!a.value().has_value()) continue;
-    EXPECT_EQ(a.value()->motif.best, b.value()->motif.best);
-    EXPECT_EQ(a.value()->motif.distance, b.value()->motif.distance);
-    EXPECT_EQ(a.value()->seeded, b.value()->seeded);
-    EXPECT_EQ(a.value()->carried, b.value()->carried);
-    EXPECT_EQ(a.value()->stats.dfd_cells_computed,
-              b.value()->stats.dfd_cells_computed);
+    ASSERT_EQ(a.value().updates.size(), b.value().updates.size());
+    for (std::size_t u = 0; u < a.value().updates.size(); ++u) {
+      const StreamUpdate& ua = a.value().updates[u].update;
+      const StreamUpdate& ub = b.value().updates[u].update;
+      EXPECT_EQ(ua.motif.best, ub.motif.best);
+      EXPECT_EQ(ua.motif.distance, ub.motif.distance);
+      EXPECT_EQ(ua.seeded, ub.seeded);
+      EXPECT_EQ(ua.carried, ub.carried);
+      EXPECT_EQ(ua.stats.dfd_cells_computed, ub.stats.dfd_cells_computed);
+      ++compared;
+    }
   }
+  EXPECT_GT(compared, 0u);
   // Full-state equality, counters and bound achievers included.
   std::string sa;
   std::string sb;
   ASSERT_TRUE(original.value().Snapshot(&sa).ok());
   ASSERT_TRUE(restored.value().Snapshot(&sb).ok());
   EXPECT_EQ(sa, sb);
-}
-
-TEST(MonitorSnapshot, OptionMismatchIsRejected) {
-  const StreamOptions options = SmallStreamOptions();
-  const EuclideanMetric metric;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok());
-  std::string snapshot;
-  ASSERT_TRUE(monitor.value().Snapshot(&snapshot).ok());
-
-  StreamOptions other = options;
-  other.window_length += 1;
-  auto restored = StreamingMotifMonitor::Restore(other, metric, snapshot);
-  ASSERT_FALSE(restored.ok());
-  EXPECT_EQ(StatusCode::kFailedPrecondition, restored.status().code());
-
-  // Trailing garbage is DataLoss, not silent acceptance.
-  auto trailing =
-      StreamingMotifMonitor::Restore(options, metric, snapshot + "x");
-  ASSERT_FALSE(trailing.ok());
-  EXPECT_EQ(StatusCode::kDataLoss, trailing.status().code());
 }
 
 TEST(FleetSnapshot, RestoredFleetContinuesBitIdenticallyWithJoin) {
@@ -381,8 +368,9 @@ TEST(FleetSnapshot, RestoredFleetContinuesBitIdenticallyWithJoin) {
   auto restored = MotifFleetEngine::Restore(options, metric, snapshot);
   ASSERT_TRUE(restored.ok()) << restored.status();
 
-  // Same continuation through both engines: reports, join deltas, and
-  // the final manifests must be bit-identical.
+  // Same continuation through both engines: reports (flags and DP-cell
+  // counters included), join deltas, and the final manifests must be
+  // bit-identical.
   for (std::size_t i = resume_at; i < schedule.size(); ++i) {
     const std::size_t s = schedule[i];
     if (cursor[s] >= 80) continue;
@@ -395,11 +383,15 @@ TEST(FleetSnapshot, RestoredFleetContinuesBitIdenticallyWithJoin) {
     ASSERT_TRUE(b.ok());
     ASSERT_EQ(a.value().updates.size(), b.value().updates.size());
     for (std::size_t u = 0; u < a.value().updates.size(); ++u) {
+      const StreamUpdate& ua = a.value().updates[u].update;
+      const StreamUpdate& ub = b.value().updates[u].update;
       EXPECT_EQ(a.value().updates[u].stream, b.value().updates[u].stream);
-      EXPECT_EQ(a.value().updates[u].update.motif.best,
-                b.value().updates[u].update.motif.best);
-      EXPECT_EQ(a.value().updates[u].update.motif.distance,
-                b.value().updates[u].update.motif.distance);
+      EXPECT_EQ(ua.window_start, ub.window_start);
+      EXPECT_EQ(ua.motif.best, ub.motif.best);
+      EXPECT_EQ(ua.motif.distance, ub.motif.distance);
+      EXPECT_EQ(ua.seeded, ub.seeded);
+      EXPECT_EQ(ua.carried, ub.carried);
+      EXPECT_EQ(ua.stats.dfd_cells_computed, ub.stats.dfd_cells_computed);
     }
     EXPECT_EQ(a.value().join_delta.entered, b.value().join_delta.entered);
     EXPECT_EQ(a.value().join_delta.left, b.value().join_delta.left);
@@ -411,6 +403,45 @@ TEST(FleetSnapshot, RestoredFleetContinuesBitIdenticallyWithJoin) {
   ASSERT_TRUE(original.value().Snapshot(&sa).ok());
   ASSERT_TRUE(restored.value().Snapshot(&sb).ok());
   EXPECT_EQ(sa, sb);
+}
+
+TEST(FleetSnapshot, OptionMismatchAndTrailingBytesAreRejected) {
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  options.join_epsilon = 250.0;
+  const EuclideanMetric metric;
+  auto fleet = MotifFleetEngine::Create(options, metric);
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(fleet.value().AddStream().ok());
+  const Trajectory t = testing_util::MakePlanarWalk(40, 7002);
+  for (Index k = 0; k < t.size(); ++k) {
+    ASSERT_TRUE(fleet.value().Push(0, t[k]).ok());
+  }
+  std::string snapshot;
+  ASSERT_TRUE(fleet.value().Snapshot(&snapshot).ok());
+
+  // The thread count is a runtime choice; everything else must match.
+  FleetOptions threaded = options;
+  threaded.stream.threads = 4;
+  EXPECT_TRUE(MotifFleetEngine::Restore(threaded, metric, snapshot).ok());
+  FleetOptions longer = options;
+  longer.stream.window_length += 1;
+  FleetOptions relaxed = options;
+  relaxed.stream.approximation_epsilon = 0.1;
+  FleetOptions no_join = options;
+  no_join.join_epsilon = -1.0;
+  FleetOptions budgeted = options;
+  budgeted.max_searches_per_drain = 1;
+  for (const FleetOptions& other : {longer, relaxed, no_join, budgeted}) {
+    auto restored = MotifFleetEngine::Restore(other, metric, snapshot);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(StatusCode::kFailedPrecondition, restored.status().code());
+  }
+
+  // Trailing garbage is DataLoss, not silent acceptance.
+  auto trailing = MotifFleetEngine::Restore(options, metric, snapshot + "x");
+  ASSERT_FALSE(trailing.ok());
+  EXPECT_EQ(StatusCode::kDataLoss, trailing.status().code());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-// Randomized fleet <-> monitors parity: random window/slide/ξ/stream
-// counts, random interleaved arrival schedules, replayed through a
-// serial fleet, a threads=4 fleet and N independent monitors in
-// lockstep. Every per-stream report sequence must be bit-identical
-// across all three — candidate, distance, flags and DP-cell counters —
-// and, with the ε-join enabled, the accumulated join deltas must equal
-// a from-scratch DfdSelfJoin over the searched window snapshots.
+// Randomized fleet <-> one-member fleets parity: random window/slide/ξ/
+// stream counts, random interleaved arrival schedules, replayed through
+// a serial fleet, a threads=4 fleet and N independent one-member fleets
+// (the "monitors" below) in lockstep. Every per-stream report sequence
+// must be bit-identical across all three — candidate, distance, flags
+// and DP-cell counters — and, with the ε-join enabled, the accumulated
+// join deltas must equal a from-scratch DfdSelfJoin over the searched
+// window snapshots.
 
 #include <algorithm>
 #include <map>
@@ -16,7 +17,7 @@
 #include "gtest/gtest.h"
 #include "join/similarity_join.h"
 #include "stream/motif_fleet_engine.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream_test_util.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -103,10 +104,11 @@ TEST(FleetParityFuzz, RandomInterleavedSchedulesMatchMonitorsAndJoin) {
                                      rng.NextInt(0, k - 1))]);
     }
 
-    std::vector<StreamingMotifMonitor> monitors;
+    std::vector<MotifFleetEngine> monitors;
     for (std::size_t s = 0; s < config.streams; ++s) {
-      monitors.push_back(
-          StreamingMotifMonitor::Create(stream_options, metric).value());
+      auto monitor = testing_util::OneMemberFleet(stream_options, metric);
+      ASSERT_TRUE(monitor.ok()) << monitor.status();
+      monitors.push_back(std::move(monitor).value());
     }
 
     FleetOptions serial_options;
@@ -130,7 +132,7 @@ TEST(FleetParityFuzz, RandomInterleavedSchedulesMatchMonitorsAndJoin) {
     int slides = 0;
     for (const std::size_t s : schedule) {
       const Point& p = data[s][cursor[s]++];
-      auto mu = monitors[s].Push(p);
+      auto mu = testing_util::SoleUpdate(monitors[s].Push(0, p));
       auto su = serial.value().Push(s, p);
       auto tu = threaded.value().Push(s, p);
       ASSERT_TRUE(mu.ok()) << mu.status();

@@ -1,7 +1,7 @@
 // Tests of the fleet streaming engine and its components: the
 // dirty/staleness SearchScheduler, the watermark IngestFrontend, parity
-// of MotifFleetEngine against independent monitors, budgeted slide
-// coalescing, and the incremental ε-join deltas.
+// of a multi-stream MotifFleetEngine against independent one-member
+// fleets, budgeted slide coalescing, and the incremental ε-join deltas.
 
 #include <algorithm>
 #include <cmath>
@@ -18,7 +18,7 @@
 #include "stream/ingest_frontend.h"
 #include "stream/motif_fleet_engine.h"
 #include "stream/search_scheduler.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream_test_util.h"
 #include "test_util.h"
 
 namespace frechet_motif {
@@ -155,7 +155,11 @@ TEST(IngestFrontend, ZeroCapacityIsPassThrough) {
   EXPECT_EQ(1, frontend.stats().late_dropped);
 }
 
-// --- Fleet <-> monitors parity ----------------------------------------------
+// --- Fleet <-> one-member fleets parity --------------------------------------
+//
+// The reference for each stream is an independent one-member fleet fed
+// one point per Push (the "monitor" of the test names): sharing one
+// arrival loop, scheduler and pool must not change any stream's reports.
 
 StreamOptions SmallStreamOptions() {
   StreamOptions options;
@@ -183,11 +187,12 @@ TEST(FleetEngine, RoundRobinBitIdenticalToIndependentMonitors) {
     data.push_back(GeoWalk(220, 100 + s));
   }
 
-  std::vector<StreamingMotifMonitor> monitors;
+  std::vector<MotifFleetEngine> monitors;
   std::vector<std::vector<StreamUpdate>> expected(kStreams);
   for (std::size_t s = 0; s < kStreams; ++s) {
-    monitors.push_back(
-        StreamingMotifMonitor::Create(stream_options, metric).value());
+    auto monitor = testing_util::OneMemberFleet(stream_options, metric);
+    ASSERT_TRUE(monitor.ok()) << monitor.status();
+    monitors.push_back(std::move(monitor).value());
   }
 
   FleetOptions options;
@@ -202,7 +207,7 @@ TEST(FleetEngine, RoundRobinBitIdenticalToIndependentMonitors) {
   for (Index k = 0; k < 220; ++k) {
     std::vector<FleetArrival> batch;
     for (std::size_t s = 0; s < kStreams; ++s) {
-      auto mu = monitors[s].Push(data[s][k]);
+      auto mu = testing_util::SoleUpdate(monitors[s].Push(0, data[s][k]));
       ASSERT_TRUE(mu.ok()) << mu.status();
       if (mu.value().has_value()) expected[s].push_back(*mu.value());
       batch.push_back(FleetArrival{s, data[s][k], false, 0.0});
@@ -221,23 +226,24 @@ TEST(FleetEngine, RoundRobinBitIdenticalToIndependentMonitors) {
       ExpectUpdateEq(expected[s][k], actual[s][k]);
     }
     // Window contents match too.
-    EXPECT_EQ(monitors[s].WindowTrajectory().points(),
+    EXPECT_EQ(monitors[s].WindowTrajectory(0).points(),
               fleet.value().WindowTrajectory(s).points());
   }
 }
 
 TEST(FleetEngine, MidBatchParityGuardRunsDueSearchBeforeFurtherAppends) {
   // Feed one stream's whole trajectory as a single Ingest batch: searches
-  // must fire at exactly the same positions (same windows) as a monitor
-  // pushing point by point.
+  // must fire at exactly the same positions (same windows) as a
+  // one-member fleet pushed point by point.
   const HaversineMetric metric;
   const StreamOptions stream_options = SmallStreamOptions();
   const Trajectory t = GeoWalk(200, 7);
 
-  auto monitor = StreamingMotifMonitor::Create(stream_options, metric);
+  auto monitor = testing_util::OneMemberFleet(stream_options, metric);
+  ASSERT_TRUE(monitor.ok()) << monitor.status();
   std::vector<StreamUpdate> expected;
   for (Index k = 0; k < t.size(); ++k) {
-    auto mu = monitor.value().Push(t[k]);
+    auto mu = testing_util::SoleUpdate(monitor.value().Push(0, t[k]));
     ASSERT_TRUE(mu.ok());
     if (mu.value().has_value()) expected.push_back(*mu.value());
   }
@@ -262,16 +268,18 @@ TEST(FleetEngine, MidBatchParityGuardRunsDueSearchBeforeFurtherAppends) {
 
 TEST(FleetEngine, ReorderedFeedMatchesInOrderMonitor) {
   // Shuffle the arrival order within a disorder bound; a fleet with a
-  // reorder buffer of that bound must report exactly what a monitor sees
-  // on the in-order feed.
+  // reorder buffer of that bound must report exactly what a one-member
+  // fleet without one sees on the in-order feed.
   const HaversineMetric metric;
   const StreamOptions stream_options = SmallStreamOptions();
   const Trajectory t = GeoWalk(200, 11);
 
-  auto monitor = StreamingMotifMonitor::Create(stream_options, metric);
+  auto monitor = testing_util::OneMemberFleet(stream_options, metric);
+  ASSERT_TRUE(monitor.ok()) << monitor.status();
   std::vector<StreamUpdate> expected;
   for (Index k = 0; k < t.size(); ++k) {
-    auto mu = monitor.value().Push(t[k], 10.0 * k);
+    auto mu =
+        testing_util::SoleUpdate(monitor.value().Push(0, t[k], 10.0 * k));
     ASSERT_TRUE(mu.ok());
     if (mu.value().has_value()) expected.push_back(*mu.value());
   }
@@ -489,6 +497,12 @@ TEST(FleetEngine, ValidatesOptionsAndStreamIds) {
   bad_eps.stream = SmallStreamOptions();
   bad_eps.join_epsilon = 100.0;
   ASSERT_TRUE(MotifFleetEngine::Create(bad_eps, metric).ok());
+  // Negative disables the join; NaN is rejected, not read as "disabled".
+  bad_eps.join_epsilon = -1.0;
+  ASSERT_TRUE(MotifFleetEngine::Create(bad_eps, metric).ok());
+  bad_eps.join_epsilon = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            MotifFleetEngine::Create(bad_eps, metric).status().code());
 
   FleetOptions ok_options;
   ok_options.stream = SmallStreamOptions();
@@ -548,18 +562,25 @@ TEST(FleetEngine, RejectsABadBatchBeforeChangingAnyState) {
 }
 
 TEST(StreamingMotifMonitor, RejectsABadBatchBeforeChangingAnyState) {
+  // A one-stream fleet is the single-trajectory streaming monitor: a
+  // batch ending in an off-globe point, a NaN longitude, or a NaN stamp is
+  // rejected before any point of it is ingested.
   const HaversineMetric metric;
-  auto monitor = StreamingMotifMonitor::Create(SmallStreamOptions(), metric);
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  auto monitor = MotifFleetEngine::Create(options, metric);
   ASSERT_TRUE(monitor.ok());
+  ASSERT_EQ(0u, monitor.value().AddStream().value());
   const Trajectory t = GeoWalk(40, 7);
-  std::vector<Point> batch = t.points();
-  batch.push_back(LatLon(91.0, 0.0));
+  std::vector<FleetArrival> batch;
+  for (Index k = 0; k < t.size(); ++k) batch.push_back({0, t[k]});
+  batch.push_back({0, LatLon(91.0, 0.0)});
   EXPECT_EQ(StatusCode::kInvalidArgument,
-            monitor.value().PushBatch(batch).status().code());
-  EXPECT_EQ(0, monitor.value().points_seen());
-  EXPECT_FALSE(monitor.value().Push(LatLon(0.0, std::nan(""))).ok());
-  EXPECT_FALSE(monitor.value().Push(t[0], std::nan("")).ok());
-  EXPECT_EQ(0, monitor.value().points_seen());
+            monitor.value().Ingest(batch).status().code());
+  EXPECT_EQ(0, monitor.value().stats().points_ingested);
+  EXPECT_FALSE(monitor.value().Push(0, LatLon(0.0, std::nan(""))).ok());
+  EXPECT_FALSE(monitor.value().Push(0, t[0], std::nan("")).ok());
+  EXPECT_EQ(0, monitor.value().stats().points_ingested);
 }
 
 TEST(FleetEngine, StatsAggregateAcrossStreams) {
@@ -633,7 +654,7 @@ TEST(FleetEngine, PerMemberOptionsAreHonoured) {
 TEST(FleetEngine, HeterogeneousMembersMatchIndependentMonitors) {
   // One exact single stream, one ε-relaxed single stream, and one cross
   // pair behind the same scheduler — every member's reports must be
-  // bit-identical to an independent monitor with that member's options.
+  // bit-identical to a one-member fleet with that member's options.
   const HaversineMetric metric;
   const StreamOptions base = SmallStreamOptions();
   StreamOptions relaxed = base;
@@ -644,9 +665,10 @@ TEST(FleetEngine, HeterogeneousMembersMatchIndependentMonitors) {
   const Trajectory ta = GeoWalk(200, 43);
   const Trajectory tb = GeoWalk(200, 44);
 
-  auto exact_monitor = StreamingMotifMonitor::Create(base, metric);
-  auto relaxed_monitor = StreamingMotifMonitor::Create(relaxed, metric);
-  auto cross_monitor = StreamingMotifMonitor::CreateCross(base, metric);
+  auto exact_monitor = testing_util::OneMemberFleet(base, metric);
+  auto relaxed_monitor = testing_util::OneMemberFleet(relaxed, metric);
+  auto cross_monitor =
+      testing_util::OneMemberFleet(base, metric, /*cross=*/true);
   ASSERT_TRUE(exact_monitor.ok());
   ASSERT_TRUE(relaxed_monitor.ok());
   ASSERT_TRUE(cross_monitor.ok());
@@ -665,16 +687,17 @@ TEST(FleetEngine, HeterogeneousMembersMatchIndependentMonitors) {
   // Per-stream expected updates, keyed by primary stream id.
   std::vector<std::vector<StreamUpdate>> expected(3);
   std::vector<std::vector<StreamUpdate>> actual(3);
-  const auto collect = [](StatusOr<std::optional<StreamUpdate>> u,
+  const auto collect = [](StatusOr<FleetReport> report,
                           std::vector<StreamUpdate>* into) {
+    auto u = testing_util::SoleUpdate(std::move(report));
     ASSERT_TRUE(u.ok()) << u.status();
     if (u.value().has_value()) into->push_back(*u.value());
   };
   for (Index k = 0; k < 200; ++k) {
-    collect(exact_monitor.value().Push(t0[k]), &expected[0]);
-    collect(relaxed_monitor.value().Push(t1[k]), &expected[1]);
-    collect(cross_monitor.value().Push(ta[k]), &expected[2]);
-    collect(cross_monitor.value().PushSecond(tb[k]), &expected[2]);
+    collect(exact_monitor.value().Push(0, t0[k]), &expected[0]);
+    collect(relaxed_monitor.value().Push(0, t1[k]), &expected[1]);
+    collect(cross_monitor.value().Push(0, ta[k]), &expected[2]);
+    collect(cross_monitor.value().Push(1, tb[k]), &expected[2]);
 
     std::vector<FleetArrival> batch;
     batch.push_back(FleetArrival{0, t0[k], false, 0.0});
@@ -699,9 +722,9 @@ TEST(FleetEngine, HeterogeneousMembersMatchIndependentMonitors) {
     }
   }
   // Side-aware window accessors expose both cross windows.
-  EXPECT_EQ(cross_monitor.value().WindowTrajectory().points(),
+  EXPECT_EQ(cross_monitor.value().WindowTrajectory(0).points(),
             fleet.value().WindowTrajectory(2).points());
-  EXPECT_EQ(cross_monitor.value().SecondWindowTrajectory().points(),
+  EXPECT_EQ(cross_monitor.value().WindowTrajectory(1).points(),
             fleet.value().WindowTrajectory(3).points());
 }
 

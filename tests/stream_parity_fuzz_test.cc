@@ -1,9 +1,9 @@
 // Randomized streaming <-> batch parity: random window/slide/ξ schedules
-// over generated trajectories, replayed through a serial monitor and a
-// threads=4 monitor in lockstep. Every emitted update must be
+// over generated trajectories, replayed through a serial one-member
+// fleet and a threads=4 one in lockstep. Every emitted update must be
 // bit-identical — candidate and distance — to a from-scratch FindMotif
 // (the relaxed bounding search) on the identical window, and the two
-// monitors must agree with each other on every slide.
+// fleets must agree with each other on every slide.
 
 #include <optional>
 #include <vector>
@@ -15,7 +15,9 @@
 #include "motif/motif.h"
 #include "motif/relaxed_bounds.h"
 #include "similarity/frechet.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream/motif_fleet_engine.h"
+#include "stream/window_state.h"
+#include "stream_test_util.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -82,15 +84,15 @@ TEST(StreamParityFuzz, RandomSchedulesMatchBatchSerialAndThreaded) {
     StreamOptions threaded_options = serial_options;
     threaded_options.threads = 4;
 
-    auto serial = StreamingMotifMonitor::Create(serial_options, metric);
-    auto threaded = StreamingMotifMonitor::Create(threaded_options, metric);
+    auto serial = testing_util::OneMemberFleet(serial_options, metric);
+    auto threaded = testing_util::OneMemberFleet(threaded_options, metric);
     ASSERT_TRUE(serial.ok()) << serial.status();
     ASSERT_TRUE(threaded.ok()) << threaded.status();
 
     int slides = 0;
     for (Index k = 0; k < t.size(); ++k) {
-      auto su = serial.value().Push(t[k]);
-      auto tu = threaded.value().Push(t[k]);
+      auto su = testing_util::SoleUpdate(serial.value().Push(0, t[k]));
+      auto tu = testing_util::SoleUpdate(threaded.value().Push(0, t[k]));
       ASSERT_TRUE(su.ok()) << su.status();
       ASSERT_TRUE(tu.ok()) << tu.status();
       ASSERT_EQ(su.value().has_value(), tu.value().has_value());
@@ -107,7 +109,7 @@ TEST(StreamParityFuzz, RandomSchedulesMatchBatchSerialAndThreaded) {
       // Both agree with the from-scratch baseline on the same window —
       // candidate and distance unconditionally, carried slides and exact
       // ties included (the canonical tie-break is shared by both paths).
-      const Trajectory window = serial.value().WindowTrajectory();
+      const Trajectory window = serial.value().WindowTrajectory(0);
       auto scratch =
           FindMotif(window, metric, serial_options.BaselineOptions());
       ASSERT_TRUE(scratch.ok()) << scratch.status();
@@ -146,21 +148,22 @@ TEST(StreamParityFuzz, RandomCrossInterleavings) {
     const Trajectory b = MakeDataset(DatasetKind::kTruckLike, data).value();
     const HaversineMetric metric;
 
-    auto monitor = StreamingMotifMonitor::CreateCross(options, metric);
-    ASSERT_TRUE(monitor.ok()) << monitor.status();
+    auto fleet = testing_util::OneMemberFleet(options, metric, /*cross=*/true);
+    ASSERT_TRUE(fleet.ok()) << fleet.status();
     Index ka = 0;
     Index kb = 0;
     int slides = 0;
     while (ka < a.size() || kb < b.size()) {
       const bool push_first =
           kb >= b.size() || (ka < a.size() && rng.NextInt(0, 1) == 0);
-      auto push = push_first ? monitor.value().Push(a[ka++])
-                             : monitor.value().PushSecond(b[kb++]);
+      auto push = testing_util::SoleUpdate(
+          push_first ? fleet.value().Push(0, a[ka++])
+                     : fleet.value().Push(1, b[kb++]));
       ASSERT_TRUE(push.ok()) << push.status();
       if (!push.value().has_value()) continue;
       ++slides;
-      const Trajectory wa = monitor.value().WindowTrajectory();
-      const Trajectory wb = monitor.value().SecondWindowTrajectory();
+      const Trajectory wa = fleet.value().WindowTrajectory(0);
+      const Trajectory wb = fleet.value().WindowTrajectory(1);
       auto scratch = FindMotif(wa, wb, metric, options.BaselineOptions());
       ASSERT_TRUE(scratch.ok()) << scratch.status();
       EXPECT_EQ(scratch.value().distance, push.value()->motif.distance);
@@ -208,8 +211,9 @@ TEST(StreamParityFuzz, CrossBoundsMatchFreshBuildUnderTwoSidedSchedules) {
     const Trajectory b =
         testing_util::MakePlanarWalk(points, seed + 9000 + round);
 
-    auto monitor = StreamingMotifMonitor::CreateCross(options, metric);
-    ASSERT_TRUE(monitor.ok()) << monitor.status();
+    // Driven directly (not through a fleet) for the CurrentBounds() hook.
+    auto state = WindowState::Create(options, metric, /*cross=*/true);
+    ASSERT_TRUE(state.ok()) << state.status();
     MotifOptions motif;
     motif.variant = MotifVariant::kCrossTrajectory;
     motif.min_length_xi = xi;
@@ -222,16 +226,19 @@ TEST(StreamParityFuzz, CrossBoundsMatchFreshBuildUnderTwoSidedSchedules) {
           kb >= b.size() ||
           (ka < a.size() &&
            rng.NextInt(1, 100) <= static_cast<std::int64_t>(side0_percent));
-      auto push = push_first ? monitor.value().Push(a[ka++])
-                             : monitor.value().PushSecond(b[kb++]);
-      ASSERT_TRUE(push.ok()) << push.status();
-      if (!push.value().has_value()) continue;
+      ASSERT_TRUE(state.value()
+                      .Append(push_first ? 0 : 1,
+                              push_first ? a[ka++] : b[kb++], nullptr)
+                      .ok());
+      if (!state.value().SearchDue()) continue;
+      auto update = state.value().RunSearch(nullptr);
+      ASSERT_TRUE(update.ok()) << update.status();
 
-      const Trajectory wa = monitor.value().WindowTrajectory();
-      const Trajectory wb = monitor.value().SecondWindowTrajectory();
+      const Trajectory wa = state.value().WindowTrajectory();
+      const Trajectory wb = state.value().SecondWindowTrajectory();
       const DistanceMatrix dg = DistanceMatrix::Build(wa, wb, metric).value();
       const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
-      const RelaxedBounds maintained = monitor.value().CurrentBounds();
+      const RelaxedBounds maintained = state.value().CurrentBounds();
       for (Index j = 0; j < wb.size(); ++j) {
         ASSERT_EQ(fresh.Rmin(j), maintained.Rmin(j)) << "Rmin " << j;
         ASSERT_EQ(fresh.RminFull(j), maintained.RminFull(j))

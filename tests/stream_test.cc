@@ -1,8 +1,9 @@
 // Tests of the streaming sliding-window motif engine: ring-matrix
 // maintenance, incremental bound maintenance under eviction, and the
-// headline guarantee — after every slide the streaming answer is
-// bit-identical to a from-scratch FindMotif on the identical window,
-// while doing strictly less DP work on seeded slides.
+// headline guarantee — after every slide the streaming answer (a
+// one-member fleet fed one point per call) is bit-identical to a
+// from-scratch FindMotif on the identical window, while doing strictly
+// less DP work on seeded slides.
 
 #include <cmath>
 #include <optional>
@@ -14,7 +15,9 @@
 #include "motif/motif.h"
 #include "motif/relaxed_bounds.h"
 #include "similarity/frechet.h"
-#include "stream/streaming_motif_monitor.h"
+#include "stream/motif_fleet_engine.h"
+#include "stream/window_state.h"
+#include "stream_test_util.h"
 #include "test_util.h"
 
 namespace frechet_motif {
@@ -98,8 +101,9 @@ TEST(StreamingBounds, MaintainedArraysEqualFreshBuildAtEverySlide) {
   options.slide_step = 7;  // not a divisor of the window, to move the heads
   options.min_length_xi = 10;
   const HaversineMetric metric;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok()) << monitor.status();
+  // Driven directly (not through a fleet) for the CurrentBounds() hook.
+  auto state = WindowState::Create(options, metric, /*cross=*/false);
+  ASSERT_TRUE(state.ok()) << state.status();
 
   MotifOptions motif;
   motif.min_length_xi = options.min_length_xi;
@@ -108,13 +112,14 @@ TEST(StreamingBounds, MaintainedArraysEqualFreshBuildAtEverySlide) {
   const Trajectory t = GeoWalk(300, 21);
   int checked = 0;
   for (Index k = 0; k < t.size(); ++k) {
-    auto update = monitor.value().Push(t[k]);
+    ASSERT_TRUE(state.value().Append(0, t[k], nullptr).ok());
+    if (!state.value().SearchDue()) continue;
+    auto update = state.value().RunSearch(nullptr);
     ASSERT_TRUE(update.ok()) << update.status();
-    if (!update.value().has_value()) continue;
-    const Trajectory window = monitor.value().WindowTrajectory();
+    const Trajectory window = state.value().WindowTrajectory();
     const DistanceMatrix dg = DistanceMatrix::Build(window, metric).value();
     const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
-    const RelaxedBounds maintained = monitor.value().CurrentBounds();
+    const RelaxedBounds maintained = state.value().CurrentBounds();
     const Index w = options.window_length;
     for (Index j = 0; j < w; ++j) {
       ASSERT_EQ(fresh.Rmin(j), maintained.Rmin(j)) << "Rmin " << j;
@@ -135,7 +140,7 @@ TEST(StreamingBounds, MaintainedArraysEqualFreshBuildAtEverySlide) {
 
 // --- Streaming <-> batch parity ---------------------------------------------
 
-/// Replays `t` through a monitor and, at every slide, requires the
+/// Replays `t` through a one-member fleet and, at every slide, requires the
 /// streaming answer to equal a from-scratch FindMotif over the identical
 /// window — candidate and distance, bit for bit. Returns the number of
 /// (seeded searches, searches where streaming did strictly fewer DP
@@ -152,17 +157,17 @@ ParityOutcome ReplayAndCheckParity(const Trajectory& t,
                                    const StreamOptions& options,
                                    const GroundMetric& metric) {
   ParityOutcome outcome;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  EXPECT_TRUE(monitor.ok()) << monitor.status();
-  if (!monitor.ok()) return outcome;
+  auto fleet = testing_util::OneMemberFleet(options, metric);
+  EXPECT_TRUE(fleet.ok()) << fleet.status();
+  if (!fleet.ok()) return outcome;
   for (Index k = 0; k < t.size(); ++k) {
-    auto push = monitor.value().Push(t[k]);
+    auto push = testing_util::SoleUpdate(fleet.value().Push(0, t[k]));
     EXPECT_TRUE(push.ok()) << push.status();
     if (!push.ok() || !push.value().has_value()) continue;
     const StreamUpdate& update = *push.value();
 
     MotifStats scratch_stats;
-    const Trajectory window = monitor.value().WindowTrajectory();
+    const Trajectory window = fleet.value().WindowTrajectory(0);
     auto scratch = FindMotif(window, metric, options.BaselineOptions(),
                              &scratch_stats);
     EXPECT_TRUE(scratch.ok()) << scratch.status();
@@ -257,19 +262,19 @@ TEST(StreamingParity, CrossTrajectoryWindows) {
   const HaversineMetric metric;
   const Trajectory a = GeoWalk(300, 31);
   const Trajectory b = GeoWalk(300, 32);
-  auto monitor = StreamingMotifMonitor::CreateCross(options, metric);
-  ASSERT_TRUE(monitor.ok()) << monitor.status();
+  auto fleet = testing_util::OneMemberFleet(options, metric, /*cross=*/true);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
   int searches = 0;
   for (Index k = 0; k < 300; ++k) {
-    for (int side = 0; side < 2; ++side) {
-      auto push = side == 0 ? monitor.value().Push(a[k])
-                            : monitor.value().PushSecond(b[k]);
+    for (std::size_t side = 0; side < 2; ++side) {
+      auto push = testing_util::SoleUpdate(
+          fleet.value().Push(side, side == 0 ? a[k] : b[k]));
       ASSERT_TRUE(push.ok()) << push.status();
       if (!push.value().has_value()) continue;
       const StreamUpdate& update = *push.value();
-      auto scratch = FindMotif(monitor.value().WindowTrajectory(),
-                               monitor.value().SecondWindowTrajectory(),
-                               metric, options.BaselineOptions());
+      auto scratch = FindMotif(fleet.value().WindowTrajectory(0),
+                               fleet.value().WindowTrajectory(1), metric,
+                               options.BaselineOptions());
       ASSERT_TRUE(scratch.ok()) << scratch.status();
       EXPECT_EQ(scratch.value().best, update.motif.best);
       EXPECT_EQ(scratch.value().distance, update.motif.distance);
@@ -286,22 +291,24 @@ TEST(StreamingMonitor, RejectsInvalidOptions) {
   StreamOptions too_small;
   too_small.window_length = 20;
   too_small.min_length_xi = 10;  // needs W >= 2*xi + 4
-  EXPECT_FALSE(StreamingMotifMonitor::Create(too_small, metric).ok());
+  EXPECT_FALSE(testing_util::OneMemberFleet(too_small, metric).ok());
 
   StreamOptions bad_step;
   bad_step.slide_step = 0;
-  EXPECT_FALSE(StreamingMotifMonitor::Create(bad_step, metric).ok());
+  EXPECT_FALSE(testing_util::OneMemberFleet(bad_step, metric).ok());
 }
 
 TEST(StreamingMonitor, PushSecondRequiresCrossMode) {
+  // A single-stream member has no second side: id 1 exists only for a
+  // cross pair.
   const HaversineMetric metric;
   StreamOptions options;
   options.window_length = 40;
   options.min_length_xi = 8;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok());
-  EXPECT_EQ(StatusCode::kFailedPrecondition,
-            monitor.value().PushSecond(LatLon(0, 0)).status().code());
+  auto fleet = testing_util::OneMemberFleet(options, metric);
+  ASSERT_TRUE(fleet.ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            fleet.value().Push(1, LatLon(0, 0)).status().code());
 }
 
 TEST(StreamingMonitor, RejectsMixedTimestampedPushes) {
@@ -309,10 +316,10 @@ TEST(StreamingMonitor, RejectsMixedTimestampedPushes) {
   StreamOptions options;
   options.window_length = 40;
   options.min_length_xi = 8;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok());
-  ASSERT_TRUE(monitor.value().Push(LatLon(39.9, 116.3), 100.0).ok());
-  EXPECT_FALSE(monitor.value().Push(LatLon(39.9, 116.3)).ok());
+  auto fleet = testing_util::OneMemberFleet(options, metric);
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(fleet.value().Push(0, LatLon(39.9, 116.3), 100.0).ok());
+  EXPECT_FALSE(fleet.value().Push(0, LatLon(39.9, 116.3)).ok());
 }
 
 TEST(StreamingMonitor, WindowTrajectoryCarriesTimestamps) {
@@ -321,19 +328,19 @@ TEST(StreamingMonitor, WindowTrajectoryCarriesTimestamps) {
   options.window_length = 24;
   options.slide_step = 4;
   options.min_length_xi = 4;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok());
+  auto fleet = testing_util::OneMemberFleet(options, metric);
+  ASSERT_TRUE(fleet.ok());
   const Trajectory t = GeoWalk(40, 5);
   for (Index k = 0; k < t.size(); ++k) {
-    ASSERT_TRUE(monitor.value().Push(t[k], 10.0 * k).ok());
+    ASSERT_TRUE(fleet.value().Push(0, t[k], 10.0 * k).ok());
   }
-  const Trajectory window = monitor.value().WindowTrajectory();
+  const Trajectory window = fleet.value().WindowTrajectory(0);
   ASSERT_TRUE(window.has_timestamps());
   ASSERT_EQ(24, window.size());
   EXPECT_EQ(10.0 * (40 - 24), window.timestamp(0));
   EXPECT_EQ(10.0 * 39, window.timestamp(23));
   EXPECT_EQ(static_cast<std::int64_t>(40 - 24),
-            monitor.value().points_seen() - window.size());
+            fleet.value().stream_stats(0).points_ingested - window.size());
 }
 
 TEST(StreamingMonitor, PushBatchEmitsEveryDueUpdate) {
@@ -342,17 +349,20 @@ TEST(StreamingMonitor, PushBatchEmitsEveryDueUpdate) {
   options.window_length = 60;
   options.slide_step = 10;
   options.min_length_xi = 8;
-  auto monitor = StreamingMotifMonitor::Create(options, metric);
-  ASSERT_TRUE(monitor.ok());
+  auto fleet = testing_util::OneMemberFleet(options, metric);
+  ASSERT_TRUE(fleet.ok());
   const Trajectory t = GeoWalk(200, 17);
-  auto updates = monitor.value().PushBatch(t.points());
-  ASSERT_TRUE(updates.ok()) << updates.status();
-  EXPECT_EQ((200 - 60) / 10 + 1,
-            static_cast<Index>(updates.value().size()));
-  const StreamEngineStats& stats = monitor.value().engine_stats();
+  std::vector<FleetArrival> batch;
+  for (const Point& p : t.points()) {
+    batch.push_back(FleetArrival{0, p, false, 0.0});
+  }
+  auto report = fleet.value().Ingest(batch);
+  ASSERT_TRUE(report.ok()) << report.status();
+  const std::vector<FleetStreamUpdate>& updates = report.value().updates;
+  EXPECT_EQ((200 - 60) / 10 + 1, static_cast<Index>(updates.size()));
+  const StreamEngineStats& stats = fleet.value().stream_stats(0);
   EXPECT_EQ(200, stats.points_ingested);
-  EXPECT_EQ(static_cast<std::int64_t>(updates.value().size()),
-            stats.searches);
+  EXPECT_EQ(static_cast<std::int64_t>(updates.size()), stats.searches);
   EXPECT_GT(stats.ground_distances_computed, 0);
 }
 
