@@ -34,10 +34,6 @@ def require(condition, message):
         raise Failure(message)
 
 
-def kernels_by_name(doc):
-    return {k["name"]: k for k in doc["kernels"]}
-
-
 # --- bench_micro_kernels -----------------------------------------------
 
 
@@ -95,83 +91,6 @@ def micro_kernels_committed(doc, path):
               "(needs hw_threads >= 4); re-record on a multi-core "
               "machine to arm it")
     print(f"ok: committed kernels JSON invariants hold (sizes {sizes})")
-
-
-# --- bench_stream_throughput / bench_fleet_throughput ------------------
-
-
-def stream_below_scratch(doc, path):
-    by_name = {}
-    for k in doc["kernels"]:
-        by_name.setdefault(k["name"], []).append(k)
-    for name in ("stream_ingest", "stream_search", "scratch_search"):
-        require(by_name.get(name), f"missing kernel: {name}")
-    # The acceptance signal: per-slide DP work of the streaming engine
-    # stays strictly below the from-scratch search's.
-    for stream, scratch in zip(by_name["stream_search"],
-                               by_name["scratch_search"]):
-        s, f = stream["dfd_cells_per_slide"], scratch["dfd_cells_per_slide"]
-        require(s < f, f"stream {s} !< scratch {f} at n={stream['n']}")
-    print("ok: streaming dfd_cells per slide strictly below scratch")
-
-
-def fleet_budget_coalesces(doc, path):
-    by_name = kernels_by_name(doc)
-    for name in ("monitors_ingest", "fleet_ingest_parity",
-                 "fleet_search_budgeted"):
-        require(name in by_name, f"missing kernel: {name}")
-        require(by_name[name]["ns_per_op"] > 0, f"{name}: ns_per_op <= 0")
-    # Parity mode runs the identical searches (the bench aborts on any
-    # bit-mismatch), so its DP-cell ratio is exactly 1; the budgeted
-    # scheduler must coalesce below the N independent monitors at N >= 8
-    # — the acceptance signal of the fleet.
-    parity = by_name["fleet_ingest_parity"]
-    budgeted = by_name["fleet_search_budgeted"]
-    require(parity["streams"] >= 8, "fleet smoke must run N >= 8")
-    require(parity["dp_cells_ratio_vs_monitors"] == 1.0,
-            "parity DP-cell ratio != 1.0")
-    ratio = budgeted["dp_cells_ratio_vs_monitors"]
-    require(0.0 < ratio < 1.0, f"budgeted fleet ratio {ratio} !< 1.0")
-    require(budgeted["coalesced_slides"] > 0, "budgeted fleet never coalesced")
-    print(f"ok: budgeted fleet dp-cells ratio {ratio:.3f} < 1.0 "
-          f"at N={int(budgeted['streams'])}")
-
-
-# --- bench_snapshot / bench_serve --------------------------------------
-
-
-def recovery_beats_replay(doc, path):
-    """Recovery (load the newest snapshot + replay the journal tail)
-    beats a full replay of the feed — the durability acceptance signal."""
-    by_name = kernels_by_name(doc)
-    for name in ("plain_ingest", "durable_ingest", "snapshot_checkpoint",
-                 "recovery_open", "full_replay"):
-        require(name in by_name, f"missing kernel {name}")
-        require(by_name[name]["ns_per_op"] > 0, f"{name}: ns_per_op <= 0")
-    require(by_name["snapshot_checkpoint"]["snapshot_bytes"] > 0,
-            "empty snapshot")
-    require(by_name["durable_ingest"]["journal_overhead_ratio"] > 1.0,
-            "journal overhead ratio <= 1.0")
-    ratio = by_name["full_replay"]["recovery_vs_replay_ratio"]
-    require(0.0 < ratio < 1.0, f"recovery/replay ratio {ratio} !< 1.0")
-    print(f"ok: {path} recovery-vs-replay ratio {ratio:.3f} < 1.0")
-
-
-def serve_wire_lossless(doc, path):
-    """Every point acked through the socket, zero frames dropped, report
-    frames actually pushed — at each fleet size."""
-    wire = [k for k in doc["kernels"] if k["name"] == "serve_wire_ingest"]
-    direct = [k for k in doc["kernels"] if k["name"] == "fleet_direct_ingest"]
-    require({k["n"] for k in wire} == {1, 4, 8}, "missing fleet sizes")
-    require(len(direct) == len(wire), "wire/direct row count mismatch")
-    for k in wire + direct:
-        require(k["ns_per_op"] > 0, f"{k['name']}: ns_per_op <= 0")
-    for k in wire:
-        require(k["frames_dropped"] == 0, "dropped frames")
-        require(k["frames_pushed"] > 0, "no frames pushed")
-        require(k["p99_push_latency_us"] > 0, "p99 push latency <= 0")
-        require(k["wire_overhead_ratio"] > 0, "wire overhead ratio <= 0")
-    print(f"ok: {path} wire path lossless at N=1/4/8")
 
 
 # --- bench_approx_sweep ------------------------------------------------
@@ -243,12 +162,6 @@ def approx_stream_reduction(minimum, at_eps):
 CHECKS = {
     "BENCH_smoke.json": [micro_kernels_present],
     "BENCH_kernels.json": [micro_kernels_committed],
-    "BENCH_stream_smoke.json": [stream_below_scratch],
-    "BENCH_fleet_smoke.json": [fleet_budget_coalesces],
-    "BENCH_snapshot_smoke.json": [recovery_beats_replay],
-    "BENCH_snapshot.json": [recovery_beats_replay],
-    "BENCH_serve_smoke.json": [serve_wire_lossless],
-    "BENCH_serve.json": [serve_wire_lossless],
     "BENCH_approx_smoke.json": [approx_legs],
     "BENCH_approx.json": [approx_legs,
                           approx_stream_reduction(minimum=0.30, at_eps=0.05)],

@@ -17,9 +17,7 @@ Status ValidateOptions(const Trajectory& s, const ClusterOptions& options) {
   if (options.stride < 1) {
     return Status::InvalidArgument("stride must be >= 1");
   }
-  if (options.threshold_m < 0.0) {
-    return Status::InvalidArgument("threshold_m must be non-negative");
-  }
+  FM_RETURN_IF_ERROR(ValidateDfdThreshold(options.threshold_m, "threshold_m"));
   if (options.min_members < 2) {
     return Status::InvalidArgument("min_members must be >= 2");
   }

@@ -28,7 +28,8 @@ struct ClusterOptions {
   Index stride = 25;
 
   /// Membership threshold θ (meters): a window joins a cluster when its
-  /// DFD to the cluster's reference window is <= θ.
+  /// DFD to the cluster's reference window is <= θ. Must be finite and
+  /// >= 0 (ValidateDfdThreshold).
   double threshold_m = 100.0;
 
   /// Minimum number of member windows (including the reference) for a

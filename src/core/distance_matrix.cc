@@ -44,6 +44,11 @@ StatusOr<DistanceMatrix> DistanceMatrix::Build(const Trajectory& s,
     return Status::InvalidArgument(
         "cannot build a distance matrix over an empty trajectory");
   }
+  for (const Trajectory* trajectory : {&s, &t}) {
+    for (const Point& p : trajectory->points()) {
+      FM_RETURN_IF_ERROR(ValidateArrival(metric, p, nullptr));
+    }
+  }
   const Index n = s.size();
   const Index m = t.size();
   std::vector<double> values(static_cast<std::size_t>(n) * m);

@@ -43,7 +43,8 @@ class DistanceProvider {
 class DistanceMatrix final : public DistanceProvider {
  public:
   /// Precomputes dG over all pairs of `s` (rows) and `t` (columns) points.
-  /// Returns InvalidArgument when either trajectory is empty.
+  /// Returns InvalidArgument when either trajectory is empty or a point
+  /// fails ValidateArrival (off the globe under haversine).
   static StatusOr<DistanceMatrix> Build(const Trajectory& s,
                                         const Trajectory& t,
                                         const GroundMetric& metric);

@@ -1,5 +1,6 @@
 #include "core/trajectory.h"
 
+#include <cmath>
 #include <utility>
 
 namespace frechet_motif {
@@ -25,6 +26,12 @@ StatusOr<Trajectory> Trajectory::Create(std::vector<Point> points,
           "timestamp count (" + std::to_string(timestamps.size()) +
           ") does not match point count (" + std::to_string(points.size()) +
           ")");
+    }
+    for (std::size_t i = 0; i < timestamps.size(); ++i) {
+      if (!std::isfinite(timestamps[i])) {
+        return Status::InvalidArgument("non-finite timestamp at point " +
+                                       std::to_string(i));
+      }
     }
     for (std::size_t i = 1; i < timestamps.size(); ++i) {
       if (!(timestamps[i] > timestamps[i - 1])) {

@@ -32,7 +32,8 @@ class Trajectory {
   Trajectory(std::vector<Point> points, std::vector<double> timestamps);
 
   /// Validating factory: checks that all coordinates are finite and that
-  /// timestamps (when provided) match the point count and ascend strictly.
+  /// timestamps (when provided) match the point count, are finite, and
+  /// ascend strictly.
   static StatusOr<Trajectory> Create(std::vector<Point> points,
                                      std::vector<double> timestamps = {});
 

@@ -16,6 +16,19 @@ double EuclideanMetric::Distance(const Point& a, const Point& b) const {
   return std::sqrt(dx * dx + dy * dy);
 }
 
+Status ValidateArrival(const GroundMetric& metric, const Point& p,
+                       const double* timestamp) {
+  if (!p.IsFinite() || (timestamp != nullptr && !std::isfinite(*timestamp))) {
+    return Status::InvalidArgument("non-finite coordinate or timestamp");
+  }
+  if (dynamic_cast<const HaversineMetric*>(&metric) != nullptr &&
+      (std::fabs(p.lat()) > 90.0 || std::fabs(p.lon()) > 180.0)) {
+    return Status::InvalidArgument(
+        "latitude/longitude out of range (|lat| <= 90, |lon| <= 180)");
+  }
+  return Status::Ok();
+}
+
 const GroundMetric& Haversine() {
   static const HaversineMetric* const kInstance = new HaversineMetric();
   return *kInstance;

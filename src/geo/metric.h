@@ -5,6 +5,7 @@
 #include <string>
 
 #include "geo/point.h"
+#include "util/status.h"
 
 namespace frechet_motif {
 
@@ -43,6 +44,14 @@ class EuclideanMetric final : public GroundMetric {
 /// lifetime; metrics are stateless and thread-safe.
 const GroundMetric& Haversine();
 const GroundMetric& Euclidean();
+
+/// The one point check every path runs before a point may touch any
+/// state — stream and fleet ingest, serve rows, and every batch distance
+/// matrix: finite coordinates and timestamp, and under the haversine
+/// metric a real position (|lat| <= 90, |lon| <= 180). `timestamp` may
+/// be null.
+Status ValidateArrival(const GroundMetric& metric, const Point& p,
+                       const double* timestamp);
 
 }  // namespace frechet_motif
 

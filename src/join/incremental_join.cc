@@ -25,9 +25,7 @@ IncrementalDfdJoin::IncrementalDfdJoin(const JoinOptions& options,
 
 StatusOr<IncrementalDfdJoin> IncrementalDfdJoin::Create(
     const JoinOptions& options, const GroundMetric& metric) {
-  if (options.threshold < 0.0) {
-    return Status::InvalidArgument("join threshold must be non-negative");
-  }
+  FM_RETURN_IF_ERROR(ValidateDfdThreshold(options.threshold, "join threshold"));
   return IncrementalDfdJoin(options, metric);
 }
 

@@ -84,8 +84,8 @@ struct IncrementalJoinStats {
 
 class IncrementalDfdJoin {
  public:
-  /// Validates the options (threshold >= 0). The metric must outlive the
-  /// join.
+  /// Validates the options (ValidateDfdThreshold: a finite threshold
+  /// >= 0). The metric must outlive the join.
   static StatusOr<IncrementalDfdJoin> Create(const JoinOptions& options,
                                              const GroundMetric& metric);
 

@@ -90,9 +90,7 @@ double AbsLatMaxOf(const std::vector<BoundingBox>& a,
 Status ValidateInputs(const std::vector<Trajectory>& left,
                       const std::vector<Trajectory>& right,
                       const JoinOptions& options) {
-  if (options.threshold < 0.0) {
-    return Status::InvalidArgument("join threshold must be non-negative");
-  }
+  FM_RETURN_IF_ERROR(ValidateDfdThreshold(options.threshold, "join threshold"));
   if (left.empty() || right.empty()) {
     return Status::InvalidArgument("join inputs must be non-empty");
   }

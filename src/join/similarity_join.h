@@ -55,7 +55,8 @@ struct JoinStats {
 
 /// Options for the similarity join.
 struct JoinOptions {
-  /// Match threshold θ (meters): report pairs with DFD <= θ. Must be >= 0.
+  /// Match threshold θ (meters): report pairs with DFD <= θ. Must be
+  /// finite and >= 0 (ValidateDfdThreshold).
   double threshold = 100.0;
 
   /// How many points of the left trajectory to probe in the sampled
@@ -91,7 +92,7 @@ struct JoinOptions {
 /// bound-then-verify design as the motif algorithms.
 ///
 /// Returns InvalidArgument when either side is empty, any trajectory is
-/// empty, or the threshold is negative. `stats` may be null.
+/// empty, or the threshold is negative or non-finite. `stats` may be null.
 StatusOr<std::vector<JoinPair>> DfdSimilarityJoin(
     const std::vector<Trajectory>& left, const std::vector<Trajectory>& right,
     const GroundMetric& metric, const JoinOptions& options,

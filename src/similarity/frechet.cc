@@ -1,7 +1,9 @@
 #include "similarity/frechet.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <string>
 
 #include "util/simd.h"
 
@@ -563,6 +565,14 @@ StatusOr<std::vector<double>> DiscreteFrechetMatrix(
     }
   }
   return df;
+}
+
+Status ValidateDfdThreshold(double threshold, const char* name) {
+  if (!std::isfinite(threshold) || threshold < 0.0) {
+    return Status::InvalidArgument(std::string(name) +
+                                   " must be finite and non-negative");
+  }
+  return Status::Ok();
 }
 
 StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,

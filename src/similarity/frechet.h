@@ -111,6 +111,14 @@ StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,
                                      double threshold,
                                      FrechetScratch* scratch = nullptr);
 
+/// The one rule for a DFD decision threshold, shared by every caller
+/// that takes one from a user (joins, the incremental join, clustering,
+/// the fleet join): it must be finite and non-negative. NaN would make
+/// every comparison false and match nothing; +∞ would match everything
+/// without a grid, and nothing through a grid's margin arithmetic.
+/// `name` is the option's name, used in the error message.
+Status ValidateDfdThreshold(double threshold, const char* name);
+
 /// One aligned step of a coupling: point ap of the first trajectory is
 /// matched with point bq of the second.
 struct CouplingStep {

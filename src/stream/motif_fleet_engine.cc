@@ -1,7 +1,6 @@
 #include "stream/motif_fleet_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <utility>
 
@@ -25,13 +24,11 @@ StatusOr<MotifFleetEngine> MotifFleetEngine::Create(
     return Status::InvalidArgument(
         "FleetOptions::max_searches_per_drain must be >= 0");
   }
-  // Negative disables the join. NaN would silently read as disabled, and
-  // could never match its own snapshot echo on restore.
-  if (std::isnan(options.join_epsilon)) {
-    return Status::InvalidArgument("FleetOptions::join_epsilon is NaN");
-  }
+  // Negative disables the join; anything else, NaN included, must pass
+  // the join's threshold rule (NaN would otherwise read as disabled and
+  // never match its own snapshot echo on restore).
   MotifFleetEngine engine(options, metric);
-  if (options.join_epsilon >= 0.0) {
+  if (!(options.join_epsilon < 0.0)) {
     StatusOr<IncrementalDfdJoin> join =
         IncrementalDfdJoin::Create(options.JoinConfig(), metric);
     if (!join.ok()) return join.status();

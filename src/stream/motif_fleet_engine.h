@@ -48,9 +48,9 @@
 /// pass (the carried threshold checks eviction itself, so it stays
 /// sound). Every individual answer is still bit-identical to a
 /// from-scratch `FindMotif` on the window at search time; the fleet just
-/// answers for fewer intermediate windows. `bench_fleet_throughput`
-/// measures the resulting DP-cells-per-slide ratio against N one-member
-/// fleets.
+/// answers for fewer intermediate windows, and so spends fewer DP cells
+/// than an unbudgeted fleet on the same feed
+/// (`FleetEngine.BudgetedDrainCoalescesAndStaysExact` asserts both).
 ///
 /// ## Join deltas
 ///
@@ -98,6 +98,7 @@ struct FleetOptions {
   StreamOptions stream;
 
   /// ε (meters) for the cross-fleet window join; negative disables it.
+  /// Any other value, NaN included, must be finite (ValidateDfdThreshold).
   double join_epsilon = -1.0;
 
   /// Watermark reorder-buffer capacity per stream (see IngestFrontend);
@@ -215,7 +216,7 @@ class MotifFleetEngine {
   /// its stream's frontend), then drains due searches per the scheduling
   /// mode and ticks the join. See the file comment for the two modes'
   /// guarantees. The whole batch is checked first — known stream ids,
-  /// ValidateArrival (window_state.h) — and a batch failing the check is
+  /// ValidateArrival (geo/metric.h) — and a batch failing the check is
   /// rejected before it changes any state.
   StatusOr<FleetReport> Ingest(const std::vector<FleetArrival>& batch);
 

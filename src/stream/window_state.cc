@@ -1,26 +1,12 @@
 #include "stream/window_state.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "motif/subset_search.h"
 #include "util/timer.h"
 
 namespace frechet_motif {
-
-Status ValidateArrival(const GroundMetric& metric, const Point& p,
-                       const double* timestamp) {
-  if (!p.IsFinite() || (timestamp != nullptr && !std::isfinite(*timestamp))) {
-    return Status::InvalidArgument("non-finite coordinate or timestamp");
-  }
-  if (dynamic_cast<const HaversineMetric*>(&metric) != nullptr &&
-      (std::fabs(p.lat()) > 90.0 || std::fabs(p.lon()) > 180.0)) {
-    return Status::InvalidArgument(
-        "latitude/longitude out of range (|lat| <= 90, |lon| <= 180)");
-  }
-  return Status::Ok();
-}
 
 WindowState::WindowState(const StreamOptions& options,
                          const GroundMetric& metric, bool cross)

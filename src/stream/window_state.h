@@ -204,13 +204,6 @@ struct StreamEngineStats {
   }
 };
 
-/// The one arrival check every ingest path runs before a point may touch
-/// any state: finite coordinates and timestamp, and under the haversine
-/// metric a real position (|lat| <= 90, |lon| <= 180). `timestamp` may
-/// be null.
-Status ValidateArrival(const GroundMetric& metric, const Point& p,
-                       const double* timestamp);
-
 /// See the file comment. Create() validates the options exactly as the
 /// from-scratch search would; the metric must outlive the state.
 class WindowState {

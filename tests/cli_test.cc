@@ -229,7 +229,14 @@ TEST(CliDiagnostics, NonFiniteEpsilonIsInvalidArgument) {
         "stream " + path + window + " --approx-eps=nan",
         "fleet " + path + " " + path + window + " --approx-eps=nan",
         "fleet " + path + " " + path + window + " --eps=nan",
-        "fleet " + path + window + " --eps=nan --state-dir=" + state}) {
+        "fleet " + path + " " + path + window + " --eps=inf",
+        "fleet " + path + window + " --eps=nan --state-dir=" + state,
+        // Every DFD threshold follows one rule: finite and non-negative.
+        "join " + path + " " + path + " --eps=nan",
+        "join " + path + " " + path + " --eps=nan --grid",
+        "join " + path + " " + path + " --eps=inf",
+        "join " + path + " " + path + " --eps=inf --grid",
+        "cluster " + path + " --window=50 --eps=nan"}) {
     const CommandResult r = RunFmotif(args);
     EXPECT_EQ(1, r.exit_code) << args << ": " << r.output;
     EXPECT_NE(std::string::npos, r.output.find("InvalidArgument")) << args;
@@ -393,6 +400,25 @@ TEST(CliFleet, NonFiniteOrOffGlobeRowFailsTheRun) {
                                      "< " + feed + " 2>&1");
     EXPECT_EQ(1, r.exit_code) << bad << ": " << r.output;
     EXPECT_NE(std::string::npos, r.output.find("InvalidArgument")) << bad;
+  }
+}
+
+TEST(CliDiagnostics, OffGlobeRowOrInfiniteTimestampFailsBatchCommands) {
+  // The batch path checks points as the streaming one does: an off-globe
+  // row under haversine fails the motif search, and a non-finite
+  // timestamp fails the load, even on the last row.
+  const std::string trace =
+      WriteTrace("mbadsrc.csv", "--kind=geolife --n=200 --seed=3");
+  const std::string off_globe =
+      WriteFeedWithRow("moffglobe.csv", trace, "95.0,400.0", "");
+  const std::string inf_stamp = TempPath("infstamp.csv");
+  std::ofstream(inf_stamp) << "lat,lon,timestamp\n39.90,116.30,0\n"
+                              "39.91,116.31,1\n39.92,116.32,inf\n";
+  for (const std::string& args :
+       {"motif " + off_globe + " --xi=10", "stats " + inf_stamp}) {
+    const CommandResult r = RunFmotif(args);
+    EXPECT_EQ(1, r.exit_code) << args << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find("InvalidArgument")) << args;
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/datasets.h"
 #include "data/generator.h"
 #include "geo/great_circle.h"
@@ -53,8 +55,14 @@ TEST(ClusterTest, RejectsBadOptions) {
       BestSubtrajectoryCluster(t, Haversine(), SmallOptions(1, 5, 50)).ok());
   EXPECT_FALSE(
       BestSubtrajectoryCluster(t, Haversine(), SmallOptions(40, 0, 50)).ok());
-  ClusterOptions negative = SmallOptions(40, 5, -1.0);
-  EXPECT_FALSE(BestSubtrajectoryCluster(t, Haversine(), negative).ok());
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              BestSubtrajectoryCluster(t, Haversine(), SmallOptions(40, 5, bad))
+                  .status()
+                  .code())
+        << bad;
+  }
   ClusterOptions single = SmallOptions(40, 5, 50);
   single.min_members = 1;
   EXPECT_FALSE(BestSubtrajectoryCluster(t, Haversine(), single).ok());

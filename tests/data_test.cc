@@ -428,6 +428,16 @@ TEST(IoTest, ReadMalformedCsvIsInvalidArgument) {
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
+  // A non-finite timestamp is its own error, on the last row too.
+  for (const char* csv : {"lat,lon,timestamp\n1.5,2.5,0\n1.6,2.6,inf\n",
+                          "lat,lon,timestamp\n1.5,2.5,nan\n1.6,2.6,1\n"}) {
+    r = ReadCsvFromString(csv);
+    ASSERT_FALSE(r.ok()) << csv;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find("non-finite timestamp"),
+              std::string::npos)
+        << r.status();
+  }
 }
 
 TEST(IoTest, PltRoundTrip) {

@@ -449,6 +449,12 @@ TEST(FleetSnapshot, OptionMismatchAndTrailingBytesAreRejected) {
 // ---------------------------------------------------------------------------
 
 TEST(DurableFleet, MirrorsThePlainEngineAndSurvivesReopen) {
+  // Recovery beats a full replay: with a checkpoint every C records and
+  // R > 2C records journaled, reopening restores the newest snapshot and
+  // replays at most C records, landing on the never-crashed engine's
+  // state. Each mutating call journals exactly one record, so the
+  // generation count and the replayed tail are exact.
+  constexpr std::uint64_t kInterval = 8;
   FleetOptions options;
   options.stream = SmallStreamOptions();
   options.join_epsilon = 250.0;
@@ -458,25 +464,31 @@ TEST(DurableFleet, MirrorsThePlainEngineAndSurvivesReopen) {
   DurableOptions durable;
   durable.state_dir = "state";
   durable.fs = &fs;
+  durable.checkpoint_interval_records = kInterval;
 
   auto plain = MotifFleetEngine::Create(options, metric);
   ASSERT_TRUE(plain.ok());
   const Trajectory t0 = testing_util::MakePlanarWalk(70, 8801);
   const Trajectory t1 = testing_util::MakePlanarWalk(70, 8802);
 
+  std::uint64_t calls = 0;
   {
     auto fleet = DurableFleet::Open(options, metric, durable);
     ASSERT_TRUE(fleet.ok()) << fleet.status();
     EXPECT_FALSE(fleet.value().recovery().restored_snapshot);
-    ASSERT_TRUE(fleet.value().AddStream().ok());
-    ASSERT_TRUE(fleet.value().AddStream().ok());
-    ASSERT_TRUE(plain.value().AddStream().ok());
-    ASSERT_TRUE(plain.value().AddStream().ok());
+    // Open checkpoints the empty engine: generation 1, empty journal.
+    EXPECT_EQ(1u, fleet.value().generation());
+    for (std::size_t s = 0; s < 2; ++s) {
+      ASSERT_TRUE(fleet.value().AddStream().ok());
+      ASSERT_TRUE(plain.value().AddStream().ok());
+      ++calls;
+    }
     for (Index k = 0; k < 40; ++k) {
       for (std::size_t s = 0; s < 2; ++s) {
         const Point& p = (s == 0 ? t0 : t1)[k];
         auto durable_report = fleet.value().Push(s, p);
         auto plain_report = plain.value().Push(s, p);
+        ++calls;
         ASSERT_TRUE(durable_report.ok()) << durable_report.status();
         ASSERT_TRUE(plain_report.ok());
         // Live reports are the plain engine's, bit for bit.
@@ -491,6 +503,9 @@ TEST(DurableFleet, MirrorsThePlainEngineAndSurvivesReopen) {
         }
       }
     }
+    ASSERT_GT(calls, 2 * kInterval);
+    ASSERT_NE(0u, calls % kInterval);  // a tail is left to replay
+    EXPECT_EQ(1 + calls / kInterval, fleet.value().generation());
     // The fleet dies here without any explicit shutdown: everything
     // journaled was synced record-by-record.
   }
@@ -498,8 +513,15 @@ TEST(DurableFleet, MirrorsThePlainEngineAndSurvivesReopen) {
 
   auto reopened = DurableFleet::Open(options, metric, durable);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
-  EXPECT_TRUE(reopened.value().recovery().restored_snapshot ||
-              reopened.value().recovery().replayed_records > 0);
+  EXPECT_TRUE(reopened.value().recovery().restored_snapshot);
+  EXPECT_LE(reopened.value().recovery().replayed_records, kInterval);
+  EXPECT_EQ(calls % kInterval, reopened.value().recovery().replayed_records);
+  std::string recovered;
+  std::string never_crashed;
+  ASSERT_TRUE(reopened.value().Snapshot(&recovered).ok());
+  ASSERT_TRUE(plain.value().Snapshot(&never_crashed).ok());
+  EXPECT_TRUE(recovered == never_crashed)
+      << "recovered state differs from the never-crashed engine";
 
   // Continue both; state stays in lockstep with the never-persisted
   // engine through to the end.

@@ -343,9 +343,13 @@ TEST(FleetEngine, LateDropsAreCountedAndDoNotCorruptTheWindow) {
 // --- Budgeted drains (slide coalescing) -------------------------------------
 
 TEST(FleetEngine, BudgetedDrainCoalescesAndStaysExact) {
+  // Eight streams, half of them searched per drain: the budgeted fleet
+  // must coalesce slides, keep every answer exact, and spend strictly
+  // fewer DP cells than an unbudgeted fleet fed the identical batches.
   const HaversineMetric metric;
   const StreamOptions stream_options = SmallStreamOptions();
-  constexpr std::size_t kStreams = 4;
+  constexpr std::size_t kStreams = 8;
+  constexpr int kBudget = 4;
   std::vector<Trajectory> data;
   for (std::size_t s = 0; s < kStreams; ++s) {
     data.push_back(GeoWalk(240, 300 + s));
@@ -353,15 +357,18 @@ TEST(FleetEngine, BudgetedDrainCoalescesAndStaysExact) {
 
   FleetOptions options;
   options.stream = stream_options;
-  options.max_searches_per_drain = 2;  // half the fleet per drain
+  auto unbudgeted = MotifFleetEngine::Create(options, metric);
+  options.max_searches_per_drain = kBudget;
   auto fleet = MotifFleetEngine::Create(options, metric);
   ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(unbudgeted.ok());
   for (std::size_t s = 0; s < kStreams; ++s) {
     ASSERT_EQ(s, fleet.value().AddStream().value());
+    ASSERT_EQ(s, unbudgeted.value().AddStream().value());
   }
 
   std::int64_t searches = 0;
-  // Ingest one slide period at a time; each call may run at most 2
+  // Ingest one slide period at a time; each call may run at most kBudget
   // searches, and every update must match a from-scratch FindMotif on
   // the window at search time (checked right after the drain, before
   // any further appends).
@@ -373,9 +380,11 @@ TEST(FleetEngine, BudgetedDrainCoalescesAndStaysExact) {
         batch.push_back(FleetArrival{s, data[s][k], false, 0.0});
       }
     }
+    ASSERT_TRUE(unbudgeted.value().Ingest(batch).ok());
     auto report = fleet.value().Ingest(batch);
     ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_LE(report.value().updates.size(), 2u);
+    EXPECT_LE(report.value().updates.size(),
+              static_cast<std::size_t>(kBudget));
     searches += static_cast<std::int64_t>(report.value().updates.size());
     for (const FleetStreamUpdate& fu : report.value().updates) {
       const Trajectory window = fleet.value().WindowTrajectory(fu.stream);
@@ -387,12 +396,16 @@ TEST(FleetEngine, BudgetedDrainCoalescesAndStaysExact) {
     }
   }
   // The budget forced deferrals: slides coalesced, fewer searches than
-  // an unbudgeted fleet would have run.
+  // the unbudgeted fleet ran, and fewer DP cells for the same ingest.
   EXPECT_GT(fleet.value().stats().coalesced_slides, 0);
+  EXPECT_EQ(0, unbudgeted.value().stats().coalesced_slides);
   const std::int64_t unbudgeted_slides =
       static_cast<std::int64_t>(kStreams) *
       ((240 - stream_options.window_length) / stream_options.slide_step + 1);
+  EXPECT_EQ(unbudgeted_slides, unbudgeted.value().stats().searches);
   EXPECT_LT(searches, unbudgeted_slides);
+  EXPECT_LT(fleet.value().stats().dfd_cells_computed,
+            unbudgeted.value().stats().dfd_cells_computed);
 }
 
 // --- Join deltas -------------------------------------------------------------
@@ -497,12 +510,17 @@ TEST(FleetEngine, ValidatesOptionsAndStreamIds) {
   bad_eps.stream = SmallStreamOptions();
   bad_eps.join_epsilon = 100.0;
   ASSERT_TRUE(MotifFleetEngine::Create(bad_eps, metric).ok());
-  // Negative disables the join; NaN is rejected, not read as "disabled".
+  // Negative disables the join; NaN and +inf are rejected, not read as
+  // "disabled" or "everything matches".
   bad_eps.join_epsilon = -1.0;
   ASSERT_TRUE(MotifFleetEngine::Create(bad_eps, metric).ok());
-  bad_eps.join_epsilon = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_EQ(StatusCode::kInvalidArgument,
-            MotifFleetEngine::Create(bad_eps, metric).status().code());
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    bad_eps.join_epsilon = bad;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              MotifFleetEngine::Create(bad_eps, metric).status().code())
+        << bad;
+  }
 
   FleetOptions ok_options;
   ok_options.stream = SmallStreamOptions();

@@ -4,6 +4,7 @@
 // cache provably skips clean pairs.
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "data/datasets.h"
@@ -237,9 +238,14 @@ TEST(IncrementalDfdJoin, RemoveEmitsLeftPairsOnNextTick) {
 
 TEST(IncrementalDfdJoin, ValidatesInputs) {
   const HaversineMetric metric;
-  JoinOptions negative;
-  negative.threshold = -1.0;
-  EXPECT_FALSE(IncrementalDfdJoin::Create(negative, metric).ok());
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    JoinOptions options;
+    options.threshold = bad;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              IncrementalDfdJoin::Create(options, metric).status().code())
+        << bad;
+  }
 
   JoinOptions options;
   options.threshold = 100.0;

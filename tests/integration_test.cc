@@ -136,6 +136,27 @@ TEST(FindMotifTest, PropagatesValidationErrors) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(FindMotifTest, RejectsOffGlobePointsUnderHaversine) {
+  // The batch boundary runs the streaming arrival check: a point off the
+  // globe under haversine fails the search instead of feeding the matrix.
+  DatasetOptions data_options;
+  data_options.length = 200;
+  const Trajectory good =
+      MakeDataset(DatasetKind::kGeoLifeLike, data_options).value();
+  std::vector<Point> points = good.points();
+  points[120] = LatLon(95.0, 400.0);
+  const Trajectory bad(points);
+  FindMotifOptions options;
+  options.min_length_xi = 10;
+  ASSERT_TRUE(FindMotif(good, Haversine(), options).ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            FindMotif(bad, Haversine(), options).status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            FindMotif(good, bad, Haversine(), options).status().code());
+  // Planar coordinates are unbounded.
+  EXPECT_TRUE(FindMotif(bad, Euclidean(), options).ok());
+}
+
 TEST(FindMotifTest, StatsArePopulatedThroughFacade) {
   DatasetOptions data_options;
   data_options.length = 240;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -151,7 +152,12 @@ class LoopRunner {
   Status status_ = Status::Ok();
 };
 
-TEST(ServeIntegration, RealSocketFeedAndSubscribeMatchesOracle) {
+/// Feeds 30 round-robin points per stream over a real socket to a fresh
+/// server and checks the wire path is lossless: the subscriber's report
+/// frames are the oracle's, no frame is dropped, and every row sent is
+/// ingested.
+void FeedAndSubscribeOverSocket(std::size_t streams) {
+  SCOPED_TRACE(::testing::Message() << streams << " streams");
   const ServeOptions options = SmallOptions();
   MotifServer server =
       std::move(MotifServer::Create(options, Euclidean())).value();
@@ -162,10 +168,12 @@ TEST(ServeIntegration, RealSocketFeedAndSubscribeMatchesOracle) {
   std::vector<FleetArrival> arrivals;
   std::string wire = "SUB reports\n";
   for (int i = 0; i < 30; ++i) {
-    const double lat = 40.0 + 0.002 * (i % 5);
-    const double lon = -70.0 + 0.001 * i;
-    arrivals.push_back(Arrival(0, lat, lon));
-    wire += Row(0, lat, lon);
+    for (std::size_t s = 0; s < streams; ++s) {
+      const double lat = 40.0 + 0.002 * ((i + static_cast<int>(s)) % 5);
+      const double lon = -70.0 + 0.001 * i + 0.01 * static_cast<double>(s);
+      arrivals.push_back(Arrival(s, lat, lon));
+      wire += Row(s, lat, lon);
+    }
   }
 
   std::string received;
@@ -182,9 +190,17 @@ TEST(ServeIntegration, RealSocketFeedAndSubscribeMatchesOracle) {
       OracleReportFrames(options.fleet, Euclidean(), arrivals);
   ASSERT_FALSE(want.empty());
   EXPECT_EQ(want, FramesOfType(received, "report"));
-  EXPECT_EQ(30, server.stats().points_ingested);
+  EXPECT_EQ(0, server.stats().frames_dropped);
+  EXPECT_EQ(static_cast<std::int64_t>(arrivals.size()),
+            server.stats().points_ingested);
   EXPECT_EQ(1, server.stats().closed_by_peer);
   ASSERT_TRUE(server.Shutdown().ok());
+}
+
+TEST(ServeIntegration, RealSocketFeedAndSubscribeMatchesOracle) {
+  for (const std::size_t streams : {1, 4, 8}) {
+    FeedAndSubscribeOverSocket(streams);
+  }
 }
 
 TEST(ServeIntegration, StopFlagDrainsConnectedSubscriber) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "data/datasets.h"
@@ -41,8 +42,24 @@ std::set<std::pair<std::size_t, std::size_t>> NaiveJoin(
 TEST(SimilarityJoinTest, RejectsBadInputs) {
   const std::vector<Trajectory> some = MakeCollection(2, 10, 1);
   JoinOptions options;
-  options.threshold = -1.0;
-  EXPECT_FALSE(DfdSimilarityJoin(some, some, Euclidean(), options).ok());
+  // A threshold must be finite and non-negative, with or without the
+  // grid: NaN would match nothing and +inf everything (or, through the
+  // grid's margin arithmetic, nothing).
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    for (const bool grid : {false, true}) {
+      options.threshold = bad;
+      options.use_grid_index = grid;
+      EXPECT_EQ(StatusCode::kInvalidArgument,
+                DfdSimilarityJoin(some, some, Euclidean(), options)
+                    .status()
+                    .code())
+          << bad << (grid ? " with grid" : "");
+      EXPECT_EQ(StatusCode::kInvalidArgument,
+                DfdSelfJoin(some, Euclidean(), options).status().code())
+          << bad;
+    }
+  }
   options.threshold = 10.0;
   EXPECT_FALSE(DfdSimilarityJoin({}, some, Euclidean(), options).ok());
   std::vector<Trajectory> with_empty = some;

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/options.h"
 
@@ -35,6 +37,23 @@ TEST(TrajectoryTest, CreateValidatesAscendingTimestamps) {
   EXPECT_FALSE(t.ok());
   t = Trajectory::Create({Point(0, 0), Point(1, 1)}, {2.0, 1.0});
   EXPECT_FALSE(t.ok());
+}
+
+TEST(TrajectoryTest, CreateRejectsNonFiniteTimestamps) {
+  // A non-finite timestamp is its own error, wherever it sits — not an
+  // ordering violation, and not accepted on the last point.
+  const std::vector<Point> points = {Point(0, 0), Point(1, 1), Point(2, 2)};
+  for (const std::vector<double>& stamps :
+       std::vector<std::vector<double>>{{0.0, 1.0, INFINITY},
+                                        {0.0, std::nan(""), 2.0},
+                                        {-INFINITY, 1.0, 2.0}}) {
+    StatusOr<Trajectory> t = Trajectory::Create(points, stamps);
+    ASSERT_FALSE(t.ok());
+    EXPECT_EQ(t.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(t.status().message().find("non-finite timestamp"),
+              std::string::npos)
+        << t.status();
+  }
 }
 
 TEST(TrajectoryTest, CreateAcceptsNonUniformTimestamps) {
