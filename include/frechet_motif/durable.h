@@ -10,10 +10,12 @@
 /// `Ingest` and the `Push` conveniences, `Drain`, `Flush`) through a
 /// protected hook; `DurableFleet` overrides it to append the call, with
 /// its raw arguments, to a CRC-framed journal. The engine's full
-/// manifest — ring distance matrices, incremental bounds, carried
-/// thresholds and tie-break state, reorder buffers and watermarks,
-/// scheduler, join verdict cache — is checkpointed into versioned,
-/// checksummed snapshot generations with atomic rename rotation.
+/// manifest — each member's options and window points, incremental
+/// bounds, carried thresholds and tie-break state, reorder buffers and
+/// watermarks, scheduler, join verdict cache — is checkpointed into
+/// versioned, checksummed snapshot generations with atomic rename
+/// rotation. The ring distance matrices are not stored: restore
+/// re-derives them from the window points through the ingest path.
 /// Reopening the same directory after a crash recovers the newest valid
 /// snapshot, makes the journal tail's calls again (skipping a torn or
 /// corrupt trailing record), and continues **bit-identically**: every

@@ -92,46 +92,6 @@ RingDistanceMatrix::RingDistanceMatrix(Index row_capacity, Index col_capacity)
       col_capacity_(col_capacity),
       values_(static_cast<std::size_t>(row_capacity) * col_capacity, 0.0) {}
 
-void RingDistanceMatrix::AppendRow(
-    const std::function<double(Index)>& value_of_col) {
-  if (row_size_ == row_capacity_) {
-    // Evict logical row 0; its physical slot becomes the new last row.
-    row_head_ = row_head_ + 1 == row_capacity_ ? 0 : row_head_ + 1;
-    --row_size_;
-  }
-  const Index i = row_size_++;
-  for (Index j = 0; j < col_size_; ++j) *Cell(i, j) = value_of_col(j);
-}
-
-void RingDistanceMatrix::AppendCol(
-    const std::function<double(Index)>& value_of_row) {
-  if (col_size_ == col_capacity_) {
-    col_head_ = col_head_ + 1 == col_capacity_ ? 0 : col_head_ + 1;
-    --col_size_;
-  }
-  const Index j = col_size_++;
-  for (Index i = 0; i < row_size_; ++i) *Cell(i, j) = value_of_row(i);
-}
-
-void RingDistanceMatrix::AppendPoint(
-    const std::function<double(Index)>& dist_new_to_k,
-    const std::function<double(Index)>& dist_k_to_new, double self_distance) {
-  if (row_size_ == row_capacity_) {
-    row_head_ = row_head_ + 1 == row_capacity_ ? 0 : row_head_ + 1;
-    col_head_ = col_head_ + 1 == col_capacity_ ? 0 : col_head_ + 1;
-    --row_size_;
-    --col_size_;
-  }
-  const Index k_new = row_size_;
-  ++row_size_;
-  ++col_size_;
-  for (Index k = 0; k < k_new; ++k) {
-    *Cell(k_new, k) = dist_new_to_k(k);
-    *Cell(k, k_new) = dist_k_to_new(k);
-  }
-  *Cell(k_new, k_new) = self_distance;
-}
-
 void RingDistanceMatrix::WriteRowFromBuffer(Index i, const double* values,
                                             Index count) {
   double* row = values_.data() +
@@ -155,7 +115,7 @@ void RingDistanceMatrix::WriteColFromBuffer(Index j, const double* values,
   }
 }
 
-void RingDistanceMatrix::AppendRowFromBuffer(const double* values) {
+void RingDistanceMatrix::AppendRow(const double* values) {
   if (row_size_ == row_capacity_) {
     row_head_ = row_head_ + 1 == row_capacity_ ? 0 : row_head_ + 1;
     --row_size_;
@@ -164,7 +124,7 @@ void RingDistanceMatrix::AppendRowFromBuffer(const double* values) {
   WriteRowFromBuffer(i, values, col_size_);
 }
 
-void RingDistanceMatrix::AppendColFromBuffer(const double* values) {
+void RingDistanceMatrix::AppendCol(const double* values) {
   if (col_size_ == col_capacity_) {
     col_head_ = col_head_ + 1 == col_capacity_ ? 0 : col_head_ + 1;
     --col_size_;
@@ -173,9 +133,9 @@ void RingDistanceMatrix::AppendColFromBuffer(const double* values) {
   WriteColFromBuffer(j, values, row_size_);
 }
 
-void RingDistanceMatrix::AppendPointFromBuffers(const double* new_to_k,
-                                                const double* k_to_new,
-                                                double self_distance) {
+void RingDistanceMatrix::AppendPoint(const double* new_to_k,
+                                     const double* k_to_new,
+                                     double self_distance) {
   if (row_size_ == row_capacity_) {
     row_head_ = row_head_ + 1 == row_capacity_ ? 0 : row_head_ + 1;
     col_head_ = col_head_ + 1 == col_capacity_ ? 0 : col_head_ + 1;

@@ -2,7 +2,6 @@
 #define FRECHET_MOTIF_CORE_DISTANCE_MATRIX_H_
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "core/trajectory.h"
@@ -150,40 +149,27 @@ class RingDistanceMatrix final : public DistanceProvider {
   Index col_capacity() const { return col_capacity_; }
 
   /// Appends a logical row at index rows(), evicting logical row 0 first
-  /// when at capacity. `value_of_col(j)` must return the ground distance
-  /// between the new row point and the current column point j, for
-  /// j in [0, cols()).
-  void AppendRow(const std::function<double(Index)>& value_of_col);
+  /// when at capacity. The caller computes the fresh cells into a
+  /// contiguous buffer (e.g. with SphereVecDistanceBatch) and the ring
+  /// copies them in contiguous segments: `values[j]` for j in
+  /// [0, cols()) is the ground distance between the new row point and
+  /// column point j.
+  void AppendRow(const double* values);
 
-  /// Column counterpart of AppendRow: `value_of_row(i)` is the distance
-  /// between row point i and the new column point.
-  void AppendCol(const std::function<double(Index)>& value_of_row);
+  /// Column counterpart of AppendRow (strided stores): `values[i]` for
+  /// i in [0, rows()) is the distance between row point i and the new
+  /// column point.
+  void AppendCol(const double* values);
 
   /// Self-matrix form (square capacities, rows() == cols()): appends one
   /// point as the last row *and* last column in a single step, evicting
-  /// the oldest point from both dimensions when full.
-  /// `dist_new_to_k(k)` fills the new row (new point is the row point),
-  /// `dist_k_to_new(k)` the new column, and `self_distance` the diagonal
-  /// cell — the argument split keeps asymmetric metrics honest.
-  void AppendPoint(const std::function<double(Index)>& dist_new_to_k,
-                   const std::function<double(Index)>& dist_k_to_new,
+  /// the oldest point from both dimensions when full. `new_to_k[k]` /
+  /// `k_to_new[k]` for k in [0, rows()) fill the new row (new point is
+  /// the row point) / column, and `self_distance` the diagonal cell. The
+  /// split keeps asymmetric metrics honest; pass the same buffer twice
+  /// for a symmetric one.
+  void AppendPoint(const double* new_to_k, const double* k_to_new,
                    double self_distance);
-
-  /// Buffer counterparts of the append methods: the caller computes the
-  /// fresh cells into a contiguous buffer (e.g. with
-  /// SphereVecDistanceBatch) and the ring bulk-copies them — contiguous
-  /// segment copies for a row, strided stores for a column — instead of
-  /// paying one std::function dispatch per cell. Identical eviction and
-  /// cell semantics to the std::function forms.
-  /// `values[j]` for j in [0, cols()) fills the new row.
-  void AppendRowFromBuffer(const double* values);
-  /// `values[i]` for i in [0, rows()) fills the new column.
-  void AppendColFromBuffer(const double* values);
-  /// `new_to_k[k]` / `k_to_new[k]` for k in [0, rows()) fill the new row /
-  /// column (pass the same buffer twice for a symmetric metric);
-  /// `self_distance` fills the diagonal cell.
-  void AppendPointFromBuffers(const double* new_to_k, const double* k_to_new,
-                              double self_distance);
 
   /// Raw layout accessors for monomorphized kernels (subset_search) and
   /// incremental bound maintenance: cell (i, j) lives at

@@ -310,8 +310,10 @@ namespace {
 /// inner tag is a cheap defense against a manifest reaching Restore
 /// through some other path. v2: heterogeneous members (per-member
 /// StreamOptions echo, cross pairs, per-stream-id frontends) and the
-/// approximation-ε options field.
-constexpr std::uint32_t kFleetManifestVersion = 2;
+/// approximation-ε options field. v3: window records hold their points
+/// instead of ring cells, and each member's options are echoed once.
+/// Older versions are rejected, not read.
+constexpr std::uint32_t kFleetManifestVersion = 3;
 
 }  // namespace
 
@@ -408,12 +410,8 @@ StatusOr<MotifFleetEngine> MotifFleetEngine::Restore(
     FM_RETURN_IF_ERROR(
         reader.GetDouble(&member_options.approximation_epsilon));
     StatusOr<WindowState> window =
-        WindowState::RestoreFrom(&reader, member_options, metric);
+        WindowState::RestoreFrom(&reader, member_options, cross, metric);
     if (!window.ok()) return window.status();
-    if (window.value().cross() != cross) {
-      return Status::DataLoss(
-          "fleet manifest member mode contradicts its window state");
-    }
     const std::size_t member = engine.windows_.size();
     engine.member_primary_.push_back(engine.stream_map_.size());
     engine.stream_map_.push_back(StreamRef{member, 0});

@@ -282,7 +282,8 @@ class MotifFleetEngine {
   const FleetOptions& options() const { return options_; }
 
   /// Serializes the fleet manifest into `out`: an options echo, every
-  /// stream's WindowState and frontend, the scheduler (drain order is
+  /// member's options (once) and WindowState — its points, not its ring
+  /// matrix — every stream's frontend, the scheduler (drain order is
   /// deterministic state), the coalesced-slide counter, and the join's
   /// verdict-cache epoch. Restore() on the result continues
   /// bit-identically — see WindowState::SaveTo for the per-window
@@ -293,6 +294,7 @@ class MotifFleetEngine {
   /// Rebuilds an engine from Snapshot()'s bytes. `options` must match
   /// the snapshot's echoed configuration except for
   /// `stream.threads` (a runtime choice with bit-identical results).
+  /// A manifest of another layout version is DataLoss.
   static StatusOr<MotifFleetEngine> Restore(const FleetOptions& options,
                                             const GroundMetric& metric,
                                             std::string_view snapshot);

@@ -66,61 +66,51 @@ Status WindowState::Append(int side, const Point& p, const double* timestamp) {
     if (timestamped) times.pop_front();
   }
 
+  // Fresh ground distances against the points the new one pairs with
+  // (the other side of a cross pair, the window itself otherwise),
+  // computed exactly as DistanceMatrix::Build computes them (cached
+  // sphere vectors for haversine, metric calls otherwise) so ring cells
+  // are bit-identical to a fresh matrix. Haversine stages the paired
+  // vectors contiguously and computes every cell with one
+  // SphereVecDistanceBatch call; SphereVecDistanceMeters is exactly
+  // symmetric (the chord terms are squared), so one buffer serves both
+  // the new row and the new column of the self-matrix. Any other metric
+  // fills new->k and k->new separately, so an asymmetric one stays
+  // exact.
+  const bool pairs_second = cross_ && side == 0;
+  const std::deque<Point>& paired = pairs_second ? second_window_ : window_;
+  const std::size_t count = paired.size();
+  batch_dists_.resize(2 * count);
+  double* new_to_k = batch_dists_.data();
+  double* k_to_new = new_to_k;
+  double self_distance = 0.0;
   SphereVec pv;
-  if (haversine_) pv = ToSphereVec(p);
-
-  // Fresh ground distances, computed exactly as DistanceMatrix::Build
-  // computes them (cached sphere vectors for haversine, metric calls
-  // otherwise) so ring cells are bit-identical to a fresh matrix. The
-  // haversine path batches each append: the opposite side's vectors are
-  // staged into a contiguous scratch buffer, the fresh cells computed with
-  // one SphereVecDistanceBatch call, and the ring bulk-copies the buffer —
-  // no per-cell std::function dispatch. SphereVecDistanceMeters is exactly
-  // symmetric (the chord terms are squared), so one buffer serves both the
-  // new row and the new column of the self-matrix.
-  if (!cross_) {
-    if (haversine_) {
-      batch_vecs_.assign(vecs_.begin(), vecs_.end());
-      batch_dists_.resize(batch_vecs_.size());
-      SphereVecDistanceBatch(pv, batch_vecs_.data(), batch_vecs_.size(),
-                             batch_dists_.data());
-      ring_.AppendPointFromBuffers(batch_dists_.data(), batch_dists_.data(),
-                                   SphereVecDistanceMeters(pv, pv));
-    } else {
-      ring_.AppendPoint(
-          [&](Index k) { return metric_->Distance(p, window_[k]); },
-          [&](Index k) { return metric_->Distance(window_[k], p); },
-          metric_->Distance(p, p));
-    }
-    engine_stats_.ground_distances_computed +=
-        2 * static_cast<std::int64_t>(window_.size()) + 1;
-  } else if (side == 0) {
-    if (haversine_) {
-      batch_vecs_.assign(second_vecs_.begin(), second_vecs_.end());
-      batch_dists_.resize(batch_vecs_.size());
-      SphereVecDistanceBatch(pv, batch_vecs_.data(), batch_vecs_.size(),
-                             batch_dists_.data());
-      ring_.AppendRowFromBuffer(batch_dists_.data());
-    } else {
-      ring_.AppendRow(
-          [&](Index j) { return metric_->Distance(p, second_window_[j]); });
-    }
-    engine_stats_.ground_distances_computed +=
-        static_cast<std::int64_t>(second_window_.size());
+  if (haversine_) {
+    pv = ToSphereVec(p);
+    const std::deque<SphereVec>& paired_vecs =
+        pairs_second ? second_vecs_ : vecs_;
+    batch_vecs_.assign(paired_vecs.begin(), paired_vecs.end());
+    SphereVecDistanceBatch(pv, batch_vecs_.data(), count, new_to_k);
+    if (!cross_) self_distance = SphereVecDistanceMeters(pv, pv);
   } else {
-    if (haversine_) {
-      batch_vecs_.assign(vecs_.begin(), vecs_.end());
-      batch_dists_.resize(batch_vecs_.size());
-      SphereVecDistanceBatch(pv, batch_vecs_.data(), batch_vecs_.size(),
-                             batch_dists_.data());
-      ring_.AppendColFromBuffer(batch_dists_.data());
-    } else {
-      ring_.AppendCol(
-          [&](Index i) { return metric_->Distance(window_[i], p); });
+    k_to_new = new_to_k + count;
+    const bool row = !cross_ || side == 0;  // the new point is a row point
+    const bool col = !cross_ || side == 1;  // ... and/or a column point
+    for (std::size_t k = 0; k < count; ++k) {
+      if (row) new_to_k[k] = metric_->Distance(p, paired[k]);
+      if (col) k_to_new[k] = metric_->Distance(paired[k], p);
     }
-    engine_stats_.ground_distances_computed +=
-        static_cast<std::int64_t>(window_.size());
+    if (!cross_) self_distance = metric_->Distance(p, p);
   }
+  if (!cross_) {
+    ring_.AppendPoint(new_to_k, k_to_new, self_distance);
+  } else if (side == 0) {
+    ring_.AppendRow(new_to_k);
+  } else {
+    ring_.AppendCol(k_to_new);
+  }
+  engine_stats_.ground_distances_computed +=
+      static_cast<std::int64_t>(cross_ ? count : 2 * count + 1);
 
   window.push_back(p);
   if (haversine_) vecs.push_back(pv);
@@ -390,64 +380,54 @@ RelaxedBounds WindowState::CurrentBounds() const {
   return bounds_.Snapshot(options_.min_length_xi);
 }
 
-namespace {
-
-void SavePointDeque(BinaryWriter* writer, const std::deque<Point>& points) {
-  writer->PutU64(points.size());
-  for (const Point& p : points) {
-    writer->PutDouble(p.x);
-    writer->PutDouble(p.y);
+void WindowState::SaveSide(BinaryWriter* writer, int side) const {
+  const std::deque<Point>& window = side == 0 ? window_ : second_window_;
+  const std::deque<double>& times = side == 0 ? times_ : second_times_;
+  const bool timestamped = side == 0 ? timestamped_ : second_timestamped_;
+  writer->PutU64(window.size());
+  writer->PutBool(timestamped);
+  for (std::size_t k = 0; k < window.size(); ++k) {
+    writer->PutDouble(window[k].x);
+    writer->PutDouble(window[k].y);
+    if (timestamped) writer->PutDouble(times[k]);
   }
 }
 
-Status LoadPointDeque(BinaryReader* reader, std::deque<Point>* points) {
+Status WindowState::ReplaySide(BinaryReader* reader, int side) {
   std::uint64_t size = 0;
+  bool timestamped = false;
   FM_RETURN_IF_ERROR(reader->GetU64(&size));
-  points->clear();
+  FM_RETURN_IF_ERROR(reader->GetBool(&timestamped));
+  if (side == 1 && !cross_ && size != 0) {
+    return Status::DataLoss(
+        "single-stream window snapshot has a second side");
+  }
+  if (size > static_cast<std::uint64_t>(options_.window_length)) {
+    return Status::DataLoss("window snapshot exceeds the window capacity");
+  }
   for (std::uint64_t k = 0; k < size; ++k) {
     Point p;
+    double t = 0.0;
     FM_RETURN_IF_ERROR(reader->GetDouble(&p.x));
     FM_RETURN_IF_ERROR(reader->GetDouble(&p.y));
-    points->push_back(p);
+    if (timestamped) FM_RETURN_IF_ERROR(reader->GetDouble(&t));
+    const double* ts = timestamped ? &t : nullptr;
+    const Status valid = ValidateArrival(*metric_, p, ts);
+    if (!valid.ok()) {
+      return Status::DataLoss("window snapshot holds an invalid point: " +
+                              valid.message());
+    }
+    FM_RETURN_IF_ERROR(Append(side, p, ts));
   }
   return Status::Ok();
 }
-
-void SaveTimeDeque(BinaryWriter* writer, const std::deque<double>& times) {
-  writer->PutU64(times.size());
-  for (const double t : times) writer->PutDouble(t);
-}
-
-Status LoadTimeDeque(BinaryReader* reader, std::deque<double>* times) {
-  std::uint64_t size = 0;
-  FM_RETURN_IF_ERROR(reader->GetU64(&size));
-  times->clear();
-  for (std::uint64_t k = 0; k < size; ++k) {
-    double t = 0.0;
-    FM_RETURN_IF_ERROR(reader->GetDouble(&t));
-    times->push_back(t);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 void WindowState::SaveTo(BinaryWriter* writer) const {
-  // Options echo: RestoreFrom rejects a snapshot taken under a
-  // different window geometry. The thread count is deliberately not
-  // echoed — it is a runtime choice with bit-identical results.
-  writer->PutBool(cross_);
-  writer->PutI32(options_.window_length);
-  writer->PutI32(options_.slide_step);
-  writer->PutI32(options_.min_length_xi);
-  writer->PutDouble(options_.approximation_epsilon);
-
-  SavePointDeque(writer, window_);
-  SavePointDeque(writer, second_window_);
-  writer->PutBool(timestamped_);
-  writer->PutBool(second_timestamped_);
-  SaveTimeDeque(writer, times_);
-  SaveTimeDeque(writer, second_times_);
+  // Inputs only: the window points (the ring and the sphere-vector
+  // caches are pure functions of them), side 1 first — the order
+  // RestoreFrom replays them in.
+  SaveSide(writer, 1);
+  SaveSide(writer, 0);
 
   writer->PutI64(pushed_first_);
   writer->PutI64(pushed_second_);
@@ -468,65 +448,28 @@ void WindowState::SaveTo(BinaryWriter* writer) const {
   writer->PutI64(engine_stats_.dfd_cells_computed);
   writer->PutI64(engine_stats_.bound_rescans);
 
-  // Ring matrix contents, logical row-major. The physical head
-  // positions are invisible through the logical API, so only the
-  // logical cells need to survive; RestoreFrom re-appends them.
-  const Index rows = ring_.rows();
-  const Index cols = ring_.cols();
-  writer->PutI32(rows);
-  writer->PutI32(cols);
-  for (Index i = 0; i < rows; ++i) {
-    for (Index j = 0; j < cols; ++j) writer->PutDouble(ring_.Distance(i, j));
-  }
-
   bounds_.SaveTo(writer);
 }
 
 StatusOr<WindowState> WindowState::RestoreFrom(BinaryReader* reader,
                                                const StreamOptions& options,
+                                               bool cross,
                                                const GroundMetric& metric) {
-  bool cross = false;
-  Index window_length = 0;
-  Index slide_step = 0;
-  Index xi = 0;
-  double epsilon = 0.0;
-  FM_RETURN_IF_ERROR(reader->GetBool(&cross));
-  FM_RETURN_IF_ERROR(reader->GetI32(&window_length));
-  FM_RETURN_IF_ERROR(reader->GetI32(&slide_step));
-  FM_RETURN_IF_ERROR(reader->GetI32(&xi));
-  FM_RETURN_IF_ERROR(reader->GetDouble(&epsilon));
-  if (window_length != options.window_length ||
-      slide_step != options.slide_step || xi != options.min_length_xi ||
-      epsilon != options.approximation_epsilon) {
-    return Status::FailedPrecondition(
-        "window snapshot was taken under different stream options "
-        "(window length / slide step / xi / approximation epsilon)");
-  }
-
   StatusOr<WindowState> created = Create(options, metric, cross);
   if (!created.ok()) return created.status();
   WindowState state = std::move(created).value();
 
-  FM_RETURN_IF_ERROR(LoadPointDeque(reader, &state.window_));
-  FM_RETURN_IF_ERROR(LoadPointDeque(reader, &state.second_window_));
-  FM_RETURN_IF_ERROR(reader->GetBool(&state.timestamped_));
-  FM_RETURN_IF_ERROR(reader->GetBool(&state.second_timestamped_));
-  FM_RETURN_IF_ERROR(LoadTimeDeque(reader, &state.times_));
-  FM_RETURN_IF_ERROR(LoadTimeDeque(reader, &state.second_times_));
-  if (static_cast<Index>(state.window_.size()) > options.window_length ||
-      static_cast<Index>(state.second_window_.size()) >
-          options.window_length) {
-    return Status::DataLoss("window snapshot exceeds the window capacity");
-  }
-  if ((state.timestamped_ && state.times_.size() != state.window_.size()) ||
-      (!state.timestamped_ && !state.times_.empty()) ||
-      (state.second_timestamped_ &&
-       state.second_times_.size() != state.second_window_.size()) ||
-      (!state.second_timestamped_ && !state.second_times_.empty())) {
-    return Status::DataLoss(
-        "window snapshot timestamps do not match its points");
-  }
+  // Rebuild the ring, the sphere-vector caches and the point/time
+  // deques through the ingest path itself. Each cell is a pure function
+  // of its two points (and SphereVecDistanceMeters is exactly
+  // symmetric), so the replay order does not change a bit; side 1 first
+  // means the cross pair's columns are appended while no rows exist, and
+  // each row then fills its full extent.
+  FM_RETURN_IF_ERROR(state.ReplaySide(reader, 1));
+  FM_RETURN_IF_ERROR(state.ReplaySide(reader, 0));
 
+  // The replay advanced the counters and slide accounting; overwrite
+  // them with the saved values.
   FM_RETURN_IF_ERROR(reader->GetI64(&state.pushed_first_));
   FM_RETURN_IF_ERROR(reader->GetI64(&state.pushed_second_));
   FM_RETURN_IF_ERROR(reader->GetI32(&state.appended_since_search_first_));
@@ -547,55 +490,6 @@ StatusOr<WindowState> WindowState::RestoreFrom(BinaryReader* reader,
   FM_RETURN_IF_ERROR(
       reader->GetI64(&state.engine_stats_.dfd_cells_computed));
   FM_RETURN_IF_ERROR(reader->GetI64(&state.engine_stats_.bound_rescans));
-
-  // Derived caches: recomputed, not stored — ToSphereVec is a pure
-  // function of the point, so the cache is bit-identical to the one the
-  // saved instance held.
-  if (state.haversine_) {
-    for (const Point& p : state.window_) {
-      state.vecs_.push_back(ToSphereVec(p));
-    }
-    for (const Point& p : state.second_window_) {
-      state.second_vecs_.push_back(ToSphereVec(p));
-    }
-  }
-
-  // Ring rebuild: re-append the saved logical cells. The fresh ring's
-  // physical heads start at zero, which is invisible through the
-  // logical (i, j) API — contents and future eviction behavior are
-  // identical.
-  Index rows = 0;
-  Index cols = 0;
-  FM_RETURN_IF_ERROR(reader->GetI32(&rows));
-  FM_RETURN_IF_ERROR(reader->GetI32(&cols));
-  const Index expect_rows = static_cast<Index>(state.window_.size());
-  const Index expect_cols =
-      cross ? static_cast<Index>(state.second_window_.size()) : expect_rows;
-  if (rows != expect_rows || cols != expect_cols) {
-    return Status::DataLoss(
-        "window snapshot ring dimensions do not match its points");
-  }
-  std::vector<double> cells(static_cast<std::size_t>(rows) * cols);
-  for (double& cell : cells) FM_RETURN_IF_ERROR(reader->GetDouble(&cell));
-  const auto cell_at = [&](Index i, Index j) {
-    return cells[static_cast<std::size_t>(i) * cols + j];
-  };
-  if (!cross) {
-    for (Index k = 0; k < rows; ++k) {
-      state.ring_.AppendPoint([&](Index j) { return cell_at(k, j); },
-                              [&](Index i) { return cell_at(i, k); },
-                              cell_at(k, k));
-    }
-  } else {
-    // Columns first (no rows yet, so no cells are written), then each
-    // row fills its full extent from the saved matrix.
-    for (Index j = 0; j < cols; ++j) {
-      state.ring_.AppendCol([&](Index) { return 0.0; });
-    }
-    for (Index i = 0; i < rows; ++i) {
-      state.ring_.AppendRow([&](Index j) { return cell_at(i, j); });
-    }
-  }
 
   FM_RETURN_IF_ERROR(state.bounds_.LoadFrom(reader));
   return state;

@@ -264,26 +264,29 @@ class WindowState {
   /// over the window. Only meaningful after at least one search.
   RelaxedBounds CurrentBounds() const;
 
-  /// Serializes the complete window state — ring matrix contents,
-  /// incremental bounds (values and achievers), the carried optimum and
-  /// threshold, slide accounting and engine counters — such that a
-  /// RestoreFrom'd instance continues **bit-identically** to this one:
-  /// every future report (candidate, distance, seeded/carried flags)
-  /// and every engine counter evolves exactly as if the process had
-  /// never stopped. Doubles are stored as raw IEEE-754 bit patterns;
-  /// derived caches (sphere vectors) are recomputed deterministically
-  /// on restore. The encoding starts with an options echo that
-  /// RestoreFrom validates.
+  /// Serializes what of the window state cannot be re-derived — the
+  /// window points with their timestamps, the incremental bounds
+  /// (values and achievers), the carried optimum and threshold, slide
+  /// accounting and engine counters — such that a RestoreFrom'd
+  /// instance continues **bit-identically** to this one: every future
+  /// report (candidate, distance, seeded/carried flags) and every engine
+  /// counter evolves exactly as if the process had never stopped.
+  /// Doubles are stored as raw IEEE-754 bit patterns. The ring matrix and
+  /// the sphere-vector caches are not stored: they are pure functions of
+  /// the points. The options are not stored either; the caller echoes
+  /// them (the fleet manifest does, once per member).
   void SaveTo(BinaryWriter* writer) const;
 
-  /// Rebuilds a WindowState from SaveTo's encoding. `options` must
-  /// match the saved geometry (window length, slide step, ξ — the
-  /// thread count is a runtime choice and may differ; results are
-  /// bit-identical for every thread count). The metric must be the same
-  /// metric the state was built with — ring cells are restored verbatim
-  /// and future appends must extend them consistently.
+  /// Rebuilds a WindowState from SaveTo's encoding under `options` and
+  /// `cross` (as saved by the caller; the thread count is a runtime
+  /// choice and may differ — results are bit-identical for every thread
+  /// count). The saved points are replayed through Append, which
+  /// re-derives every ring cell exactly as ingest computed it, so the
+  /// metric must be the one the state was built with. A point that fails
+  /// ValidateArrival is DataLoss.
   static StatusOr<WindowState> RestoreFrom(BinaryReader* reader,
                                            const StreamOptions& options,
+                                           bool cross,
                                            const GroundMetric& metric);
 
  private:
@@ -291,6 +294,11 @@ class WindowState {
               bool cross);
 
   MotifOptions SearchMotifOptions() const;
+
+  /// One side's points (side 0 or 1), with timestamps when pushed.
+  void SaveSide(BinaryWriter* writer, int side) const;
+  /// Reads one SaveSide record and replays its points through Append.
+  Status ReplaySide(BinaryReader* reader, int side);
 
   StreamOptions options_;
   const GroundMetric* metric_;
@@ -321,10 +329,10 @@ class WindowState {
   Candidate previous_best_;
   double previous_distance_ = std::numeric_limits<double>::infinity();
 
-  /// Scratch for the batched haversine append path: the opposite side's
-  /// sphere vectors staged contiguously, and the fresh cells computed by
-  /// SphereVecDistanceBatch. Reused across appends (capacity stabilizes at
-  /// the window length); never serialized.
+  /// Append scratch: the paired sphere vectors staged contiguously
+  /// (haversine), and the fresh cells the ring copies in (new->k then,
+  /// for a non-haversine metric, k->new). Reused across appends (capacity
+  /// stabilizes at the window length); never serialized.
   std::vector<SphereVec> batch_vecs_;
   std::vector<double> batch_dists_;
 

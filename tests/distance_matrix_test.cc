@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "geo/metric.h"
 #include "test_util.h"
 
@@ -96,18 +98,30 @@ double CellOf(Index row_id, Index col_id) {
   return 1000.0 * static_cast<double>(row_id) + static_cast<double>(col_id);
 }
 
+// The fresh-cell buffer an append copies in: values[k] = cell(k) for
+// k in [0, count).
+template <typename CellFn>
+std::vector<double> Cells(Index count, CellFn cell) {
+  std::vector<double> values(static_cast<std::size_t>(count));
+  for (Index k = 0; k < count; ++k) values[k] = cell(k);
+  return values;
+}
+
+// Enough zeros for any append in these tests.
+const std::vector<double> kZeros(16, 0.0);
+
 TEST(RingDistanceMatrixTest, AppendRowEvictsOldestExactlyAtCapacity) {
   RingDistanceMatrix ring(/*row_capacity=*/3, /*col_capacity=*/2);
-  ring.AppendCol([](Index) { return CellOf(0, 0); });  // no rows yet
-  ring.AppendCol([](Index) { return CellOf(0, 1); });
+  ring.AppendCol(kZeros.data());  // no rows yet
+  ring.AppendCol(kZeros.data());
 
   for (Index r = 0; r < 3; ++r) {
-    ring.AppendRow([r](Index j) { return CellOf(r, j); });
+    ring.AppendRow(Cells(2, [r](Index j) { return CellOf(r, j); }).data());
     EXPECT_EQ(ring.rows(), r + 1) << "no eviction below capacity";
   }
   // The window is exactly full: one more row must evict logical row 0
   // and only logical row 0.
-  ring.AppendRow([](Index j) { return CellOf(3, j); });
+  ring.AppendRow(Cells(2, [](Index j) { return CellOf(3, j); }).data());
   EXPECT_EQ(ring.rows(), 3);
   for (Index i = 0; i < 3; ++i) {
     for (Index j = 0; j < 2; ++j) {
@@ -120,12 +134,10 @@ TEST(RingDistanceMatrixTest, AppendRowEvictsOldestExactlyAtCapacity) {
 
 TEST(RingDistanceMatrixTest, HeadsWrapAcrossManyEvictions) {
   RingDistanceMatrix ring(/*row_capacity=*/3, /*col_capacity=*/4);
-  for (Index j = 0; j < 4; ++j) {
-    ring.AppendCol([](Index) { return 0.0; });
-  }
+  for (Index j = 0; j < 4; ++j) ring.AppendCol(kZeros.data());
   // Enough appends to lap the physical buffer several times.
   for (Index r = 0; r < 11; ++r) {
-    ring.AppendRow([r](Index j) { return CellOf(r, j); });
+    ring.AppendRow(Cells(4, [r](Index j) { return CellOf(r, j); }).data());
   }
   EXPECT_EQ(ring.rows(), 3);
   EXPECT_EQ(ring.row_capacity(), 3);
@@ -138,10 +150,10 @@ TEST(RingDistanceMatrixTest, HeadsWrapAcrossManyEvictions) {
 
 TEST(RingDistanceMatrixTest, AppendColEvictsOldestColumn) {
   RingDistanceMatrix ring(/*row_capacity=*/2, /*col_capacity=*/3);
-  ring.AppendRow([](Index) { return 0.0; });
-  ring.AppendRow([](Index) { return 0.0; });
+  ring.AppendRow(kZeros.data());
+  ring.AppendRow(kZeros.data());
   for (Index c = 0; c < 5; ++c) {
-    ring.AppendCol([c](Index i) { return CellOf(i, c); });
+    ring.AppendCol(Cells(2, [c](Index i) { return CellOf(i, c); }).data());
     EXPECT_LE(ring.cols(), 3) << "cols() must never exceed capacity";
   }
   EXPECT_EQ(ring.cols(), 3);
@@ -154,13 +166,11 @@ TEST(RingDistanceMatrixTest, AppendColEvictsOldestColumn) {
 
 TEST(RingDistanceMatrixTest, CapacityOneAlwaysHoldsTheNewestEntry) {
   RingDistanceMatrix ring(/*row_capacity=*/1, /*col_capacity=*/1);
-  ring.AppendPoint([](Index) { return 0.0; }, [](Index) { return 0.0; },
-                   /*self_distance=*/7.0);
+  ring.AppendPoint(kZeros.data(), kZeros.data(), /*self_distance=*/7.0);
   EXPECT_EQ(ring.rows(), 1);
   EXPECT_EQ(ring.cols(), 1);
   EXPECT_EQ(ring.Distance(0, 0), 7.0);
-  ring.AppendPoint([](Index) { return 0.0; }, [](Index) { return 0.0; },
-                   /*self_distance=*/9.0);
+  ring.AppendPoint(kZeros.data(), kZeros.data(), /*self_distance=*/9.0);
   EXPECT_EQ(ring.rows(), 1);
   EXPECT_EQ(ring.Distance(0, 0), 9.0);
 }
@@ -169,12 +179,15 @@ TEST(RingDistanceMatrixTest, AppendPointEvictsBothDimensionsTogether) {
   RingDistanceMatrix ring(/*row_capacity=*/3, /*col_capacity=*/3);
   // Self-matrix over global point ids 0..4: cell (a, b) = CellOf(a, b),
   // with an asymmetric fill (row fill vs column fill differ by the
-  // argument order) so a swapped callback would be caught.
+  // argument order) so a swapped buffer would be caught.
   for (Index p = 0; p < 5; ++p) {
     const Index base = p >= 3 ? p - 2 : 0;  // oldest surviving global id
+    const Index fresh = p - base;           // cells per fresh row/column
     ring.AppendPoint(
-        [p, base](Index k) { return CellOf(p, base + k); },
-        [p, base](Index k) { return CellOf(base + k, p); },
+        Cells(fresh, [p, base](Index k) { return CellOf(p, base + k); })
+            .data(),
+        Cells(fresh, [p, base](Index k) { return CellOf(base + k, p); })
+            .data(),
         /*self_distance=*/CellOf(p, p));
     EXPECT_EQ(ring.rows(), ring.cols()) << "self-matrix must stay square";
     EXPECT_LE(ring.rows(), 3);
@@ -187,14 +200,59 @@ TEST(RingDistanceMatrixTest, AppendPointEvictsBothDimensionsTogether) {
   }
 }
 
+TEST(RingDistanceMatrixTest, MidBufferHeadsSplitRowAndColumnWrites) {
+  // Drive both heads mid-buffer with the ring full, so the next row
+  // write wraps across the column seam and the next column write across
+  // the row seam — each buffer copy lands in two non-empty segments.
+  RingDistanceMatrix ring(/*row_capacity=*/4, /*col_capacity=*/5);
+  Index first_row = 0;  // global id of logical row 0
+  Index first_col = 0;  // global id of logical column 0
+  Index next_row = 0;
+  Index next_col = 0;
+  const auto append_row = [&] {
+    if (ring.rows() == ring.row_capacity()) ++first_row;
+    const Index r = next_row++;
+    const Index base = first_col;
+    ring.AppendRow(
+        Cells(ring.cols(), [r, base](Index j) { return CellOf(r, base + j); })
+            .data());
+  };
+  const auto append_col = [&] {
+    if (ring.cols() == ring.col_capacity()) ++first_col;
+    const Index c = next_col++;
+    const Index base = first_row;
+    ring.AppendCol(
+        Cells(ring.rows(), [c, base](Index i) { return CellOf(base + i, c); })
+            .data());
+  };
+  for (int k = 0; k < 5; ++k) append_col();
+  for (int k = 0; k < 6; ++k) append_row();  // row head -> 2
+  for (int k = 0; k < 2; ++k) append_col();  // col head -> 2
+  ASSERT_EQ(ring.row_head(), 2);
+  ASSERT_EQ(ring.col_head(), 2);
+  // Row write: logical columns [0, 5) from physical slot 2 -> [2, 5) + [0, 2).
+  append_row();
+  ASSERT_EQ(ring.row_head(), 3);
+  // Column write: logical rows [0, 4) from physical slot 3 -> [3, 4) + [0, 3).
+  append_col();
+  ASSERT_EQ(ring.col_head(), 3);
+
+  ASSERT_EQ(ring.rows(), 4);
+  ASSERT_EQ(ring.cols(), 5);
+  for (Index i = 0; i < ring.rows(); ++i) {
+    for (Index j = 0; j < ring.cols(); ++j) {
+      EXPECT_EQ(ring.Distance(i, j), CellOf(first_row + i, first_col + j))
+          << "cell (" << i << "," << j << ")";
+    }
+  }
+}
+
 TEST(RingDistanceMatrixTest, FootprintIsCapacityBoundNotSizeBound) {
   RingDistanceMatrix ring(/*row_capacity=*/4, /*col_capacity=*/5);
   const std::size_t fresh = ring.MemoryBytes();
   EXPECT_EQ(fresh, 4u * 5u * sizeof(double));
-  for (Index j = 0; j < 5; ++j) ring.AppendCol([](Index) { return 0.0; });
-  for (Index r = 0; r < 9; ++r) {
-    ring.AppendRow([](Index) { return 0.0; });
-  }
+  for (Index j = 0; j < 5; ++j) ring.AppendCol(kZeros.data());
+  for (Index r = 0; r < 9; ++r) ring.AppendRow(kZeros.data());
   EXPECT_EQ(ring.MemoryBytes(), fresh) << "the ring never reallocates";
 }
 

@@ -6,7 +6,11 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -442,6 +446,140 @@ TEST(FleetSnapshot, OptionMismatchAndTrailingBytesAreRejected) {
   auto trailing = MotifFleetEngine::Restore(options, metric, snapshot + "x");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(StatusCode::kDataLoss, trailing.status().code());
+
+  // A manifest from before the points-only window layout (v2 stored
+  // ring cells) is rejected by version, not misread.
+  std::string v2 = snapshot;
+  v2.replace(0, 4, std::string("\x02\x00\x00\x00", 4));
+  auto old_layout = MotifFleetEngine::Restore(options, metric, v2);
+  ASSERT_FALSE(old_layout.ok());
+  EXPECT_EQ(StatusCode::kDataLoss, old_layout.status().code());
+  EXPECT_EQ("unsupported fleet manifest version 2",
+            old_layout.status().message());
+}
+
+TEST(FleetSnapshot, InvalidRestoredPointIsDataLoss) {
+  // Ring cells are re-derived from the saved points, so a corrupt point
+  // must be caught where it re-enters the engine, not turned into NaN
+  // cells.
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  const EuclideanMetric metric;
+  auto fleet = MotifFleetEngine::Create(options, metric);
+  ASSERT_TRUE(fleet.ok());
+  ASSERT_TRUE(fleet.value().AddStream().ok());
+  const Trajectory t = testing_util::MakePlanarWalk(40, 7003);
+  for (Index k = 0; k < t.size(); ++k) {
+    ASSERT_TRUE(fleet.value().Push(0, t[k]).ok());
+  }
+  std::string snapshot;
+  ASSERT_TRUE(fleet.value().Snapshot(&snapshot).ok());
+  ASSERT_TRUE(MotifFleetEngine::Restore(options, metric, snapshot).ok());
+
+  // Overwrite the newest point's x with a NaN bit pattern.
+  const double x = t[t.size() - 1].x;
+  const std::string x_bytes(reinterpret_cast<const char*>(&x), sizeof(x));
+  const std::size_t at = snapshot.find(x_bytes);
+  ASSERT_NE(std::string::npos, at);
+  ASSERT_EQ(at, snapshot.rfind(x_bytes)) << "x must be stored once";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  snapshot.replace(at, sizeof(nan),
+                   std::string(reinterpret_cast<const char*>(&nan),
+                               sizeof(nan)));
+  auto restored = MotifFleetEngine::Restore(options, metric, snapshot);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(StatusCode::kDataLoss, restored.status().code());
+}
+
+TEST(FleetSnapshot, SizeGrowsLinearlyWithWindow) {
+  // A window record holds its points and O(W) bound arrays, not the W²
+  // ring: quadrupling W must grow the snapshot about 4x, far below the
+  // 16x a cell dump costs.
+  const auto snapshot_bytes = [](Index window) -> std::size_t {
+    FleetOptions options;
+    options.stream.window_length = window;
+    options.stream.slide_step = window / 4;
+    options.stream.min_length_xi = 6;
+    const EuclideanMetric metric;
+    auto fleet = MotifFleetEngine::Create(options, metric);
+    EXPECT_TRUE(fleet.ok());
+    if (!fleet.ok()) return 0;
+    EXPECT_TRUE(fleet.value().AddStream().ok());
+    const Trajectory t = testing_util::MakePlanarWalk(2 * window, 7004);
+    for (Index k = 0; k < t.size(); ++k) {
+      EXPECT_TRUE(fleet.value().Push(0, t[k]).ok());
+    }
+    std::string snapshot;
+    EXPECT_TRUE(fleet.value().Snapshot(&snapshot).ok());
+    return snapshot.size();
+  };
+  const std::size_t small = snapshot_bytes(64);
+  const std::size_t large = snapshot_bytes(256);
+  ASSERT_GT(small, 0u);
+  EXPECT_LT(static_cast<double>(large) / static_cast<double>(small), 6.0)
+      << small << " bytes at W=64, " << large << " bytes at W=256";
+}
+
+// The engine shape of the fuzz_snapshot harness (SeedOptions in
+// tests/fuzz/fuzz_snapshot.cc): its engine-restore stage only gets past
+// the options echo for blobs made under these options.
+FleetOptions FuzzSeedOptions() {
+  FleetOptions options;
+  options.stream.window_length = 8;
+  options.stream.slide_step = 2;
+  options.stream.min_length_xi = 2;
+  return options;
+}
+
+// One single and one cross member, timestamped, each past a search.
+void BuildFuzzSeedSnapshot(std::string* out) {
+  auto fleet = MotifFleetEngine::Create(FuzzSeedOptions(), Euclidean());
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  ASSERT_TRUE(fleet.value().AddStream().ok());
+  ASSERT_TRUE(fleet.value().AddCrossPair().ok());
+  std::vector<Trajectory> data;
+  for (std::size_t s = 0; s < 3; ++s) {
+    data.push_back(testing_util::MakePlanarWalk(13, 7100 + s));
+  }
+  for (Index k = 0; k < 13; ++k) {
+    for (std::size_t s = 0; s < 3; ++s) {
+      ASSERT_TRUE(fleet.value()
+                      .Push(s, data[s][k], 100.0 + static_cast<double>(k))
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(fleet.value().Snapshot(out).ok());
+}
+
+TEST(FleetSnapshot, CommittedFuzzSeedRestores) {
+  // The committed seed must be a current-layout blob, or the harness's
+  // engine-restore stage never gets past the version field. To refresh
+  // it after a layout change:
+  //
+  //   FMOTIF_UPDATE_GOLDEN=1 ./build/tests/durable_test
+  const std::string path =
+      std::string(FMOTIF_SNAPSHOT_CORPUS_DIR) + "/engine-snapshot";
+  if (std::getenv("FMOTIF_UPDATE_GOLDEN") != nullptr) {
+    std::string fresh;
+    ASSERT_NO_FATAL_FAILURE(BuildFuzzSeedSnapshot(&fresh));
+    std::ofstream out(path, std::ios::binary);
+    out << fresh;
+    ASSERT_TRUE(out.good()) << "failed to update " << path;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing fuzz seed " << path;
+  std::stringstream seed;
+  seed << in.rdbuf();
+
+  auto restored =
+      MotifFleetEngine::Restore(FuzzSeedOptions(), Euclidean(), seed.str());
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  EXPECT_EQ(3, restored.value().stats().streams);
+  EXPECT_GE(restored.value().stats().searches, 2);
+  std::string again;
+  ASSERT_TRUE(restored.value().Snapshot(&again).ok());
+  EXPECT_EQ(seed.str(), again);
 }
 
 // ---------------------------------------------------------------------------

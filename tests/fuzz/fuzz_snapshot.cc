@@ -10,6 +10,10 @@
 ///     tests/durable_test.cc.
 ///
 ///  2. MotifFleetEngine::Restore on the bytes as a snapshot blob.
+///     corpus/fuzz_snapshot/engine-snapshot is a current-layout blob
+///     (FleetSnapshot.CommittedFuzzSeedRestores in tests/durable_test.cc
+///     checks it restores, and rewrites it under FMOTIF_UPDATE_GOLDEN=1);
+///     engine-snapshot-v1 keeps the version rejection covered.
 ///
 ///  3. StateStore::Open over an in-memory FaultFs (tests/fault_fs.h)
 ///     whose snap/wal files are carved from the input — the full
@@ -41,7 +45,8 @@ using frechet_motif::Status;
 using frechet_motif::testing_util::FaultFs;
 
 /// The fixed engine shape the committed snapshot seed was generated
-/// with (Restore checks the blob's echoed options against these).
+/// with (Restore checks the blob's echoed options against these;
+/// FuzzSeedOptions in tests/durable_test.cc must match).
 FleetOptions SeedOptions() {
   FleetOptions options;
   options.stream.window_length = 8;

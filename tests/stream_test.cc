@@ -43,10 +43,13 @@ TEST(RingDistanceMatrix, SelfMatrixMatchesBuildAfterEvictions) {
       window.erase(window.begin());
     }
     const Point p = t[k];
-    ring.AppendPoint(
-        [&](Index i) { return metric.Distance(p, window[i]); },
-        [&](Index i) { return metric.Distance(window[i], p); },
-        metric.Distance(p, p));
+    std::vector<double> new_to_k;
+    std::vector<double> k_to_new;
+    for (const Point& q : window) {
+      new_to_k.push_back(metric.Distance(p, q));
+      k_to_new.push_back(metric.Distance(q, p));
+    }
+    ring.AppendPoint(new_to_k.data(), k_to_new.data(), metric.Distance(p, p));
     window.push_back(p);
 
     ASSERT_EQ(static_cast<Index>(window.size()), ring.rows());
@@ -74,14 +77,18 @@ TEST(RingDistanceMatrix, CrossMatrixRowColAppends) {
       rows_pts.erase(rows_pts.begin());
     }
     const Point pr = a[k];
-    ring.AppendRow([&](Index j) { return metric.Distance(pr, cols_pts[j]); });
+    std::vector<double> row;
+    for (const Point& q : cols_pts) row.push_back(metric.Distance(pr, q));
+    ring.AppendRow(row.data());
     rows_pts.push_back(pr);
 
     if (static_cast<Index>(cols_pts.size()) == 12) {
       cols_pts.erase(cols_pts.begin());
     }
     const Point pc = b[k];
-    ring.AppendCol([&](Index i) { return metric.Distance(rows_pts[i], pc); });
+    std::vector<double> col;
+    for (const Point& q : rows_pts) col.push_back(metric.Distance(q, pc));
+    ring.AppendCol(col.data());
     cols_pts.push_back(pc);
   }
   ASSERT_EQ(8, ring.rows());
