@@ -98,10 +98,9 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
 
   // -- The DFD kernel: baseline vs monomorphized vs early-exit --------
   // Each matrix-path row carries the SIMD level it dispatched to
-  // (0=scalar 1=sse2 2=avx2 3=avx512) so the committed JSON records what
-  // the numbers mean; *_scalar rows pin the level to 0 via the
-  // programmatic cap, isolating the vectorization speedup from the
-  // monomorphization one.
+  // (0=scalar 2=avx2) so the committed JSON records what the numbers
+  // mean; *_scalar rows pin the level to 0 via the programmatic cap,
+  // isolating the vectorization speedup from the monomorphization one.
   const double simd_level = static_cast<double>(ActiveSimdLevel());
   const std::vector<Index> range_lengths =
       config.smoke ? std::vector<Index>{32, 64}

@@ -9,12 +9,10 @@ namespace frechet_motif {
 
 namespace {
 
-/// Journal record kinds (first payload byte). Kinds 1 and 2 are the
-/// legacy format, which logged released batches instead of calls; they
-/// are only ever read. Every other record continues with a failed-call
-/// flag, then the call's arguments.
-constexpr std::uint8_t kLegacyReleasedBatchRecord = 1;
-constexpr std::uint8_t kLegacyAddStreamRecord = 2;
+/// Journal record kinds (first payload byte). Every record continues
+/// with a failed-call flag, then the call's arguments. Kinds 1 and 2
+/// belonged to a format whose state dirs Restore no longer reads; they
+/// are rejected like any unknown kind.
 constexpr std::uint8_t kAddStreamRecord = 3;
 constexpr std::uint8_t kAddCrossPairRecord = 4;
 constexpr std::uint8_t kIngestRecord = 5;
@@ -147,27 +145,18 @@ Status DurableFleet::Replay(std::string_view record) {
   BinaryReader reader(record);
   std::uint8_t kind = 0;
   FM_RETURN_IF_ERROR(reader.GetU8(&kind));
-  const bool legacy =
-      kind == kLegacyAddStreamRecord || kind == kLegacyReleasedBatchRecord;
-  if (kind == kLegacyReleasedBatchRecord && options().reorder_capacity != 0) {
-    // A released batch is the raw one only when nothing reorders.
-    return Status::DataLoss(
-        "journal holds a legacy released-batch record, which replays "
-        "exactly only with reorder_capacity 0");
-  }
-  if (!legacy && (kind < kAddStreamRecord || kind > kFlushRecord)) {
+  if (kind < kAddStreamRecord || kind > kFlushRecord) {
     return Status::DataLoss("unknown journal record kind " +
                             std::to_string(kind));
   }
   bool failed = false;
-  if (!legacy) FM_RETURN_IF_ERROR(reader.GetBool(&failed));
-  const bool add = kind == kLegacyAddStreamRecord ||
-                   kind == kAddStreamRecord || kind == kAddCrossPairRecord;
+  FM_RETURN_IF_ERROR(reader.GetBool(&failed));
+  const bool add = kind == kAddStreamRecord || kind == kAddCrossPairRecord;
   StreamOptions member = options().stream;
   std::vector<FleetArrival> batch;
-  if (kind == kAddStreamRecord || kind == kAddCrossPairRecord) {
+  if (add) {
     FM_RETURN_IF_ERROR(DecodeMemberOptions(&reader, &member));
-  } else if (kind == kIngestRecord || kind == kLegacyReleasedBatchRecord) {
+  } else if (kind == kIngestRecord) {
     FM_RETURN_IF_ERROR(DecodeBatch(&reader, &batch));
   }
   if (!reader.AtEnd()) {
@@ -177,9 +166,8 @@ Status DurableFleet::Replay(std::string_view record) {
   // The same call again; it must succeed or fail as it did originally.
   Status status;
   if (add) {
-    status = kind == kLegacyAddStreamRecord ? AddStream().status()
-             : kind == kAddStreamRecord     ? AddStream(member).status()
-                                            : AddCrossPair(member).status();
+    status = kind == kAddStreamRecord ? AddStream(member).status()
+                                      : AddCrossPair(member).status();
   } else {
     StatusOr<FleetReport> report = kind == kDrainRecord   ? Drain()
                                    : kind == kFlushRecord ? Flush()

@@ -33,10 +33,10 @@
 ///
 /// `Open` recovers (newest valid snapshot + journal tail, see
 /// state_store.h), then immediately checkpoints, so new records never
-/// extend a journal whose tail was just found torn. Journals written
-/// before calls were logged hold add-stream and *released*-batch
-/// records; they still replay when the released sequence equals the
-/// raw one (`reorder_capacity == 0`), and fail with DataLoss otherwise.
+/// extend a journal whose tail was just found torn. A record of a kind
+/// this build does not write (including the add-stream and
+/// released-batch records of the format before calls were logged) fails
+/// `Open` with DataLoss.
 
 #include <cstdint>
 #include <memory>

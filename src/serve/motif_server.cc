@@ -224,6 +224,23 @@ void WriteFleetStats(JsonWriter* w, const FleetStats& stats) {
   w->EndObject();
 }
 
+void WriteJoinStats(JsonWriter* w, const IncrementalJoinStats& stats,
+                    std::size_t current_matches) {
+  w->Key("join");
+  w->BeginObject();
+  w->Key("pairs_reverified");
+  w->Int(stats.pairs_reverified);
+  w->Key("verdicts_carried");
+  w->Int(stats.verdicts_carried);
+  w->Key("entered_total");
+  w->Int(stats.entered_total);
+  w->Key("left_total");
+  w->Int(stats.left_total);
+  w->Key("current_matches");
+  w->Int(static_cast<std::int64_t>(current_matches));
+  w->EndObject();
+}
+
 void WriteDurable(JsonWriter* w, const std::string& state_dir,
                   const DurableFleet& fleet) {
   w->Key("durable");

@@ -54,6 +54,7 @@
 /// serialized with the same frame functions — the serve-tier extension
 /// of the repo-wide parity contract, enforced by tests/serve_fault_test.
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -151,10 +152,14 @@ std::string SerializeJoinFrame(const JoinDelta& delta);
 
 /// The counter blocks of the `stats` frame and of the CLI's `summary`
 /// line, so each counter is named in one place. `WriteServeStats` writes
-/// its keys into the object `w` has open; `WriteFleetStats` and
-/// `WriteDurable` write one `"fleet"` / `"durable"` member holding theirs.
+/// its keys into the object `w` has open; `WriteFleetStats`,
+/// `WriteJoinStats` and `WriteDurable` write one `"fleet"` / `"join"` /
+/// `"durable"` member holding theirs (`current_matches` is the size of
+/// the engine's current match set).
 void WriteServeStats(JsonWriter* w, const ServeStats& stats);
 void WriteFleetStats(JsonWriter* w, const FleetStats& stats);
+void WriteJoinStats(JsonWriter* w, const IncrementalJoinStats& stats,
+                    std::size_t current_matches);
 void WriteDurable(JsonWriter* w, const std::string& state_dir,
                   const DurableFleet& fleet);
 

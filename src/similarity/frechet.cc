@@ -63,6 +63,40 @@ inline double CornerBound(Index la, Index lb, const DistFn& dist) {
   return d00 > dnn ? d00 : dnn;
 }
 
+/// First DP row: dF(a[0..0], b[0..q]) = max over the first q+1 ground
+/// distances (the dog stands still while the man walks). The running max
+/// is carried in a register instead of re-read from row[q-1]. Its
+/// frontier minimum is row[0] = d(0,0) <= corner <= threshold, so no
+/// exit is possible here.
+template <typename DistFn>
+inline void FirstRow(Index lb, const DistFn& dist, double* row) {
+  double running = dist(0, 0);
+  row[0] = running;
+  for (Index q = 1; q < lb; ++q) {
+    const double d = dist(0, q);
+    if (d > running) running = d;
+    row[q] = running;
+  }
+}
+
+/// Row p of the recurrence from column q on, given diag = dF(p-1, q-1)
+/// and left = dF(p, q-1): only the recurrence's own dependency chain.
+/// The scalar kernel's plain rows and the vector kernel's tail both run
+/// this loop.
+template <typename DistFn>
+inline void RowTail(Index p, Index q, Index lb, const DistFn& dist,
+                    double diag, double left, double* row) {
+  for (; q < lb; ++q) {
+    const double up = row[q];  // dF(p-1, q)
+    double best_predecessor = diag < up ? diag : up;
+    if (left < best_predecessor) best_predecessor = left;
+    const double d = dist(p, q);
+    left = d > best_predecessor ? d : best_predecessor;
+    row[q] = left;
+    diag = up;
+  }
+}
+
 /// Core rolling-row DP over an abstract distance accessor.
 /// dist(p, q) must return the ground distance between the p-th point of the
 /// first sequence (length la) and the q-th point of the second (length lb).
@@ -70,8 +104,8 @@ inline double CornerBound(Index la, Index lb, const DistFn& dist) {
 /// This template is the single source of truth for the recurrence; it is
 /// instantiated once per accessor so that cheap accessors (the row-major
 /// matrix functor below) inline into the loop with no virtual dispatch.
-/// The explicit-SIMD matrix kernels below compute bit-identical values
-/// (their reassociation is min/max-only, which is exact).
+/// The AVX2 matrix kernel below computes bit-identical values (its
+/// reassociation is min/max-only, which is exact).
 template <typename DistFn>
 double FrechetDpKernel(Index la, Index lb, const DistFn& dist,
                        double threshold, std::vector<double>& row) {
@@ -83,18 +117,7 @@ double FrechetDpKernel(Index la, Index lb, const DistFn& dist,
     const double corner = CornerBound(la, lb, dist);
     if (corner > threshold) return corner;
   }
-  // First row: dF(a[0..0], b[0..q]) = max over the first q+1 ground
-  // distances (the dog stands still while the man walks). The running max
-  // is carried in a register instead of re-read from row[q-1]. Its
-  // frontier minimum is row[0] = d(0,0) <= corner <= threshold, so no
-  // exit is possible here.
-  double running = dist(0, 0);
-  row[0] = running;
-  for (Index q = 1; q < lb; ++q) {
-    const double d = dist(0, q);
-    if (d > running) running = d;
-    row[q] = running;
-  }
+  FirstRow(lb, dist, row.data());
   const Index stride_mask = CheckStride(la) - 1;
   for (Index p = 1; p < la; ++p) {
     double diag = row[0];  // dF(p-1, 0)
@@ -116,16 +139,7 @@ double FrechetDpKernel(Index la, Index lb, const DistFn& dist,
       }
       if (frontier_min > threshold) return frontier_min;
     } else {
-      // Plain row: only the recurrence's own dependency chain.
-      for (Index q = 1; q < lb; ++q) {
-        const double up = row[q];  // dF(p-1, q)
-        double best_predecessor = diag < up ? diag : up;
-        if (left < best_predecessor) best_predecessor = left;
-        const double d = dist(p, q);
-        left = d > best_predecessor ? d : best_predecessor;
-        row[q] = left;
-        diag = up;
-      }
+      RowTail(p, 1, lb, dist, diag, left, row.data());
     }
   }
   return row[static_cast<std::size_t>(lb) - 1];
@@ -145,7 +159,7 @@ struct MatrixBlockDist {
 #if defined(FRECHET_MOTIF_SIMD_X86)
 
 // ---------------------------------------------------------------------------
-// Explicit-SIMD row kernels over a row-major matrix block.
+// AVX2 row kernel over a row-major matrix block.
 //
 // The recurrence row[q] = max(d, min(up, diag, left)) carries `left`
 // serially across the row. With m = min(up, diag):
@@ -156,115 +170,36 @@ struct MatrixBlockDist {
 // because max distributes over min. Clamps compose — applying (lo1, hi1)
 // then (lo2, hi2) equals one clamp with lo = max(lo1, lo2) and
 // hi = min(hi2, max(lo2, hi1)) — so the serial chain becomes an inclusive
-// prefix scan of (lo, hi) pairs per vector (log2(lanes) shift/min/max
+// prefix scan of (lo, hi) pairs per four-lane vector (two shift/min/max
 // steps), after which the carry from the previous vector is applied with
 // one clamp: result = min(hi, max(lo, carry)). Every operation is a min or
 // max of the same operands the scalar kernel combines, just reassociated —
 // and min/max reassociation is exact for NaN-free inputs, so the vector
-// kernels return bit-identical values to the scalar one (the parity fuzz
+// kernel returns bit-identical values to the scalar one (the parity fuzz
 // tier asserts exactly that).
 //
 // The carry and the saved diagonal seed are kept in registers as broadcast
-// vectors (lane-3/7 permutes) rather than round-tripped through scalar
+// vectors (lane-3 permutes) rather than round-tripped through scalar
 // code: the broadcast is the only op on the loop-carried critical path.
+//
+// Only the vector row body and the vector frontier minimum live here; the
+// corner bound, first row, scalar tail and checkpoint schedule are the
+// scalar kernel's default-target helpers, which inline into this
+// target("avx2") function (the reverse inlining is not allowed).
 // ---------------------------------------------------------------------------
 
-/// SSE2 (always available on x86-64): two lanes, one scan step.
-double DfdKernelSse2(Index la, Index lb, const double* base,
-                     std::size_t stride, double threshold, double* row) {
-  const bool bounded = threshold != kNoFrechetThreshold;
-  if (bounded) {
-    const double d00 = base[0];
-    const double dnn =
-        base[static_cast<std::size_t>(la - 1) * stride + (lb - 1)];
-    const double corner = d00 > dnn ? d00 : dnn;
-    if (corner > threshold) return corner;
-  }
-  double running = base[0];
-  row[0] = running;
-  for (Index q = 1; q < lb; ++q) {
-    const double d = base[q];
-    if (d > running) running = d;
-    row[q] = running;
-  }
-  const Index stride_mask = CheckStride(la) - 1;
-  const __m128d vninf = _mm_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m128d vpinf = _mm_set1_pd(std::numeric_limits<double>::infinity());
-  for (Index p = 1; p < la; ++p) {
-    const double* drow = base + static_cast<std::size_t>(p) * stride;
-    __m128d saved_b = _mm_set1_pd(row[0]);  // old row[0]: diag for q = 1
-    const double carry0 = row[0] > drow[0] ? row[0] : drow[0];
-    row[0] = carry0;
-    __m128d carry_b = _mm_set1_pd(carry0);
-    Index q = 1;
-    for (; q + 2 <= lb; q += 2) {
-      const __m128d up = _mm_loadu_pd(&row[q]);
-      // diag = [saved, up0]
-      const __m128d diag = _mm_shuffle_pd(saved_b, up, 0x0);
-      const __m128d m = _mm_min_pd(up, diag);
-      const __m128d d = _mm_loadu_pd(&drow[q]);
-      __m128d lo = d;
-      __m128d hi = _mm_max_pd(d, m);
-      {
-        const __m128d lo_s = _mm_shuffle_pd(vninf, lo, 0x0);
-        const __m128d hi_s = _mm_shuffle_pd(vpinf, hi, 0x0);
-        const __m128d nlo = _mm_max_pd(lo, lo_s);
-        const __m128d nhi = _mm_min_pd(hi, _mm_max_pd(lo, hi_s));
-        lo = nlo;
-        hi = nhi;
-      }
-      const __m128d result = _mm_min_pd(hi, _mm_max_pd(lo, carry_b));
-      _mm_storeu_pd(&row[q], result);
-      carry_b = _mm_unpackhi_pd(result, result);
-      saved_b = _mm_unpackhi_pd(up, up);
-    }
-    double diag = _mm_cvtsd_f64(saved_b);
-    double left = _mm_cvtsd_f64(carry_b);
-    for (; q < lb; ++q) {
-      const double up = row[q];
-      double best = diag < up ? diag : up;
-      if (left < best) best = left;
-      const double d = drow[q];
-      left = d > best ? d : best;
-      row[q] = left;
-      diag = up;
-    }
-    if (bounded && IsCheckpointRow(p, stride_mask)) {
-      __m128d acc = vpinf;
-      Index r = 0;
-      for (; r + 2 <= lb; r += 2) acc = _mm_min_pd(acc, _mm_loadu_pd(&row[r]));
-      acc = _mm_min_pd(acc, _mm_unpackhi_pd(acc, acc));
-      double frontier_min = _mm_cvtsd_f64(acc);
-      for (; r < lb; ++r) {
-        if (row[r] < frontier_min) frontier_min = row[r];
-      }
-      if (frontier_min > threshold) return frontier_min;
-    }
-  }
-  return row[static_cast<std::size_t>(lb) - 1];
-}
-
-/// AVX2: four lanes, two scan steps.
 __attribute__((target("avx2"))) double DfdKernelAvx2(Index la, Index lb,
                                                      const double* base,
                                                      std::size_t stride,
                                                      double threshold,
                                                      double* row) {
+  const MatrixBlockDist dist{base, stride};
   const bool bounded = threshold != kNoFrechetThreshold;
   if (bounded) {
-    const double d00 = base[0];
-    const double dnn =
-        base[static_cast<std::size_t>(la - 1) * stride + (lb - 1)];
-    const double corner = d00 > dnn ? d00 : dnn;
+    const double corner = CornerBound(la, lb, dist);
     if (corner > threshold) return corner;
   }
-  double running = base[0];
-  row[0] = running;
-  for (Index q = 1; q < lb; ++q) {
-    const double d = base[q];
-    if (d > running) running = d;
-    row[q] = running;
-  }
+  FirstRow(lb, dist, row);
   const Index stride_mask = CheckStride(la) - 1;
   const __m256d vninf =
       _mm256_set1_pd(-std::numeric_limits<double>::infinity());
@@ -311,17 +246,8 @@ __attribute__((target("avx2"))) double DfdKernelAvx2(Index la, Index lb,
       carry_b = _mm256_permute4x64_pd(result, 0xFF);
       saved_b = _mm256_permute4x64_pd(up, 0xFF);
     }
-    double diag = _mm256_cvtsd_f64(saved_b);
-    double left = _mm256_cvtsd_f64(carry_b);
-    for (; q < lb; ++q) {
-      const double up = row[q];
-      double best = diag < up ? diag : up;
-      if (left < best) best = left;
-      const double d = drow[q];
-      left = d > best ? d : best;
-      row[q] = left;
-      diag = up;
-    }
+    RowTail(p, q, lb, dist, _mm256_cvtsd_f64(saved_b),
+            _mm256_cvtsd_f64(carry_b), row);
     if (bounded && IsCheckpointRow(p, stride_mask)) {
       __m256d acc = vpinf;
       Index r = 0;
@@ -341,138 +267,20 @@ __attribute__((target("avx2"))) double DfdKernelAvx2(Index la, Index lb,
   return row[static_cast<std::size_t>(lb) - 1];
 }
 
-#if defined(FRECHET_MOTIF_WIDE_SIMD)
-/// AVX-512 (FRECHET_MOTIF_NATIVE builds only): eight lanes, three scan
-/// steps.
-__attribute__((target("avx512f"))) double DfdKernelAvx512(Index la, Index lb,
-                                                          const double* base,
-                                                          std::size_t stride,
-                                                          double threshold,
-                                                          double* row) {
-  const bool bounded = threshold != kNoFrechetThreshold;
-  if (bounded) {
-    const double d00 = base[0];
-    const double dnn =
-        base[static_cast<std::size_t>(la - 1) * stride + (lb - 1)];
-    const double corner = d00 > dnn ? d00 : dnn;
-    if (corner > threshold) return corner;
-  }
-  double running = base[0];
-  row[0] = running;
-  for (Index q = 1; q < lb; ++q) {
-    const double d = base[q];
-    if (d > running) running = d;
-    row[q] = running;
-  }
-  const Index stride_mask = CheckStride(la) - 1;
-  const __m512d vninf =
-      _mm512_set1_pd(-std::numeric_limits<double>::infinity());
-  const __m512d vpinf =
-      _mm512_set1_pd(std::numeric_limits<double>::infinity());
-  const __m512i shift1 = _mm512_set_epi64(6, 5, 4, 3, 2, 1, 0, 0);
-  const __m512i shift2 = _mm512_set_epi64(5, 4, 3, 2, 1, 0, 0, 0);
-  const __m512i shift4 = _mm512_set_epi64(3, 2, 1, 0, 0, 0, 0, 0);
-  const __m512i bcast7 = _mm512_set1_epi64(7);
-  for (Index p = 1; p < la; ++p) {
-    const double* drow = base + static_cast<std::size_t>(p) * stride;
-    __m512d saved_b = _mm512_set1_pd(row[0]);  // old row[0]: diag for q = 1
-    const double carry0 = row[0] > drow[0] ? row[0] : drow[0];
-    row[0] = carry0;
-    __m512d carry_b = _mm512_set1_pd(carry0);
-    Index q = 1;
-    for (; q + 8 <= lb; q += 8) {
-      const __m512d up = _mm512_loadu_pd(&row[q]);
-      __m512d diag = _mm512_permutexvar_pd(shift1, up);
-      diag = _mm512_mask_mov_pd(diag, 0x1, saved_b);
-      const __m512d m = _mm512_min_pd(up, diag);
-      const __m512d d = _mm512_loadu_pd(&drow[q]);
-      __m512d lo = d;
-      __m512d hi = _mm512_max_pd(d, m);
-      {  // scan step, shift 1
-        __m512d lo_s = _mm512_permutexvar_pd(shift1, lo);
-        lo_s = _mm512_mask_mov_pd(lo_s, 0x1, vninf);
-        __m512d hi_s = _mm512_permutexvar_pd(shift1, hi);
-        hi_s = _mm512_mask_mov_pd(hi_s, 0x1, vpinf);
-        const __m512d nlo = _mm512_max_pd(lo, lo_s);
-        const __m512d nhi = _mm512_min_pd(hi, _mm512_max_pd(lo, hi_s));
-        lo = nlo;
-        hi = nhi;
-      }
-      {  // scan step, shift 2
-        __m512d lo_s = _mm512_permutexvar_pd(shift2, lo);
-        lo_s = _mm512_mask_mov_pd(lo_s, 0x3, vninf);
-        __m512d hi_s = _mm512_permutexvar_pd(shift2, hi);
-        hi_s = _mm512_mask_mov_pd(hi_s, 0x3, vpinf);
-        const __m512d nlo = _mm512_max_pd(lo, lo_s);
-        const __m512d nhi = _mm512_min_pd(hi, _mm512_max_pd(lo, hi_s));
-        lo = nlo;
-        hi = nhi;
-      }
-      {  // scan step, shift 4
-        __m512d lo_s = _mm512_permutexvar_pd(shift4, lo);
-        lo_s = _mm512_mask_mov_pd(lo_s, 0xF, vninf);
-        __m512d hi_s = _mm512_permutexvar_pd(shift4, hi);
-        hi_s = _mm512_mask_mov_pd(hi_s, 0xF, vpinf);
-        const __m512d nlo = _mm512_max_pd(lo, lo_s);
-        const __m512d nhi = _mm512_min_pd(hi, _mm512_max_pd(lo, hi_s));
-        lo = nlo;
-        hi = nhi;
-      }
-      const __m512d result = _mm512_min_pd(hi, _mm512_max_pd(lo, carry_b));
-      _mm512_storeu_pd(&row[q], result);
-      carry_b = _mm512_permutexvar_pd(bcast7, result);
-      saved_b = _mm512_permutexvar_pd(bcast7, up);
-    }
-    double diag = _mm512_cvtsd_f64(saved_b);
-    double left = _mm512_cvtsd_f64(carry_b);
-    for (; q < lb; ++q) {
-      const double up = row[q];
-      double best = diag < up ? diag : up;
-      if (left < best) best = left;
-      const double d = drow[q];
-      left = d > best ? d : best;
-      row[q] = left;
-      diag = up;
-    }
-    if (bounded && IsCheckpointRow(p, stride_mask)) {
-      __m512d acc = vpinf;
-      Index r = 0;
-      for (; r + 8 <= lb; r += 8) {
-        acc = _mm512_min_pd(acc, _mm512_loadu_pd(&row[r]));
-      }
-      double frontier_min = _mm512_reduce_min_pd(acc);
-      for (; r < lb; ++r) {
-        if (row[r] < frontier_min) frontier_min = row[r];
-      }
-      if (frontier_min > threshold) return frontier_min;
-    }
-  }
-  return row[static_cast<std::size_t>(lb) - 1];
-}
-#endif  // FRECHET_MOTIF_WIDE_SIMD
-
 #endif  // FRECHET_MOTIF_SIMD_X86
 
-/// Runs the widest compiled-and-active matrix kernel. All variants are
-/// bit-identical, so the dispatch level is an invisible runtime choice.
+/// Runs the AVX2 kernel when it is compiled, detected and not capped,
+/// and the scalar kernel otherwise. Both are bit-identical, so the
+/// dispatch level is an invisible runtime choice.
 double DispatchMatrixKernel(Index la, Index lb, const double* base,
                             std::size_t stride, double threshold,
                             std::vector<double>& row) {
 #if defined(FRECHET_MOTIF_SIMD_X86)
-  const SimdLevel level = ActiveSimdLevel();
-  if (level != SimdLevel::kScalar) {
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
     if (static_cast<Index>(row.size()) < lb) {
       row.resize(static_cast<std::size_t>(lb));
     }
-#if defined(FRECHET_MOTIF_WIDE_SIMD)
-    if (level >= SimdLevel::kAvx512) {
-      return DfdKernelAvx512(la, lb, base, stride, threshold, row.data());
-    }
-#endif
-    if (level >= SimdLevel::kAvx2) {
-      return DfdKernelAvx2(la, lb, base, stride, threshold, row.data());
-    }
-    return DfdKernelSse2(la, lb, base, stride, threshold, row.data());
+    return DfdKernelAvx2(la, lb, base, stride, threshold, row.data());
   }
 #endif
   return FrechetDpKernel(la, lb, MatrixBlockDist{base, stride}, threshold,

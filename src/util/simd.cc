@@ -1,92 +1,34 @@
 #include "util/simd.h"
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 namespace frechet_motif {
 
 namespace {
 
-constexpr int kNoCap = static_cast<int>(SimdLevel::kAvx512);
+constexpr int kNoCap = static_cast<int>(SimdLevel::kAvx2);
 
 /// Test/bench cap; kNoCap means "no programmatic cap". Relaxed is enough:
 /// the cap is configuration, not synchronization — callers set it before
 /// launching the work that should observe it.
 std::atomic<int> g_cap{kNoCap};
 
-SimdLevel MinLevel(SimdLevel a, SimdLevel b) {
-  return static_cast<int>(a) < static_cast<int>(b) ? a : b;
-}
-
 SimdLevel DetectOnce() {
 #if defined(FRECHET_MOTIF_SIMD_X86)
-#if defined(FRECHET_MOTIF_WIDE_SIMD)
-  if (__builtin_cpu_supports("avx512f")) return SimdLevel::kAvx512;
-#endif
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
 #endif
   return SimdLevel::kScalar;
-}
-
-SimdLevel EnvCapOnce() {
-  const char* env = std::getenv("FMOTIF_SIMD");
-  if (env == nullptr || *env == '\0') return SimdLevel::kAvx512;
-  SimdLevel level = SimdLevel::kAvx512;
-  if (!ParseSimdLevel(env, &level)) {
-    // One-shot env-var diagnostic from a lazy initializer; there is no
-    // Status channel this deep and silently ignoring a typo'd
-    // FMOTIF_SIMD would be worse.
-    // fmotif-lint: allow(stderr)
-    std::fprintf(stderr,
-                 "[simd] unknown FMOTIF_SIMD value \"%s\" ignored "
-                 "(expected scalar, sse2, avx2 or avx512)\n",
-                 env);
-  }
-  return level;
 }
 
 }  // namespace
 
 const char* SimdLevelName(SimdLevel level) {
-  switch (level) {
-    case SimdLevel::kScalar:
-      return "scalar";
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kAvx512:
-      return "avx512";
-  }
-  return "scalar";
-}
-
-bool ParseSimdLevel(const char* name, SimdLevel* out) {
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "scalar") == 0) {
-    *out = SimdLevel::kScalar;
-  } else if (std::strcmp(name, "sse2") == 0) {
-    *out = SimdLevel::kSse2;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    *out = SimdLevel::kAvx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    *out = SimdLevel::kAvx512;
-  } else {
-    return false;
-  }
-  return true;
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdLevel CompiledSimdLevel() {
 #if defined(FRECHET_MOTIF_SIMD_X86)
-#if defined(FRECHET_MOTIF_WIDE_SIMD)
-  return SimdLevel::kAvx512;
-#else
   return SimdLevel::kAvx2;
-#endif
 #else
   return SimdLevel::kScalar;
 #endif
@@ -98,9 +40,10 @@ SimdLevel DetectedSimdLevel() {
 }
 
 SimdLevel ActiveSimdLevel() {
-  static const SimdLevel ceiling = MinLevel(DetectedSimdLevel(), EnvCapOnce());
-  return MinLevel(ceiling,
-                  static_cast<SimdLevel>(g_cap.load(std::memory_order_relaxed)));
+  const int cap = g_cap.load(std::memory_order_relaxed);
+  const SimdLevel detected = DetectedSimdLevel();
+  return static_cast<int>(detected) < cap ? detected
+                                          : static_cast<SimdLevel>(cap);
 }
 
 void SetSimdLevelCap(SimdLevel cap) {

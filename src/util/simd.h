@@ -4,54 +4,43 @@
 /// Runtime SIMD dispatch for the vectorized kernels (currently the
 /// discrete-Fréchet DP in src/similarity/frechet.cc).
 ///
-/// The portable build (default) compiles SSE2 and AVX2 variants as
-/// target-attribute functions next to the always-present scalar kernel,
-/// so one baseline x86-64 binary carries every path and picks the widest
-/// one the running CPU supports. `FRECHET_MOTIF_NATIVE=ON` additionally
-/// compiles the 512-bit variant (wider vectors only pay off when the
-/// whole binary is tuned for the host anyway). `FRECHET_MOTIF_SIMD=OFF`
-/// removes every vector path at compile time — the scalar fallback is
-/// the same code either way.
+/// There are two tiers: the always-present scalar kernel and an AVX2
+/// variant compiled as a target-attribute function next to it, so one
+/// baseline x86-64 binary carries both and runs AVX2 when the CPU has it.
+/// `FRECHET_MOTIF_SIMD=OFF` removes the vector path at compile time (it
+/// stands in for non-x86 targets) — the scalar fallback is the same code
+/// either way.
 ///
-/// Every variant returns bit-identical results (the DP is min/max-only,
-/// so vector reassociation is exact — see docs/PERFORMANCE.md), which is
+/// Both tiers return bit-identical results (the DP is min/max-only, so
+/// vector reassociation is exact — see docs/PERFORMANCE.md), which is
 /// why the dispatch level is allowed to be an invisible runtime choice.
 /// tests/kernel_parity_fuzz_test.cc enforces that bit-identity.
 ///
-/// Overrides, strongest first:
-///  * SetSimdLevelCap() — tests and benchmarks pin a level;
-///  * the FMOTIF_SIMD environment variable ("scalar", "sse2", "avx2",
-///    "avx512") — caps the level for debugging without a rebuild;
-///  * CPU detection — never exceeds what the hardware supports.
+/// The one override is SetSimdLevelCap(), which tests and benchmarks use
+/// to pin the scalar tier; otherwise CPU detection decides.
 
 namespace frechet_motif {
 
 /// Instruction-set tiers the kernels are specialized for, widest last.
-/// Caps compose by min(), so the numeric order is meaningful.
+/// Caps compose by min(), so the numeric order is meaningful. The values
+/// are recorded as `simd_level` in bench JSON (0 = scalar, 2 = AVX2).
 enum class SimdLevel : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
 };
 
-/// Lower-case tier name ("scalar", "sse2", "avx2", "avx512").
+/// Lower-case tier name ("scalar" or "avx2").
 const char* SimdLevelName(SimdLevel level);
 
-/// Parses a tier name (as accepted in FMOTIF_SIMD). Returns false and
-/// leaves *out untouched on an unknown name.
-bool ParseSimdLevel(const char* name, SimdLevel* out);
-
 /// Widest tier this binary carries code for — a compile-time fact
-/// (kScalar when FRECHET_MOTIF_SIMD=OFF or on non-x86 targets; kAvx512
-/// only under FRECHET_MOTIF_NATIVE).
+/// (kScalar when FRECHET_MOTIF_SIMD=OFF or on non-x86 targets).
 SimdLevel CompiledSimdLevel();
 
 /// Widest compiled tier the running CPU supports (detected once, cached).
 SimdLevel DetectedSimdLevel();
 
 /// The tier the dispatched kernels run at right now:
-/// min(DetectedSimdLevel(), FMOTIF_SIMD cap, SetSimdLevelCap cap).
+/// min(DetectedSimdLevel(), SetSimdLevelCap cap).
 SimdLevel ActiveSimdLevel();
 
 /// Caps ActiveSimdLevel() at `cap` until ClearSimdLevelCap(). For tests
@@ -64,9 +53,9 @@ void ClearSimdLevelCap();
 
 }  // namespace frechet_motif
 
-// Compile gate for the x86 vector kernels: target-attribute functions
+// Compile gate for the x86 vector kernel: target-attribute functions
 // need GCC/Clang, and FRECHET_MOTIF_SIMD=OFF (-> FRECHET_MOTIF_FORCE_SCALAR)
-// removes them entirely.
+// removes it entirely.
 #if !defined(FRECHET_MOTIF_FORCE_SCALAR) && defined(__x86_64__) && \
     (defined(__GNUC__) || defined(__clang__))
 #define FRECHET_MOTIF_SIMD_X86 1

@@ -263,6 +263,40 @@ TEST(CliGen, UnknownKindIsUsageError) {
   EXPECT_EQ(2, RunFmotif("gen --kind=airplane").exit_code);
 }
 
+TEST(CliUsage, UnknownAlgorithmIsUsageErrorNamingTheChoices) {
+  // A near miss ("gtmstar") must not silently run the default GTM.
+  const std::string a = WriteTrace("alg_a.csv", "--kind=geolife --n=80 --seed=3");
+  const std::string b = WriteTrace("alg_b.csv", "--kind=geolife --n=80 --seed=4");
+  for (const std::string& args :
+       {"motif " + a + " --xi=10 --algorithm=gtmstar",
+        "motif " + a + " --xi=10 --algorithm=bogus --json",
+        "cross " + a + " " + b + " --xi=10 --algorithm=bogus"}) {
+    const CommandResult r = RunFmotif(args);
+    EXPECT_EQ(2, r.exit_code) << args << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find("gtm|gtm_star|btm|brute"))
+        << args << ": " << r.output;
+    EXPECT_EQ(std::string::npos, r.output.find("\"GTM\"")) << args;
+  }
+  EXPECT_EQ(0, RunFmotif("motif " + a + " --xi=10 --algorithm=gtm_star")
+                   .exit_code);
+}
+
+TEST(CliUsage, UnknownMetricIsUsageErrorNamingTheChoices) {
+  const std::string a = WriteTrace("met_a.csv", "--kind=geolife --n=80 --seed=3");
+  const std::string b = WriteTrace("met_b.csv", "--kind=geolife --n=80 --seed=4");
+  for (const std::string& args :
+       {"motif " + a + " --xi=10 --metric=bogus",
+        "cross " + a + " " + b + " --xi=10 --metric=bogus",
+        "stream " + a + " --window=40 --slide=10 --xi=5 --metric=bogus"}) {
+    const CommandResult r = RunFmotif(args);
+    EXPECT_EQ(2, r.exit_code) << args << ": " << r.output;
+    EXPECT_NE(std::string::npos, r.output.find("haversine|euclidean"))
+        << args << ": " << r.output;
+  }
+  EXPECT_EQ(0, RunFmotif("motif " + a + " --xi=10 --metric=euclidean")
+                   .exit_code);
+}
+
 TEST(CliJson, MotifSchemaAndGolden) {
   const std::string path = WriteTrace("m.csv", "--kind=geolife --n=400 --seed=7");
   const CommandResult r = RunFmotif("motif " + path + " --xi=60 --json");

@@ -745,122 +745,44 @@ TEST(DurableFleet, RejectedBatchWritesNoJournalRecord) {
 }
 
 // ---------------------------------------------------------------------------
-// State dirs written before the journal logged engine calls
+// Records of the format before the journal logged engine calls
 // ---------------------------------------------------------------------------
 
-// The legacy records, byte for byte: kind 2 added a default stream; kind
-// 1 held one call's *released* (post-reorder) batch.
-std::string LegacyAddStreamRecord() {
-  BinaryWriter writer;
-  writer.PutU8(2);
-  return writer.Take();
-}
-
-std::string LegacyReleasedBatchRecord(const std::vector<FleetArrival>& batch) {
-  BinaryWriter writer;
-  writer.PutU8(1);
-  writer.PutU64(batch.size());
-  for (const FleetArrival& a : batch) {
-    writer.PutU32(static_cast<std::uint32_t>(a.stream));
-    writer.PutBool(a.has_timestamp);
-    writer.PutDouble(a.point.x);
-    writer.PutDouble(a.point.y);
-    if (a.has_timestamp) writer.PutDouble(a.timestamp);
-  }
-  return writer.Take();
-}
-
-// Writes what a legacy DurableFleet left behind: the empty engine's
-// snapshot, `streams` add-stream records, then one released-batch record
-// per batch.
-void WriteLegacyStateDir(FaultFs* fs, const std::string& dir,
-                         const FleetOptions& options,
-                         const GroundMetric& metric, std::size_t streams,
-                         const std::vector<std::vector<FleetArrival>>& batches) {
+TEST(DurableFleet, PreCallLogRecordKindsAreUnknown) {
+  // Kind 2 added a default stream and kind 1 held a released batch. Only
+  // state dirs whose manifests Restore rejects ever wrote them, so replay
+  // refuses them like any other kind this build does not write.
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  const EuclideanMetric metric;
   auto empty = MotifFleetEngine::Create(options, metric);
   ASSERT_TRUE(empty.ok());
   std::string snapshot;
   ASSERT_TRUE(empty.value().Snapshot(&snapshot).ok());
-  auto store = StateStore::Open(fs, dir);
-  ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store.value().Checkpoint(snapshot).ok());
-  for (std::size_t s = 0; s < streams; ++s) {
-    ASSERT_TRUE(store.value().AppendRecord(LegacyAddStreamRecord()).ok());
-  }
-  for (const std::vector<FleetArrival>& batch : batches) {
-    ASSERT_TRUE(
-        store.value().AppendRecord(LegacyReleasedBatchRecord(batch)).ok());
-  }
-  ASSERT_TRUE(store.value().SyncJournal().ok());
-}
-
-TEST(DurableFleet, LegacyJournalReplaysWhenNothingReorders) {
-  // With reorder_capacity 0 a released batch is the raw batch, so legacy
-  // records replay through Ingest and land on the plain engine's state.
-  FleetOptions options;
-  options.stream = SmallStreamOptions();
-  options.join_epsilon = 250.0;
-  const EuclideanMetric metric;
-  const Trajectory t0 = testing_util::MakePlanarWalk(60, 8811);
-  const Trajectory t1 = testing_util::MakePlanarWalk(60, 8812);
-
-  auto plain = MotifFleetEngine::Create(options, metric);
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(plain.value().AddStream().ok());
-  ASSERT_TRUE(plain.value().AddStream().ok());
-  std::vector<std::vector<FleetArrival>> batches;
-  for (Index k = 0; k < 60; k += 2) {
-    std::vector<FleetArrival> batch;
-    for (Index j = k; j < k + 2; ++j) {
-      batch.push_back(FleetArrival{0, t0[j], true, static_cast<double>(j)});
-      batch.push_back(FleetArrival{1, t1[j], true, static_cast<double>(j)});
-    }
-    ASSERT_TRUE(plain.value().Ingest(batch).ok());
-    batches.push_back(batch);
-  }
-
   FaultFs fs(14);
-  WriteLegacyStateDir(&fs, "legacy", options, metric, 2, batches);
-  DurableOptions durable;
-  durable.state_dir = "legacy";
-  durable.fs = &fs;
-  auto fleet = DurableFleet::Open(options, metric, durable);
-  ASSERT_TRUE(fleet.ok()) << fleet.status();
-  EXPECT_EQ(2 + batches.size(), fleet.value().recovery().replayed_records);
-  ASSERT_EQ(2u, fleet.value().stream_count());
-  std::string want;
-  std::string got;
-  ASSERT_TRUE(plain.value().Snapshot(&want).ok());
-  ASSERT_TRUE(fleet.value().Snapshot(&got).ok());
-  EXPECT_TRUE(want == got) << "legacy replay diverged from the plain engine";
-}
-
-TEST(DurableFleet, LegacyReleasedBatchUnderReorderingIsDataLoss) {
-  FleetOptions options;
-  options.stream = SmallStreamOptions();
-  options.reorder_capacity = 3;
-  const EuclideanMetric metric;
-  FaultFs fs(15);
-  DurableOptions durable;
-  durable.fs = &fs;
-
-  // Add-stream records alone carry no reordering, so they still replay.
-  WriteLegacyStateDir(&fs, "streams_only", options, metric, 2, {});
-  durable.state_dir = "streams_only";
-  auto fleet = DurableFleet::Open(options, metric, durable);
-  ASSERT_TRUE(fleet.ok()) << fleet.status();
-  EXPECT_EQ(2u, fleet.value().stream_count());
-
-  // A released batch is not the raw one once points reorder: refuse it
-  // rather than replay something the original run never saw.
-  WriteLegacyStateDir(&fs, "with_batch", options, metric, 1,
-                      {{FleetArrival{0, Point(1.0, 2.0), true, 5.0}}});
-  durable.state_dir = "with_batch";
-  auto refused = DurableFleet::Open(options, metric, durable);
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(StatusCode::kDataLoss, refused.status().code());
-  EXPECT_NE(std::string::npos, refused.status().message().find("legacy"))
-      << refused.status();
+  for (const std::uint8_t kind : {std::uint8_t{1}, std::uint8_t{2}}) {
+    const std::string dir = "kind" + std::to_string(kind);
+    {
+      auto store = StateStore::Open(&fs, dir);
+      ASSERT_TRUE(store.ok()) << store.status();
+      ASSERT_TRUE(store.value().Checkpoint(snapshot).ok());
+      BinaryWriter record;
+      record.PutU8(kind);
+      if (kind == 1) record.PutU64(0);  // an empty released batch
+      ASSERT_TRUE(store.value().AppendRecord(record.Take()).ok());
+      ASSERT_TRUE(store.value().SyncJournal().ok());
+    }
+    DurableOptions durable;
+    durable.state_dir = dir;
+    durable.fs = &fs;
+    auto fleet = DurableFleet::Open(options, metric, durable);
+    ASSERT_FALSE(fleet.ok()) << "kind " << int{kind};
+    EXPECT_EQ(StatusCode::kDataLoss, fleet.status().code());
+    EXPECT_NE(std::string::npos,
+              fleet.status().message().find("unknown journal record kind " +
+                                            std::to_string(kind)))
+        << fleet.status();
+  }
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-/// Kernel-parity fuzz tier: the explicit-SIMD DFD kernels
+/// Kernel-parity fuzz tier: the AVX2 DFD kernel
 /// (src/similarity/frechet.cc) must return **bit-identical** doubles to
 /// the scalar kernel on every input — exact distances below the threshold,
 /// and the *same* lower bound when the threshold early-exit fires. The
 /// reassociation argument (min/max-only, NaN-free inputs) is in
 /// docs/PERFORMANCE.md; this tier is the empirical enforcement across
-/// random matrices, adversarial shapes, thresholds, and every SIMD level
-/// the running build + CPU can execute. Seeded via FMOTIF_FUZZ_SEED,
+/// random matrices, adversarial shapes, thresholds, and both SIMD levels
+/// when the running build + CPU can execute AVX2. Seeded via FMOTIF_FUZZ_SEED,
 /// rounds via FMOTIF_FUZZ_ROUNDS (see test_util.h).
 
 #include <gtest/gtest.h>
@@ -14,12 +14,14 @@
 #include <cmath>
 #include <vector>
 
-#include "motif/motif.h"
-#include "similarity/euclidean.h"
+#include "core/distance_matrix.h"
+#include "geo/metric.h"
+#include "motif/brute_dp.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
 #include "util/random.h"
 #include "util/simd.h"
+#include "util/thread_pool.h"
 
 namespace frechet_motif {
 namespace {
@@ -31,17 +33,15 @@ using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
 
 /// Every level the running build and CPU can execute, scalar first. With
-/// FRECHET_MOTIF_SIMD=OFF (or FMOTIF_SIMD=scalar) this is just {scalar} —
-/// the parity assertions then degenerate to determinism checks, which is
-/// exactly what the scalar-only CI leg wants.
+/// FRECHET_MOTIF_SIMD=OFF (or on a CPU without AVX2) this is just
+/// {scalar} — the parity assertions then degenerate to determinism
+/// checks, which is exactly what the scalar-only CI leg wants.
 std::vector<SimdLevel> AvailableLevels() {
   ClearSimdLevelCap();
-  const SimdLevel widest = ActiveSimdLevel();
-  std::vector<SimdLevel> levels;
-  for (int l = 0; l <= static_cast<int>(widest); ++l) {
-    levels.push_back(static_cast<SimdLevel>(l));
+  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
+    return {SimdLevel::kScalar, SimdLevel::kAvx2};
   }
-  return levels;
+  return {SimdLevel::kScalar};
 }
 
 /// Pins a SIMD level for one computation; the destructor clears the cap
@@ -139,7 +139,7 @@ TEST(KernelParityFuzz, RectangularMatricesAgree) {
 }
 
 TEST(KernelParityFuzz, BoundaryLengthsExhaustive) {
-  // Every length around the vector widths (2/4/8 lanes) and the
+  // Every length around the vector width (4 lanes) and the
   // checkpoint-stride doublings: the tail handling and the dense-to-
   // sparse schedule transition live exactly here.
   const std::vector<SimdLevel> levels = AvailableLevels();
@@ -189,32 +189,40 @@ TEST(KernelParityFuzz, DegenerateAndAdversarialShapes) {
 }
 
 TEST(KernelParityFuzz, MotifArgminInvariantAcrossLevelsAndThreads) {
-  // End-to-end argmin check: the motif search's winning candidate — not
+  // End-to-end argmin check through the range kernel's one production
+  // caller, NaiveMotif (the O(n^6) oracle), which evaluates every
+  // candidate with DiscreteFrechetOnRange. Its winning candidate — not
   // just its distance — must be independent of the dispatched kernel and
-  // of the thread count. Distances are bit-identical across levels, so
-  // any candidate difference would be a dispatch bug.
+  // of how many pool lanes run it at once (each lane dispatches on the
+  // cap set before the pool starts). Distances are bit-identical across
+  // levels, so any candidate difference would be a dispatch bug.
   const std::vector<SimdLevel> levels = AvailableLevels();
-  const Trajectory walk = MakePlanarWalk(150, FuzzSeed(31337));
-  FindMotifOptions options;
-  options.algorithm = MotifAlgorithm::kBtm;
-  options.min_length_xi = 12;
+  const Trajectory walk = MakePlanarWalk(48, FuzzSeed(31337));
+  const DistanceMatrix dg = DistanceMatrix::Build(walk, Euclidean()).value();
+  MotifOptions options;
+  options.min_length_xi = 6;
 
   MotifResult reference;
   {
     ScopedSimdCap cap(SimdLevel::kScalar);
-    reference = FindMotif(walk, Euclidean(), options).value();
+    reference = NaiveMotif(dg, options).value();
   }
   ASSERT_TRUE(reference.found);
   for (const SimdLevel level : levels) {
     for (const int threads : {1, 4}) {
       ScopedSimdCap cap(level);
-      options.threads = threads;
-      const MotifResult got = FindMotif(walk, Euclidean(), options).value();
-      ASSERT_TRUE(got.found);
-      EXPECT_EQ(reference.best, got.best)
-          << "level " << SimdLevelName(level) << " threads " << threads;
-      EXPECT_EQ(reference.distance, got.distance)
-          << "level " << SimdLevelName(level) << " threads " << threads;
+      ThreadPool pool(threads);
+      std::vector<MotifResult> got(static_cast<std::size_t>(threads));
+      pool.RunOnAllLanes([&](int lane) {
+        got[static_cast<std::size_t>(lane)] = NaiveMotif(dg, options).value();
+      });
+      for (const MotifResult& lane_result : got) {
+        ASSERT_TRUE(lane_result.found);
+        EXPECT_EQ(reference.best, lane_result.best)
+            << "level " << SimdLevelName(level) << " threads " << threads;
+        EXPECT_EQ(reference.distance, lane_result.distance)
+            << "level " << SimdLevelName(level) << " threads " << threads;
+      }
     }
   }
 }
@@ -228,11 +236,8 @@ TEST(KernelParityFuzz, ActiveLevelRespectsCapsAndNeverExceedsCompiled) {
   SetSimdLevelCap(SimdLevel::kScalar);
   EXPECT_EQ(SimdLevel::kScalar, ActiveSimdLevel());
   ClearSimdLevelCap();
-  SimdLevel parsed = SimdLevel::kScalar;
-  EXPECT_TRUE(ParseSimdLevel("avx2", &parsed));
-  EXPECT_EQ(SimdLevel::kAvx2, parsed);
-  EXPECT_FALSE(ParseSimdLevel("mmx", &parsed));
-  EXPECT_STREQ("avx512", SimdLevelName(SimdLevel::kAvx512));
+  EXPECT_STREQ("scalar", SimdLevelName(SimdLevel::kScalar));
+  EXPECT_STREQ("avx2", SimdLevelName(SimdLevel::kAvx2));
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <csignal>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -371,10 +372,63 @@ fm::Status Save(const fm::Trajectory& t, const std::string& path) {
   return fm::WriteCsv(t, path);
 }
 
+/// One accepted value of an enum-valued flag.
+template <typename T>
+struct FlagChoice {
+  const char* name;
+  T value;
+};
+
+/// The entry of `choices` named `name`, or nullptr.
+template <typename T, std::size_t N>
+const FlagChoice<T>* FindChoice(const FlagChoice<T> (&choices)[N],
+                                const std::string& name) {
+  for (const FlagChoice<T>& choice : choices) {
+    if (name == choice.name) return &choice;
+  }
+  return nullptr;
+}
+
+/// Reads the enum-valued `--flag` (default `fallback`) into *out. An
+/// unknown name prints the accepted ones and returns false; the caller
+/// exits kExitUsage.
+template <typename T, std::size_t N>
+bool ParseChoice(const fm::Flags& flags, const char* flag,
+                 const char* fallback, const FlagChoice<T> (&choices)[N],
+                 T* out) {
+  const std::string name = flags.GetString(flag, fallback);
+  if (const FlagChoice<T>* choice = FindChoice(choices, name)) {
+    *out = choice->value;
+    return true;
+  }
+  std::string accepted;
+  for (const FlagChoice<T>& choice : choices) {
+    if (!accepted.empty()) accepted += '|';
+    accepted += choice.name;
+  }
+  std::fprintf(stderr, "fmotif: unknown --%s=%s (%s)\n", flag, name.c_str(),
+               accepted.c_str());
+  return false;
+}
+
+using MetricFn = const fm::GroundMetric& (*)();
+constexpr FlagChoice<MetricFn> kMetrics[] = {{"haversine", &fm::Haversine},
+                                             {"euclidean", &fm::Euclidean}};
+constexpr FlagChoice<fm::MotifAlgorithm> kAlgorithms[] = {
+    {"gtm", fm::MotifAlgorithm::kGtm},
+    {"gtm_star", fm::MotifAlgorithm::kGtmStar},
+    {"btm", fm::MotifAlgorithm::kBtm},
+    {"brute", fm::MotifAlgorithm::kBruteDp}};
+constexpr FlagChoice<fm::DatasetKind> kDatasetKinds[] = {
+    {"geolife", fm::DatasetKind::kGeoLifeLike},
+    {"truck", fm::DatasetKind::kTruckLike},
+    {"baboon", fm::DatasetKind::kBaboonLike}};
+
+/// The --metric ground distance; main() has already rejected an unknown
+/// name.
 const fm::GroundMetric& Metric(const fm::Flags& flags) {
-  return flags.GetString("metric", "haversine") == "euclidean"
-             ? fm::Euclidean()
-             : fm::Haversine();
+  return FindChoice(kMetrics, flags.GetString("metric", "haversine"))
+      ->value();
 }
 
 int Threads(const fm::Flags& flags) {
@@ -574,13 +628,6 @@ void JsonEngineOptions(fm::JsonWriter* w, const fm::FleetOptions& options,
   w->Int(options.stream.threads);
 }
 
-fm::MotifAlgorithm ParseAlgorithm(const std::string& name) {
-  if (name == "brute") return fm::MotifAlgorithm::kBruteDp;
-  if (name == "btm") return fm::MotifAlgorithm::kBtm;
-  if (name == "gtm_star") return fm::MotifAlgorithm::kGtmStar;
-  return fm::MotifAlgorithm::kGtm;
-}
-
 // --- JSON helpers -----------------------------------------------------------
 
 void JsonRange(fm::JsonWriter* w, const fm::SubtrajectoryRef& ref) {
@@ -657,14 +704,17 @@ void PrintMotifText(const fm::Trajectory& s, const fm::MotifResult& r,
 
 int RunMotif(const fm::Flags& flags) {
   if (flags.positional().size() != 2) return CommandUsage(stderr, "motif");
+  fm::FindMotifOptions options;
+  if (!ParseChoice(flags, "algorithm", "gtm", kAlgorithms,
+                   &options.algorithm)) {
+    return kExitUsage;
+  }
   const std::string& path = flags.positional()[1];
   fm::StatusOr<fm::Trajectory> t = Load(path, flags);
   if (!t.ok()) return Fail(t.status());
 
-  fm::FindMotifOptions options;
   options.min_length_xi = static_cast<fm::Index>(flags.GetInt("xi", 100));
   options.group_size_tau = static_cast<fm::Index>(flags.GetInt("tau", 32));
-  options.algorithm = ParseAlgorithm(flags.GetString("algorithm", "gtm"));
   options.threads = Threads(flags);
   options.approximation_epsilon = ApproxEps(flags);
   fm::MotifStats stats;
@@ -947,20 +997,7 @@ int RunFleet(const fm::Flags& flags) {
     w.Int(slides);
     fm::WriteFleetStats(&w, stats);
     if (join != nullptr) {
-      w.Key("join");
-      w.BeginObject();
-      w.Key("pairs_reverified");
-      w.Int(join->pairs_reverified);
-      w.Key("verdicts_carried");
-      w.Int(join->verdicts_carried);
-      w.Key("entered_total");
-      w.Int(join->entered_total);
-      w.Key("left_total");
-      w.Int(join->left_total);
-      w.Key("current_matches");
-      w.Int(static_cast<std::int64_t>(
-          engine.CurrentJoinMatches().size()));
-      w.EndObject();
+      fm::WriteJoinStats(&w, *join, engine.CurrentJoinMatches().size());
     }
     if (const auto* durable = dynamic_cast<const fm::DurableFleet*>(&engine)) {
       fm::WriteDurable(&w, flags.GetString("state-dir", ""), *durable);
@@ -1137,15 +1174,18 @@ int RunTopK(const fm::Flags& flags) {
 
 int RunCross(const fm::Flags& flags) {
   if (flags.positional().size() != 3) return CommandUsage(stderr, "cross");
+  fm::FindMotifOptions options;
+  if (!ParseChoice(flags, "algorithm", "gtm", kAlgorithms,
+                   &options.algorithm)) {
+    return kExitUsage;
+  }
   fm::StatusOr<fm::Trajectory> a = Load(flags.positional()[1], flags);
   if (!a.ok()) return Fail(a.status());
   fm::StatusOr<fm::Trajectory> b = Load(flags.positional()[2], flags);
   if (!b.ok()) return Fail(b.status());
 
-  fm::FindMotifOptions options;
   options.min_length_xi = static_cast<fm::Index>(flags.GetInt("xi", 100));
   options.group_size_tau = static_cast<fm::Index>(flags.GetInt("tau", 32));
-  options.algorithm = ParseAlgorithm(flags.GetString("algorithm", "gtm"));
   options.threads = Threads(flags);
   options.approximation_epsilon = ApproxEps(flags);
   fm::MotifStats stats;
@@ -1457,17 +1497,8 @@ int RunSimplify(const fm::Flags& flags) {
 
 int RunGen(const fm::Flags& flags) {
   if (flags.positional().size() != 1) return CommandUsage(stderr, "gen");
-  const std::string kind_name = flags.GetString("kind", "geolife");
   fm::DatasetKind kind;
-  if (kind_name == "geolife") {
-    kind = fm::DatasetKind::kGeoLifeLike;
-  } else if (kind_name == "truck") {
-    kind = fm::DatasetKind::kTruckLike;
-  } else if (kind_name == "baboon") {
-    kind = fm::DatasetKind::kBaboonLike;
-  } else {
-    std::fprintf(stderr, "fmotif: unknown --kind=%s (geolife|truck|baboon)\n",
-                 kind_name.c_str());
+  if (!ParseChoice(flags, "kind", "geolife", kDatasetKinds, &kind)) {
     return kExitUsage;
   }
   fm::DatasetOptions options;
@@ -1537,6 +1568,12 @@ int main(int argc, char** argv) {
   }
   const std::string& command = flags.positional()[0];
   if (flags.GetBool("help", false)) return CommandUsage(stdout, command);
+  // Every command reads --metric through Metric(); reject an unknown name
+  // once, here.
+  MetricFn metric = nullptr;
+  if (!ParseChoice(flags, "metric", "haversine", kMetrics, &metric)) {
+    return kExitUsage;
+  }
   if (command == "motif") {
     // Back-compat: `motif --topk=N` predates the topk subcommand.
     if (flags.GetInt("topk", 1) > 1) return RunTopK(flags);
