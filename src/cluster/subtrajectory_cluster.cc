@@ -4,13 +4,15 @@
 #include <cstdio>
 #include <vector>
 
+#include "core/distance_matrix.h"
 #include "similarity/frechet.h"
 
 namespace frechet_motif {
 
 namespace {
 
-Status ValidateOptions(const Trajectory& s, const ClusterOptions& options) {
+Status ValidateInputs(const Trajectory& s, const GroundMetric& metric,
+                      const ClusterOptions& options) {
   if (options.window_length < 2) {
     return Status::InvalidArgument("window_length must be >= 2");
   }
@@ -25,7 +27,7 @@ Status ValidateOptions(const Trajectory& s, const ClusterOptions& options) {
     return Status::InvalidArgument(
         "trajectory too short for two non-overlapping windows");
   }
-  return Status::Ok();
+  return ValidatePoints(s, metric);
 }
 
 /// Candidate window starts over the whole trajectory.
@@ -97,7 +99,7 @@ std::string ClusterStats::ToString() const {
 StatusOr<SubtrajectoryCluster> BestSubtrajectoryCluster(
     const Trajectory& s, const GroundMetric& metric,
     const ClusterOptions& options, ClusterStats* stats) {
-  FM_RETURN_IF_ERROR(ValidateOptions(s, options));
+  FM_RETURN_IF_ERROR(ValidateInputs(s, metric, options));
   const std::vector<Index> starts = WindowStarts(s, options);
 
   SubtrajectoryCluster best;
@@ -122,7 +124,7 @@ StatusOr<SubtrajectoryCluster> BestSubtrajectoryCluster(
 StatusOr<std::vector<SubtrajectoryCluster>> ClusterSubtrajectories(
     const Trajectory& s, const GroundMetric& metric,
     const ClusterOptions& options, ClusterStats* stats) {
-  FM_RETURN_IF_ERROR(ValidateOptions(s, options));
+  FM_RETURN_IF_ERROR(ValidateInputs(s, metric, options));
   std::vector<Index> remaining = WindowStarts(s, options);
 
   std::vector<SubtrajectoryCluster> clusters;

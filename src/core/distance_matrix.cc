@@ -37,6 +37,13 @@ void FillHaversine(const Trajectory& s, const Trajectory& t, Index n, Index m,
 
 }  // namespace
 
+Status ValidatePoints(const Trajectory& t, const GroundMetric& metric) {
+  for (const Point& p : t.points()) {
+    FM_RETURN_IF_ERROR(ValidateArrival(metric, p, nullptr));
+  }
+  return Status::Ok();
+}
+
 StatusOr<DistanceMatrix> DistanceMatrix::Build(const Trajectory& s,
                                                const Trajectory& t,
                                                const GroundMetric& metric) {
@@ -44,11 +51,8 @@ StatusOr<DistanceMatrix> DistanceMatrix::Build(const Trajectory& s,
     return Status::InvalidArgument(
         "cannot build a distance matrix over an empty trajectory");
   }
-  for (const Trajectory* trajectory : {&s, &t}) {
-    for (const Point& p : trajectory->points()) {
-      FM_RETURN_IF_ERROR(ValidateArrival(metric, p, nullptr));
-    }
-  }
+  FM_RETURN_IF_ERROR(ValidatePoints(s, metric));
+  FM_RETURN_IF_ERROR(ValidatePoints(t, metric));
   const Index n = s.size();
   const Index m = t.size();
   std::vector<double> values(static_cast<std::size_t>(n) * m);

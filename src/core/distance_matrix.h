@@ -11,6 +11,12 @@
 
 namespace frechet_motif {
 
+/// The batch boundary check: ValidateArrival (geo/metric.h) over every
+/// point of `t`. Every batch entry point that reads points runs it before
+/// computing a distance — DistanceMatrix::Build, GTM*'s trajectory
+/// overloads, the DFD similarity joins and subtrajectory clustering.
+Status ValidatePoints(const Trajectory& t, const GroundMetric& metric);
+
 /// Read access to the ground-distance matrix dG[i][j] between point i of a
 /// "row" trajectory and point j of a "column" trajectory.
 ///

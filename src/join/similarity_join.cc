@@ -8,6 +8,7 @@
 #include "geo/great_circle.h"
 #include <functional>
 
+#include "core/distance_matrix.h"
 #include "join/grid_index.h"
 #include "similarity/frechet.h"
 #include "util/thread_pool.h"
@@ -89,7 +90,7 @@ double AbsLatMaxOf(const std::vector<BoundingBox>& a,
 
 Status ValidateInputs(const std::vector<Trajectory>& left,
                       const std::vector<Trajectory>& right,
-                      const JoinOptions& options) {
+                      const GroundMetric& metric, const JoinOptions& options) {
   FM_RETURN_IF_ERROR(ValidateDfdThreshold(options.threshold, "join threshold"));
   if (left.empty() || right.empty()) {
     return Status::InvalidArgument("join inputs must be non-empty");
@@ -103,6 +104,7 @@ Status ValidateInputs(const std::vector<Trajectory>& left,
         return Status::InvalidArgument(
             "join inputs must not contain empty trajectories");
       }
+      FM_RETURN_IF_ERROR(ValidatePoints(t, metric));
     }
   }
   return Status::Ok();
@@ -259,7 +261,7 @@ StatusOr<std::vector<JoinPair>> DfdSimilarityJoin(
     const std::vector<Trajectory>& left, const std::vector<Trajectory>& right,
     const GroundMetric& metric, const JoinOptions& options,
     JoinStats* stats) {
-  FM_RETURN_IF_ERROR(ValidateInputs(left, right, options));
+  FM_RETURN_IF_ERROR(ValidateInputs(left, right, metric, options));
 
   std::vector<BoundingBox> left_boxes;
   left_boxes.reserve(left.size());
@@ -305,7 +307,8 @@ StatusOr<std::vector<JoinPair>> DfdSimilarityJoin(
 StatusOr<std::vector<JoinPair>> DfdSelfJoin(
     const std::vector<Trajectory>& trajectories, const GroundMetric& metric,
     const JoinOptions& options, JoinStats* stats) {
-  FM_RETURN_IF_ERROR(ValidateInputs(trajectories, trajectories, options));
+  FM_RETURN_IF_ERROR(
+      ValidateInputs(trajectories, trajectories, metric, options));
 
   std::vector<BoundingBox> boxes;
   boxes.reserve(trajectories.size());

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/distance_matrix.h"
 #include "motif/group.h"
 #include "motif/relaxed_bounds.h"
 #include "motif/subset_search.h"
@@ -94,6 +95,9 @@ StatusOr<MotifResult> GtmStarOnTheFly(GtmStarOptions options,
                                       const Trajectories&... trajectories) {
   if (sizeof...(Trajectories) == 2) {
     options.motif.variant = MotifVariant::kCrossTrajectory;
+  }
+  for (const Trajectory* t : {&trajectories...}) {
+    FM_RETURN_IF_ERROR(ValidatePoints(*t, metric));
   }
   if (IsHaversine(metric)) {
     const CachedHaversineDistance dist(trajectories...);

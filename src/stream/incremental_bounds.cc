@@ -9,277 +9,127 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Minimum (value, achiever) of column `col` over logical rows
-/// [row_lo, row_hi]; (inf, -1) when the range is empty.
-void ColumnMin(const RingDistanceMatrix& dg, Index col, Index row_lo,
-               Index row_hi, double* value, Index* arg) {
+/// Minimum (value, achiever) of matrix line `line` over the opposing
+/// axis's logical indices [lo, hi] — column `line` over rows when
+/// kColumn, row `line` over columns otherwise; (inf, -1) when the range
+/// is empty.
+template <bool kColumn>
+void LineMin(const RingDistanceMatrix& dg, Index line, Index lo, Index hi,
+             double* value, Index* arg) {
   *value = kInf;
   *arg = -1;
-  for (Index c = row_lo; c <= row_hi; ++c) {
-    const double d = dg.Distance(c, col);
+  for (Index k = lo; k <= hi; ++k) {
+    const double d = kColumn ? dg.Distance(k, line) : dg.Distance(line, k);
     if (d < *value) {
       *value = d;
-      *arg = c;
+      *arg = k;
     }
   }
 }
 
-/// Row counterpart of ColumnMin.
-void RowMin(const RingDistanceMatrix& dg, Index row, Index col_lo,
-            Index col_hi, double* value, Index* arg) {
-  *value = kInf;
-  *arg = -1;
-  for (Index r = col_lo; r <= col_hi; ++r) {
-    const double d = dg.Distance(row, r);
-    if (d < *value) {
-      *value = d;
-      *arg = r;
+/// Carries the whole-line minima across one slide, in place: entry e is
+/// the minimum of line e+1 over the whole opposing axis (RminFull over
+/// columns when kColumn, CminFull over rows otherwise). The line axis
+/// slid by `line_shift` (did the entry's line survive?) and the opposing
+/// axis by `span_shift` (did its achiever survive?). A surviving entry
+/// keeps its old minimum while the achiever survived, else rescans the
+/// surviving span, then takes the fresh span into account (a tie keeps
+/// the old achiever); a fresh line is scanned whole. With `line_shift`
+/// equal to the line count every line is fresh: the cold build.
+template <bool kColumn>
+void UpdateLineMinima(const RingDistanceMatrix& dg, Index line_shift,
+                      Index span_shift, std::vector<double>* values,
+                      std::vector<Index>* args, std::int64_t* rescans) {
+  const Index lines = kColumn ? dg.cols() : dg.rows();
+  const Index span = kColumn ? dg.rows() : dg.cols();
+  const Index fresh_line = lines - line_shift;  // first fresh line
+  const Index fresh_span = span - span_shift;   // first fresh cross index
+  // Ascending e reads old entry e + line_shift >= e before overwriting it.
+  for (Index e = 0; e + 1 < lines; ++e) {
+    double old_part = kInf;
+    Index old_arg = -1;
+    Index fresh_lo = 0;
+    if (e + 1 < fresh_line) {
+      const Index old = e + line_shift;
+      fresh_lo = fresh_span;
+      if ((*args)[old] >= span_shift) {
+        old_part = (*values)[old];
+        old_arg = (*args)[old] - span_shift;
+      } else {
+        ++*rescans;
+        LineMin<kColumn>(dg, e + 1, 0, fresh_span - 1, &old_part, &old_arg);
+      }
     }
+    double fresh_part = kInf;
+    Index fresh_arg = -1;
+    LineMin<kColumn>(dg, e + 1, fresh_lo, span - 1, &fresh_part, &fresh_arg);
+    const bool fresh_wins = fresh_part < old_part;
+    (*values)[e] = fresh_wins ? fresh_part : old_part;
+    (*args)[e] = fresh_wins ? fresh_arg : old_arg;
   }
 }
 
 }  // namespace
 
-void IncrementalRelaxedBounds::Reset(const RingDistanceMatrix& dg,
-                                     Index min_length_xi) {
-  (void)min_length_xi;  // bands are derived in Snapshot()
-  const Index w = dg.rows();
-  cross_ = false;
-  rows_ = w;
-  cols_ = w;
-  rmin_.assign(w, kInf);
-  rmin_full_.assign(w, kInf);
-  cmin_.assign(w, kInf);
-  cmin_start_.assign(w, kInf);
-  cmin_full_.assign(w, kInf);
-  rmin_arg_.assign(w, -1);
-  rmin_full_arg_.assign(w, -1);
-  cmin_full_arg_.assign(w, -1);
-
-  // Mirrors RelaxedBounds::Build for the single-trajectory variant, with
-  // achiever tracking on the prefix-containing minima.
-  for (Index j = 0; j + 1 <= w - 1; ++j) {
-    ColumnMin(dg, j + 1, 0, w - 1, &rmin_full_[j], &rmin_full_arg_[j]);
-    ColumnMin(dg, j + 1, 0, j - 1, &rmin_[j], &rmin_arg_[j]);
-  }
-  for (Index i = 0; i + 1 <= w - 1; ++i) {
-    Index unused = -1;
-    RowMin(dg, i + 1, 0, w - 1, &cmin_full_[i], &cmin_full_arg_[i]);
-    RowMin(dg, i + 1, i + 1, w - 1, &cmin_[i], &unused);
-    RowMin(dg, i + 1, i + 3, w - 1, &cmin_start_[i], &unused);
-  }
-}
-
-void IncrementalRelaxedBounds::Slide(const RingDistanceMatrix& dg,
-                                     Index min_length_xi, Index shift) {
-  const Index w = dg.rows();
-  if (cross_ || w != rows_ || shift >= w) {
-    Reset(dg, min_length_xi);
-    return;
-  }
-  const Index old_lo = 0;          // first surviving logical index
-  const Index new_lo = w - shift;  // first freshly appended logical index
-  (void)old_lo;
-
-  std::vector<double> rmin(w, kInf), rmin_full(w, kInf), cmin(w, kInf),
-      cmin_start(w, kInf), cmin_full(w, kInf);
-  std::vector<Index> rmin_arg(w, -1), rmin_full_arg(w, -1),
-      cmin_full_arg(w, -1);
-
-  // ---- Rmin / RminFull: minima of column j+1 over row ranges. ----
-  for (Index j = 0; j + 1 <= w - 1; ++j) {
-    if (j + 1 < new_lo) {
-      // Column j+1 survived the slide; its old index was j+1+shift.
-      const Index oj = j + shift;
-      // Restricted range [0, j-1] = old rows [shift, oj-1] — a subrange
-      // of the old [0, oj-1]; the old value carries iff its achiever did.
-      if (rmin_arg_[oj] >= shift) {
-        rmin[j] = rmin_[oj];
-        rmin_arg[j] = rmin_arg_[oj] - shift;
-      } else {
-        ++rescans_;
-        ColumnMin(dg, j + 1, 0, j - 1, &rmin[j], &rmin_arg[j]);
-      }
-      // Full range [0, w-1] = surviving old rows plus the fresh rows.
-      double old_part = kInf;
-      Index old_arg = -1;
-      if (rmin_full_arg_[oj] >= shift) {
-        old_part = rmin_full_[oj];
-        old_arg = rmin_full_arg_[oj] - shift;
-      } else {
-        ++rescans_;
-        ColumnMin(dg, j + 1, 0, new_lo - 1, &old_part, &old_arg);
-      }
-      double fresh_part = kInf;
-      Index fresh_arg = -1;
-      ColumnMin(dg, j + 1, new_lo, w - 1, &fresh_part, &fresh_arg);
-      if (fresh_part < old_part) {
-        rmin_full[j] = fresh_part;
-        rmin_full_arg[j] = fresh_arg;
-      } else {
-        rmin_full[j] = old_part;
-        rmin_full_arg[j] = old_arg;
-      }
-    } else {
-      // Column j+1 is fresh: scan it once.
-      ColumnMin(dg, j + 1, 0, w - 1, &rmin_full[j], &rmin_full_arg[j]);
-      ColumnMin(dg, j + 1, 0, j - 1, &rmin[j], &rmin_arg[j]);
-    }
-  }
-
-  // ---- Cmin / CminStart / CminFull: minima of row i+1 over columns. ----
-  for (Index i = 0; i + 1 <= w - 1; ++i) {
-    if (i + 1 < new_lo) {
-      const Index oi = i + shift;
-      // Suffix ranges never lose a column to eviction: the old suffix
-      // [oi+1, w-1] maps exactly onto the surviving part of the new
-      // range, which additionally gains the fresh columns.
-      double fresh = kInf;
-      Index unused = -1;
-      RowMin(dg, i + 1, std::max(new_lo, i + 1), w - 1, &fresh, &unused);
-      cmin[i] = fresh < cmin_[oi] ? fresh : cmin_[oi];
-      RowMin(dg, i + 1, std::max(new_lo, i + 3), w - 1, &fresh, &unused);
-      cmin_start[i] = fresh < cmin_start_[oi] ? fresh : cmin_start_[oi];
-      // Full range: prefix part may lose its achiever, like RminFull.
-      double old_part = kInf;
-      Index old_arg = -1;
-      if (cmin_full_arg_[oi] >= shift) {
-        old_part = cmin_full_[oi];
-        old_arg = cmin_full_arg_[oi] - shift;
-      } else {
-        ++rescans_;
-        RowMin(dg, i + 1, 0, new_lo - 1, &old_part, &old_arg);
-      }
-      double fresh_part = kInf;
-      Index fresh_arg = -1;
-      RowMin(dg, i + 1, new_lo, w - 1, &fresh_part, &fresh_arg);
-      if (fresh_part < old_part) {
-        cmin_full[i] = fresh_part;
-        cmin_full_arg[i] = fresh_arg;
-      } else {
-        cmin_full[i] = old_part;
-        cmin_full_arg[i] = old_arg;
-      }
-    } else {
-      Index unused = -1;
-      RowMin(dg, i + 1, 0, w - 1, &cmin_full[i], &cmin_full_arg[i]);
-      RowMin(dg, i + 1, i + 1, w - 1, &cmin[i], &unused);
-      RowMin(dg, i + 1, i + 3, w - 1, &cmin_start[i], &unused);
-    }
-  }
-
-  rmin_.swap(rmin);
-  rmin_full_.swap(rmin_full);
-  cmin_.swap(cmin);
-  cmin_start_.swap(cmin_start);
-  cmin_full_.swap(cmin_full);
-  rmin_arg_.swap(rmin_arg);
-  rmin_full_arg_.swap(rmin_full_arg);
-  cmin_full_arg_.swap(cmin_full_arg);
-}
-
-void IncrementalRelaxedBounds::ResetCross(const RingDistanceMatrix& dg) {
-  cross_ = true;
-  rows_ = dg.rows();
-  cols_ = dg.cols();
-  // The restricted arrays coincide with the full ones in cross mode
-  // (Build uses the unrestricted index ranges); Snapshot() duplicates
-  // the full arrays into the restricted slots.
-  rmin_.clear();
-  cmin_.clear();
-  cmin_start_.clear();
-  rmin_arg_.clear();
-  rmin_full_.assign(cols_, kInf);
-  cmin_full_.assign(rows_, kInf);
-  rmin_full_arg_.assign(cols_, -1);
-  cmin_full_arg_.assign(rows_, -1);
-
-  for (Index j = 0; j + 1 <= cols_ - 1; ++j) {
-    ColumnMin(dg, j + 1, 0, rows_ - 1, &rmin_full_[j], &rmin_full_arg_[j]);
-  }
-  for (Index i = 0; i + 1 <= rows_ - 1; ++i) {
-    RowMin(dg, i + 1, 0, cols_ - 1, &cmin_full_[i], &cmin_full_arg_[i]);
-  }
-}
-
-void IncrementalRelaxedBounds::SlideCross(const RingDistanceMatrix& dg,
-                                          Index shift_row, Index shift_col) {
+void IncrementalRelaxedBounds::Update(const RingDistanceMatrix& dg, bool cross,
+                                      Index shift_row, Index shift_col) {
   const Index rows = dg.rows();
   const Index cols = dg.cols();
-  if (!cross_ || rows != rows_ || cols != cols_ || shift_row >= rows ||
-      shift_col >= cols) {
-    ResetCross(dg);
-    return;
+  if (cross != cross_ || rows != rows_ || cols != cols_ ||
+      shift_row >= rows || shift_col >= cols) {
+    // Cold build: nothing carries, so every line is fresh.
+    cross_ = cross;
+    rows_ = rows;
+    cols_ = cols;
+    shift_row = rows;
+    shift_col = cols;
+    rmin_full_.assign(cols, kInf);
+    rmin_full_arg_.assign(cols, -1);
+    cmin_full_.assign(rows, kInf);
+    cmin_full_arg_.assign(rows, -1);
+    // Build's cross variant leaves every index range unrestricted, so
+    // only the single variant keeps the restricted arrays.
+    const Index restricted = cross ? 0 : rows;
+    rmin_.assign(restricted, kInf);
+    rmin_arg_.assign(restricted, -1);
+    cmin_.assign(restricted, kInf);
+    cmin_start_.assign(restricted, kInf);
   }
-  const Index new_row_lo = rows - shift_row;  // first fresh logical row
-  const Index new_col_lo = cols - shift_col;  // first fresh logical column
+  UpdateLineMinima<true>(dg, shift_col, shift_row, &rmin_full_,
+                         &rmin_full_arg_, &rescans_);
+  UpdateLineMinima<false>(dg, shift_row, shift_col, &cmin_full_,
+                          &cmin_full_arg_, &rescans_);
+  if (cross) return;
 
-  std::vector<double> rmin_full(cols, kInf), cmin_full(rows, kInf);
-  std::vector<Index> rmin_full_arg(cols, -1), cmin_full_arg(rows, -1);
-
-  // ---- RminFull[j]: minimum of column j+1 over all rows. The column
-  // axis slid by shift_col (is the entry still in the window?) while the
-  // minimized range slid by shift_row (did the achiever survive?). ----
-  for (Index j = 0; j + 1 <= cols - 1; ++j) {
-    if (j + 1 < new_col_lo) {
-      const Index oj = j + shift_col;
-      double old_part = kInf;
-      Index old_arg = -1;
-      if (rmin_full_arg_[oj] >= shift_row) {
-        old_part = rmin_full_[oj];
-        old_arg = rmin_full_arg_[oj] - shift_row;
-      } else {
-        ++rescans_;
-        ColumnMin(dg, j + 1, 0, new_row_lo - 1, &old_part, &old_arg);
-      }
-      double fresh_part = kInf;
-      Index fresh_arg = -1;
-      ColumnMin(dg, j + 1, new_row_lo, rows - 1, &fresh_part, &fresh_arg);
-      if (fresh_part < old_part) {
-        rmin_full[j] = fresh_part;
-        rmin_full_arg[j] = fresh_arg;
-      } else {
-        rmin_full[j] = old_part;
-        rmin_full_arg[j] = old_arg;
-      }
+  // Single variant: one shift, one square window, in place as above.
+  const Index w = rows;
+  const Index shift = shift_row;
+  const Index fresh = w - shift;  // first fresh index (0 on a cold build)
+  // Rmin[j]: column j+1 over rows [0, j-1], a prefix of the surviving
+  // rows — the old value carries iff its achiever did.
+  for (Index j = 0; j + 1 < w; ++j) {
+    const bool survived = j + 1 < fresh;
+    if (survived && rmin_arg_[j + shift] >= shift) {
+      rmin_[j] = rmin_[j + shift];
+      rmin_arg_[j] = rmin_arg_[j + shift] - shift;
     } else {
-      ColumnMin(dg, j + 1, 0, rows - 1, &rmin_full[j], &rmin_full_arg[j]);
+      if (survived) ++rescans_;
+      LineMin<true>(dg, j + 1, 0, j - 1, &rmin_[j], &rmin_arg_[j]);
     }
   }
-
-  // ---- CminFull[i]: minimum of row i+1 over all columns; the mirror
-  // image (rows decide survival, columns decide the achiever). ----
-  for (Index i = 0; i + 1 <= rows - 1; ++i) {
-    if (i + 1 < new_row_lo) {
-      const Index oi = i + shift_row;
-      double old_part = kInf;
-      Index old_arg = -1;
-      if (cmin_full_arg_[oi] >= shift_col) {
-        old_part = cmin_full_[oi];
-        old_arg = cmin_full_arg_[oi] - shift_col;
-      } else {
-        ++rescans_;
-        RowMin(dg, i + 1, 0, new_col_lo - 1, &old_part, &old_arg);
-      }
-      double fresh_part = kInf;
-      Index fresh_arg = -1;
-      RowMin(dg, i + 1, new_col_lo, cols - 1, &fresh_part, &fresh_arg);
-      if (fresh_part < old_part) {
-        cmin_full[i] = fresh_part;
-        cmin_full_arg[i] = fresh_arg;
-      } else {
-        cmin_full[i] = old_part;
-        cmin_full_arg[i] = old_arg;
-      }
-    } else {
-      RowMin(dg, i + 1, 0, cols - 1, &cmin_full[i], &cmin_full_arg[i]);
-    }
+  // Cmin[i] / CminStart[i]: row i+1 over columns [i+1, w-1] / [i+3, w-1].
+  // A surviving row's old suffix maps exactly onto the surviving part of
+  // the new range, so only the fresh columns are read.
+  for (Index i = 0; i + 1 < w; ++i) {
+    const bool survived = i + 1 < fresh;
+    const Index from = survived ? fresh : 0;
+    double value = kInf;
+    Index unused = -1;
+    LineMin<false>(dg, i + 1, std::max(from, i + 1), w - 1, &value, &unused);
+    cmin_[i] = survived ? std::min(cmin_[i + shift], value) : value;
+    LineMin<false>(dg, i + 1, std::max(from, i + 3), w - 1, &value, &unused);
+    cmin_start_[i] = survived ? std::min(cmin_start_[i + shift], value) : value;
   }
-
-  rmin_full_.swap(rmin_full);
-  cmin_full_.swap(cmin_full);
-  rmin_full_arg_.swap(rmin_full_arg);
-  cmin_full_arg_.swap(cmin_full_arg);
 }
 
 RelaxedBounds IncrementalRelaxedBounds::Snapshot(Index min_length_xi) const {

@@ -14,31 +14,38 @@ namespace frechet_motif {
 
 /// Incremental maintenance of the RelaxedBounds component arrays over a
 /// sliding window, backed by a RingDistanceMatrix. Both problem variants
-/// are supported: the single-trajectory square window (Reset/Slide) and
-/// the cross-trajectory window pair (ResetCross/SlideCross), which slides
-/// the two axes independently.
+/// go through one method, Update(): a cross-trajectory window pair slides
+/// its two axes independently (`shift_row` points on the first
+/// trajectory, `shift_col` on the second), and a single-trajectory window
+/// is the same slide with its one shift passed twice, plus the restricted
+/// arrays only that variant has.
 ///
 /// The five component arrays (see motif/relaxed_bounds.h) are prefix or
-/// suffix minima of matrix rows/columns. When the window slides by `s`,
-/// each surviving entry's index range shifts with the window:
+/// suffix minima of matrix rows/columns. When the window slides, each
+/// surviving entry's index range shifts with the window:
 ///
-///  * The suffix-type minima (`Cmin[i]`, `CminStart[i]`: column ranges
-///    `[i+1, W-1]` / `[i+3, W-1]` of row i+1) lose nothing to eviction —
-///    the old value at index i+s covers exactly the surviving old
-///    columns — so the new value is `min(old value, min over the s new
-///    columns)`. O(1) per entry plus the fresh-cell scan.
-///  * The prefix-containing minima (`Rmin[j]` over rows `[0, j-1]`, and
-///    the full-row/column minima) can lose their minimizer to eviction.
-///    Each entry tracks the index of one achiever ("argmin"); when the
-///    achiever survives the shift the value carries over verbatim, and
-///    only when it was evicted is the (rare) O(W) rescan paid.
+///  * The prefix-containing minima (`RminFull[j]`, column j+1 over every
+///    row; `CminFull[i]`, row i+1 over every column; and the single
+///    variant's `Rmin[j]` over rows `[0, j-1]`) can lose their minimizer
+///    to eviction. Each entry tracks the index of one achiever
+///    ("argmin"); when the achiever survives the shift of the opposing
+///    axis the value carries over verbatim, and only when it was evicted
+///    is the (rare) O(W) rescan paid. The whole-line minima then take the
+///    freshly appended cells into account; on a tie the carried achiever
+///    stays.
+///  * The single variant's suffix-type minima (`Cmin[i]`, `CminStart[i]`:
+///    column ranges `[i+1, W-1]` / `[i+3, W-1]` of row i+1) lose nothing
+///    to eviction — the old value at index i+s covers exactly the
+///    surviving old columns — so the new value is
+///    `min(old value, min over the s new columns)`.
 ///
 /// In cross mode the restricted arrays coincide with the unrestricted
 /// ones (RelaxedBounds::Build uses the full index ranges there), so only
-/// `RminFull` (per column, evicted from the row side) and `CminFull`
-/// (per row, evicted from the column side) are maintained — both of the
-/// prefix-containing kind, with the achiever-carry rule above applied
-/// against the *opposing* axis's shift.
+/// the whole-line minima are kept, and Snapshot() duplicates them.
+///
+/// A cold build is the same update with every line fresh. It runs on the
+/// first update, on a mode or size change, and when either shift reaches
+/// its axis length (nothing survives to carry).
 ///
 /// Values are *bit-identical* to a fresh RelaxedBounds::Build over the
 /// same window: a minimum of a set of doubles does not depend on the
@@ -54,26 +61,14 @@ class IncrementalRelaxedBounds {
  public:
   IncrementalRelaxedBounds() = default;
 
-  /// Cold build over the full single-trajectory window
-  /// (dg.rows() == dg.cols()).
-  void Reset(const RingDistanceMatrix& dg, Index min_length_xi);
-
-  /// Advances the single-trajectory window by `shift` evicted/appended
-  /// points. The ring must already hold the post-slide window, at the
-  /// same size as the last Reset/Slide. A shift of >= the window size
-  /// (or a mode/size change) degenerates to Reset.
-  void Slide(const RingDistanceMatrix& dg, Index min_length_xi, Index shift);
-
-  /// Cold build over a cross-trajectory window pair (rows = first
-  /// trajectory's window, cols = second's; need not be equal).
-  void ResetCross(const RingDistanceMatrix& dg);
-
-  /// Advances the cross window pair: `shift_row` points evicted/appended
-  /// on the first trajectory, `shift_col` on the second — the two sides
-  /// slide independently. Degenerates to ResetCross when either shift
-  /// reaches its axis length or the ring dimensions changed.
-  void SlideCross(const RingDistanceMatrix& dg, Index shift_row,
-                  Index shift_col);
+  /// Brings the arrays up to the window `dg` now holds: `shift_row`
+  /// points were evicted/appended on the row side since the last update
+  /// and `shift_col` on the column side (a single-trajectory window,
+  /// `cross == false`, passes its one shift as both and needs
+  /// dg.rows() == dg.cols()). Builds cold when nothing can carry — see
+  /// the class comment.
+  void Update(const RingDistanceMatrix& dg, bool cross, Index shift_row,
+              Index shift_col);
 
   /// Assembles the RelaxedBounds (including the derived band arrays) the
   /// search consumes. O(W) copies.

@@ -100,7 +100,7 @@ Status MotifFleetEngine::Deliver(std::size_t stream, const Point& p,
   // before it slides any further, so its search sees exactly the window
   // a one-member fleet's would have.
   if (options_.max_searches_per_drain == 0 && scheduler_.IsDue(ref.member)) {
-    FM_RETURN_IF_ERROR(RunOne(ref.member, report));
+    FM_RETURN_IF_ERROR(RunSearches({ref.member}, report));
   }
   FM_RETURN_IF_ERROR(windows_[ref.member].Append(ref.side, p, timestamp));
   scheduler_.NoteAppend(ref.member);
@@ -115,99 +115,79 @@ ThreadPool* MotifFleetEngine::SearchPool() {
   return pool_.get();
 }
 
-Status MotifFleetEngine::RunOne(std::size_t member, FleetReport* report) {
-  WindowState& window = windows_[member];
-  // A deferred search covers every slide that accumulated while it
-  // waited; count the merged ones.
-  if (window.searched_once()) {
-    const Index pending =
-        window.appended_since_search() / window.options().slide_step;
-    if (pending > 1) coalesced_slides_ += pending - 1;
-  }
-  StatusOr<StreamUpdate> update = window.RunSearch(SearchPool());
-  if (!update.ok()) return update.status();
-  scheduler_.NoteSearched(member);
-  if (join_.has_value()) {
-    FM_RETURN_IF_ERROR(join_->Update(member, window.WindowTrajectory()));
-  }
-  report->updates.push_back(
-      FleetStreamUpdate{member_primary_[member], std::move(update).value()});
-  return Status::Ok();
-}
-
-Status MotifFleetEngine::RunManyParallel(const std::vector<std::size_t>& order,
-                                         std::size_t budget,
-                                         FleetReport* report) {
+Status MotifFleetEngine::RunSearches(const std::vector<std::size_t>& members,
+                                     FleetReport* report) {
   ThreadPool* pool = SearchPool();
-  // Coalescing accounting reads appended_since_search(), which RunSearch
-  // resets — capture it for every window before any search runs.
-  std::vector<Index> pending(budget, 0);
-  for (std::size_t k = 0; k < budget; ++k) {
-    const WindowState& window = windows_[order[k]];
+  const std::size_t count = members.size();
+  // A deferred search covers every slide that accumulated while it
+  // waited; the merged ones are counted below. RunSearch resets
+  // appended_since_search(), so capture it before any search runs.
+  std::vector<Index> pending(count, 0);
+  for (std::size_t k = 0; k < count; ++k) {
+    const WindowState& window = windows_[members[k]];
     if (window.searched_once()) {
       pending[k] = window.appended_since_search() / window.options().slide_step;
     }
   }
-  // Compute phase: lane k searches its static chunk of the drain order,
-  // one whole window at a time. Each search runs serially inside its lane
-  // (the pool is occupied by the fan-out itself and is not re-entrant)
-  // and touches only its own window's state, so lanes share nothing.
+  // Compute phase. Several windows with a pool: lane k searches its
+  // static chunk of `members`, one whole window at a time, each serially
+  // inside its lane (the pool is occupied by the fan-out itself and is
+  // not re-entrant) and touching only its own window's state, so lanes
+  // share nothing. Otherwise the windows run one after another, each
+  // spending the pool (if any) on intra-search parallelism.
   //
-  // Synchronization here is the RunOnAllLanes barrier, not a lock:
-  // lanes write disjoint `updates` slots, and the merge below starts
-  // only after every lane has returned (ThreadPool joins on its
+  // Synchronization of the fan-out is the RunOnAllLanes barrier, not a
+  // lock: lanes write disjoint `updates` slots, and the merge below
+  // starts only after every lane has returned (ThreadPool joins on its
   // GUARDED_BY state, see util/thread_pool.h). Clang's thread-safety
   // analysis has no barrier concept, so this invariant stays enforced
   // dynamically by the TSan leg over tests/fleet_drain_test.cc.
-  std::vector<std::optional<StatusOr<StreamUpdate>>> updates(budget);
-  pool->RunOnAllLanes([&](int lane) {
-    std::int64_t begin = 0;
-    std::int64_t end = 0;
-    ThreadPool::ChunkRange(static_cast<std::int64_t>(budget),
-                           pool->threads(), lane, &begin, &end);
-    for (std::int64_t k = begin; k < end; ++k) {
-      updates[static_cast<std::size_t>(k)].emplace(
-          windows_[order[static_cast<std::size_t>(k)]].RunSearch(nullptr));
+  std::vector<std::optional<StatusOr<StreamUpdate>>> updates(count);
+  if (count > 1 && pool != nullptr) {
+    pool->RunOnAllLanes([&](int lane) {
+      std::int64_t begin = 0;
+      std::int64_t end = 0;
+      ThreadPool::ChunkRange(static_cast<std::int64_t>(count),
+                             pool->threads(), lane, &begin, &end);
+      for (std::int64_t k = begin; k < end; ++k) {
+        updates[static_cast<std::size_t>(k)].emplace(
+            windows_[members[static_cast<std::size_t>(k)]].RunSearch(
+                nullptr));
+      }
+    });
+  } else {
+    for (std::size_t k = 0; k < count; ++k) {
+      updates[k].emplace(windows_[members[k]].RunSearch(pool));
     }
-  });
-  // Merge phase: the serial loop's side effects, in drain order. Errors
-  // surface at the same deterministic position the serial loop would
-  // report them.
-  for (std::size_t k = 0; k < budget; ++k) {
+  }
+  // Merge phase: every side effect, in drain order. Each search is
+  // deterministic, so the report stream does not depend on how the
+  // compute phase ran, and an error surfaces at the same position.
+  for (std::size_t k = 0; k < count; ++k) {
     StatusOr<StreamUpdate>& update = *updates[k];
     if (!update.ok()) return update.status();
+    const std::size_t member = members[k];
     if (pending[k] > 1) coalesced_slides_ += pending[k] - 1;
-    scheduler_.NoteSearched(order[k]);
+    scheduler_.NoteSearched(member);
     if (join_.has_value()) {
       FM_RETURN_IF_ERROR(
-          join_->Update(order[k], windows_[order[k]].WindowTrajectory()));
+          join_->Update(member, windows_[member].WindowTrajectory(0)));
     }
-    report->updates.push_back(FleetStreamUpdate{member_primary_[order[k]],
-                                                std::move(update).value()});
+    report->updates.push_back(
+        FleetStreamUpdate{member_primary_[member], std::move(update).value()});
   }
   return Status::Ok();
 }
 
 Status MotifFleetEngine::DrainInternal(FleetReport* report) {
   if (scheduler_.due_count() > 0) {
-    const std::vector<std::size_t> order = scheduler_.DrainOrder();
-    const std::size_t budget =
-        options_.max_searches_per_drain > 0
-            ? std::min<std::size_t>(
-                  order.size(),
-                  static_cast<std::size_t>(options_.max_searches_per_drain))
-            : order.size();
-    // Two ways to spend the worker pool on a drain: several due windows
-    // amortize best with one window per lane (independent searches, no
-    // intra-search synchronization); a single due window keeps the
-    // intra-search parallelism RunOne provides.
-    if (budget > 1 && SearchPool() != nullptr) {
-      FM_RETURN_IF_ERROR(RunManyParallel(order, budget, report));
-    } else {
-      for (std::size_t k = 0; k < budget; ++k) {
-        FM_RETURN_IF_ERROR(RunOne(order[k], report));
-      }
+    std::vector<std::size_t> order = scheduler_.DrainOrder();
+    if (options_.max_searches_per_drain > 0) {
+      order.resize(std::min<std::size_t>(
+          order.size(),
+          static_cast<std::size_t>(options_.max_searches_per_drain)));
     }
+    FM_RETURN_IF_ERROR(RunSearches(order, report));
   }
   // One join tick per call: every searched stream — parity-guard
   // searches included — refreshed its snapshot, so the delta covers the

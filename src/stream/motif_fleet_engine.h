@@ -17,12 +17,14 @@
 ///    A cross member exposes two stream ids, one per side;
 ///  * one `SearchScheduler` ordering due re-searches by dirty-cell count
 ///    and staleness (stream/search_scheduler.h);
-///  * one lazily created `ThreadPool` shared by every search. A drain
-///    with several due windows fans out across it **one window per
-///    lane** (independent windows, searches run whole on a lane, side
-///    effects merged serially in drain order — bit-identical to the
-///    serial drain); a drain with a single due window spends the same
-///    pool on intra-search parallelism instead;
+///  * one lazily created `ThreadPool` shared by every search. Every
+///    search — a drain's and a parity guard's alike — goes through one
+///    search-and-merge path: the searches run first, then their side
+///    effects merge serially in drain order. A drain with several due
+///    windows fans the searches out **one window per lane**
+///    (independent windows, each search run whole on a lane —
+///    bit-identical to the serial drain); a single due window spends
+///    the same pool on intra-search parallelism instead;
 ///  * optionally one `IncrementalDfdJoin` (join/incremental_join.h)
 ///    maintaining which window pairs are within ε, emitting per-slide
 ///    join deltas.
@@ -244,13 +246,11 @@ class MotifFleetEngine {
   /// for a cross pair's side-1 id.
   Trajectory WindowTrajectory(std::size_t stream) const {
     const StreamRef& ref = stream_map_[stream];
-    return ref.side == 0 ? windows_[ref.member].WindowTrajectory()
-                         : windows_[ref.member].SecondWindowTrajectory();
+    return windows_[ref.member].WindowTrajectory(ref.side);
   }
   Index window_size(std::size_t stream) const {
     const StreamRef& ref = stream_map_[stream];
-    return ref.side == 0 ? windows_[ref.member].window_size()
-                         : windows_[ref.member].second_window_size();
+    return windows_[ref.member].window_size(ref.side);
   }
   /// Engine counters of the member owning `stream` (a cross pair's two
   /// ids share one window state, hence one counter set).
@@ -348,7 +348,8 @@ class MotifFleetEngine {
                                   bool cross);
 
   /// Appends one released (post-frontend) point, bookkeeping the
-  /// scheduler; runs the parity-guard search first when required.
+  /// scheduler; runs the parity-guard search (RunSearches with the one
+  /// member) first when required.
   Status Deliver(std::size_t stream, const Point& p, const double* timestamp,
                  FleetReport* report);
 
@@ -356,20 +357,18 @@ class MotifFleetEngine {
   /// searches serially (FleetOptions::stream.threads resolves to 1).
   ThreadPool* SearchPool();
 
-  /// Runs `member`'s search now and appends its report (keyed by the
-  /// member's side-0 stream id).
-  Status RunOne(std::size_t member, FleetReport* report);
-
-  /// Drain-phase fan-out: runs the searches of the first `budget` windows
-  /// of `order` concurrently — one whole window per pool lane (windows
-  /// are independent; each search runs serially inside its lane) — then
-  /// applies every side effect (coalescing accounting, scheduler
-  /// bookkeeping, join refresh, report append) serially in drain order.
-  /// Because the side-effect sequence is exactly the serial loop's and
-  /// each search is deterministic, the report stream is bit-identical to
-  /// running RunOne over the prefix one window at a time.
-  Status RunManyParallel(const std::vector<std::size_t>& order,
-                         std::size_t budget, FleetReport* report);
+  /// The one search-and-merge path: runs the searches of `members` (in
+  /// drain order), then applies every side effect — coalescing
+  /// accounting, scheduler bookkeeping, join refresh, report append
+  /// (keyed by the member's side-0 stream id) — serially in that order.
+  /// Several members with a pool fan out one whole window per lane
+  /// (windows are independent; each search runs serially inside its
+  /// lane); otherwise the searches run one after another, each spending
+  /// the pool on intra-search parallelism. Because the side-effect
+  /// sequence is the same either way and each search is deterministic,
+  /// the report stream is bit-identical across both.
+  Status RunSearches(const std::vector<std::size_t>& members,
+                     FleetReport* report);
 
   /// Drains due searches per the scheduling mode, then ticks the join if
   /// anything changed.

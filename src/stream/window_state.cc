@@ -43,27 +43,21 @@ MotifOptions WindowState::SearchMotifOptions() const {
 }
 
 Status WindowState::Append(int side, const Point& p, const double* timestamp) {
-  std::deque<Point>& window = side == 0 ? window_ : second_window_;
-  std::deque<SphereVec>& vecs = side == 0 ? vecs_ : second_vecs_;
-  std::deque<double>& times = side == 0 ? times_ : second_times_;
-  bool& timestamped = side == 0 ? timestamped_ : second_timestamped_;
-
-  if (window.empty()) {
-    timestamped = timestamp != nullptr;
-  } else if (timestamped != (timestamp != nullptr)) {
+  Side& own = sides_[side];
+  if (own.points.empty()) {
+    own.timestamped = timestamp != nullptr;
+  } else if (own.timestamped != (timestamp != nullptr)) {
     return Status::InvalidArgument(
         "cannot mix timestamped and bare pushes on one stream");
   }
 
-  const bool full =
-      static_cast<Index>(window.size()) == options_.window_length;
   // The ring evicts the matching row/column itself inside
   // AppendRow/AppendCol/AppendPoint; only the point-side caches are
   // advanced here.
-  if (full) {
-    window.pop_front();
-    if (haversine_) vecs.pop_front();
-    if (timestamped) times.pop_front();
+  if (static_cast<Index>(own.points.size()) == options_.window_length) {
+    own.points.pop_front();
+    if (haversine_) own.vecs.pop_front();
+    if (own.timestamped) own.times.pop_front();
   }
 
   // Fresh ground distances against the points the new one pairs with
@@ -77,9 +71,8 @@ Status WindowState::Append(int side, const Point& p, const double* timestamp) {
   // the new row and the new column of the self-matrix. Any other metric
   // fills new->k and k->new separately, so an asymmetric one stays
   // exact.
-  const bool pairs_second = cross_ && side == 0;
-  const std::deque<Point>& paired = pairs_second ? second_window_ : window_;
-  const std::size_t count = paired.size();
+  const Side& paired = sides_[cross_ ? 1 - side : 0];
+  const std::size_t count = paired.points.size();
   batch_dists_.resize(2 * count);
   double* new_to_k = batch_dists_.data();
   double* k_to_new = new_to_k;
@@ -87,9 +80,7 @@ Status WindowState::Append(int side, const Point& p, const double* timestamp) {
   SphereVec pv;
   if (haversine_) {
     pv = ToSphereVec(p);
-    const std::deque<SphereVec>& paired_vecs =
-        pairs_second ? second_vecs_ : vecs_;
-    batch_vecs_.assign(paired_vecs.begin(), paired_vecs.end());
+    batch_vecs_.assign(paired.vecs.begin(), paired.vecs.end());
     SphereVecDistanceBatch(pv, batch_vecs_.data(), count, new_to_k);
     if (!cross_) self_distance = SphereVecDistanceMeters(pv, pv);
   } else {
@@ -97,8 +88,8 @@ Status WindowState::Append(int side, const Point& p, const double* timestamp) {
     const bool row = !cross_ || side == 0;  // the new point is a row point
     const bool col = !cross_ || side == 1;  // ... and/or a column point
     for (std::size_t k = 0; k < count; ++k) {
-      if (row) new_to_k[k] = metric_->Distance(p, paired[k]);
-      if (col) k_to_new[k] = metric_->Distance(paired[k], p);
+      if (row) new_to_k[k] = metric_->Distance(p, paired.points[k]);
+      if (col) k_to_new[k] = metric_->Distance(paired.points[k], p);
     }
     if (!cross_) self_distance = metric_->Distance(p, p);
   }
@@ -112,83 +103,55 @@ Status WindowState::Append(int side, const Point& p, const double* timestamp) {
   engine_stats_.ground_distances_computed +=
       static_cast<std::int64_t>(cross_ ? count : 2 * count + 1);
 
-  window.push_back(p);
-  if (haversine_) vecs.push_back(pv);
-  if (timestamped) times.push_back(*timestamp);
-
-  if (side == 0) {
-    ++pushed_first_;
-    ++appended_since_search_first_;
-  } else {
-    ++pushed_second_;
-    ++appended_since_search_second_;
-  }
+  own.points.push_back(p);
+  if (haversine_) own.vecs.push_back(pv);
+  if (own.timestamped) own.times.push_back(*timestamp);
+  ++own.pushed;
+  ++own.appended_since_search;
   ++engine_stats_.points_ingested;
   return Status::Ok();
 }
 
 bool WindowState::SearchDue() const {
-  const bool first_full =
-      static_cast<Index>(window_.size()) == options_.window_length;
-  if (!cross_) {
-    if (!first_full) return false;
-    return !searched_once_ ||
-           appended_since_search_first_ >= options_.slide_step;
+  for (int side = 0; side < (cross_ ? 2 : 1); ++side) {
+    if (window_size(side) != options_.window_length) return false;
   }
-  const bool second_full =
-      static_cast<Index>(second_window_.size()) == options_.window_length;
-  if (!first_full || !second_full) return false;
-  return !searched_once_ ||
-         appended_since_search_first_ + appended_since_search_second_ >=
-             options_.slide_step;
+  return !searched_once_ || appended_since_search() >= options_.slide_step;
 }
 
 StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
-  const Index n = static_cast<Index>(window_.size());
-  const Index m = cross_ ? static_cast<Index>(second_window_.size()) : n;
+  const Index n = window_size(0);
+  const Index m = cross_ ? window_size(1) : n;
   const MotifOptions motif = SearchMotifOptions();
-  const Index xi = motif.min_length_xi;
+  // The slide since the last search, per axis: the ring's rows are side
+  // 0, its columns side 1 (a single window slides both axes together).
+  const Index shift_row = sides_[0].appended_since_search;
+  const Index shift_col =
+      cross_ ? sides_[1].appended_since_search : shift_row;
 
   StreamUpdate update;
-  update.window_start = pushed_first_ - n;
-  update.window_start_second = cross_ ? pushed_second_ - m : 0;
+  update.window_start = sides_[0].pushed - n;
+  update.window_start_second = cross_ ? sides_[1].pushed - m : 0;
   update.window_points = n;
   update.approximation_epsilon = options_.approximation_epsilon;
 
   Timer timer;
 
-  // Bounds: maintained incrementally in both modes — the single window
-  // slides one axis, the cross window pair slides its two axes
-  // independently (IncrementalRelaxedBounds carries each minimum across
-  // the slide unless its achiever was evicted). No ground distance is
-  // recomputed and no per-slide Build is paid; the snapshot is
-  // bit-identical to a fresh Build over the same ring.
-  RelaxedBounds rb;
-  if (!cross_) {
-    if (!searched_once_) {
-      bounds_.Reset(ring_, xi);
-    } else {
-      bounds_.Slide(ring_, xi, appended_since_search_first_);
-    }
-  } else {
-    if (!searched_once_) {
-      bounds_.ResetCross(ring_);
-    } else {
-      bounds_.SlideCross(ring_, appended_since_search_first_,
-                         appended_since_search_second_);
-    }
-  }
-  rb = bounds_.Snapshot(xi);
+  // Bounds: maintained incrementally (IncrementalRelaxedBounds carries
+  // each minimum across the slide unless its achiever was evicted, and
+  // builds cold on the first search). No ground distance is recomputed
+  // and no per-slide Build is paid; the snapshot is bit-identical to a
+  // fresh Build over the same ring.
+  bounds_.Update(ring_, cross_, shift_row, shift_col);
+  const RelaxedBounds rb = bounds_.Snapshot(motif.min_length_xi);
   engine_stats_.bound_rescans = bounds_.rescans();
 
   // Threshold carry: sound iff the previous best pair is still inside the
   // window after the slide (its distance is then achievable, so pruning
   // against it can never discard the optimum — see the proof in
   // window_state.h).
-  const Index shift_row = appended_since_search_first_;
-  const Index shift_col = cross_ ? appended_since_search_second_ : shift_row;
   if (searched_once_ && have_previous_ && previous_best_.i >= shift_row &&
-      (cross_ ? previous_best_.j >= shift_col : true)) {
+      previous_best_.j >= shift_col) {
     update.seeded = true;
     update.seed_threshold = previous_distance_;
   }
@@ -327,8 +290,8 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   Candidate shifted = previous_best_;
   shifted.i -= shift_row;
   shifted.ie -= shift_row;
-  shifted.j -= cross_ ? shift_col : shift_row;
-  shifted.je -= cross_ ? shift_col : shift_row;
+  shifted.j -= shift_col;
+  shifted.je -= shift_col;
   const bool improved =
       state.found &&
       (state.best_distance < previous_distance_ ||
@@ -347,8 +310,8 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   previous_distance_ = update.motif.distance;
   have_previous_ = update.motif.found;
   searched_once_ = true;
-  appended_since_search_first_ = 0;
-  appended_since_search_second_ = 0;
+  sides_[0].appended_since_search = 0;
+  sides_[1].appended_since_search = 0;
 
   ++engine_stats_.searches;
   if (update.seeded) ++engine_stats_.seeded_searches;
@@ -356,24 +319,12 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   return update;
 }
 
-namespace {
-
-Trajectory AssembleWindow(const std::deque<Point>& window,
-                          const std::deque<double>& times, bool timestamped) {
-  std::vector<Point> points(window.begin(), window.end());
-  if (!timestamped) return Trajectory(std::move(points));
+Trajectory WindowState::WindowTrajectory(int side) const {
+  const Side& own = sides_[side];
+  std::vector<Point> points(own.points.begin(), own.points.end());
+  if (!own.timestamped) return Trajectory(std::move(points));
   return Trajectory(std::move(points),
-                    std::vector<double>(times.begin(), times.end()));
-}
-
-}  // namespace
-
-Trajectory WindowState::WindowTrajectory() const {
-  return AssembleWindow(window_, times_, timestamped_);
-}
-
-Trajectory WindowState::SecondWindowTrajectory() const {
-  return AssembleWindow(second_window_, second_times_, second_timestamped_);
+                    std::vector<double>(own.times.begin(), own.times.end()));
 }
 
 RelaxedBounds WindowState::CurrentBounds() const {
@@ -381,15 +332,13 @@ RelaxedBounds WindowState::CurrentBounds() const {
 }
 
 void WindowState::SaveSide(BinaryWriter* writer, int side) const {
-  const std::deque<Point>& window = side == 0 ? window_ : second_window_;
-  const std::deque<double>& times = side == 0 ? times_ : second_times_;
-  const bool timestamped = side == 0 ? timestamped_ : second_timestamped_;
-  writer->PutU64(window.size());
-  writer->PutBool(timestamped);
-  for (std::size_t k = 0; k < window.size(); ++k) {
-    writer->PutDouble(window[k].x);
-    writer->PutDouble(window[k].y);
-    if (timestamped) writer->PutDouble(times[k]);
+  const Side& own = sides_[side];
+  writer->PutU64(own.points.size());
+  writer->PutBool(own.timestamped);
+  for (std::size_t k = 0; k < own.points.size(); ++k) {
+    writer->PutDouble(own.points[k].x);
+    writer->PutDouble(own.points[k].y);
+    if (own.timestamped) writer->PutDouble(own.times[k]);
   }
 }
 
@@ -429,10 +378,10 @@ void WindowState::SaveTo(BinaryWriter* writer) const {
   SaveSide(writer, 1);
   SaveSide(writer, 0);
 
-  writer->PutI64(pushed_first_);
-  writer->PutI64(pushed_second_);
-  writer->PutI32(appended_since_search_first_);
-  writer->PutI32(appended_since_search_second_);
+  writer->PutI64(sides_[0].pushed);
+  writer->PutI64(sides_[1].pushed);
+  writer->PutI32(sides_[0].appended_since_search);
+  writer->PutI32(sides_[1].appended_since_search);
   writer->PutBool(searched_once_);
   writer->PutBool(have_previous_);
   writer->PutI32(previous_best_.i);
@@ -470,10 +419,12 @@ StatusOr<WindowState> WindowState::RestoreFrom(BinaryReader* reader,
 
   // The replay advanced the counters and slide accounting; overwrite
   // them with the saved values.
-  FM_RETURN_IF_ERROR(reader->GetI64(&state.pushed_first_));
-  FM_RETURN_IF_ERROR(reader->GetI64(&state.pushed_second_));
-  FM_RETURN_IF_ERROR(reader->GetI32(&state.appended_since_search_first_));
-  FM_RETURN_IF_ERROR(reader->GetI32(&state.appended_since_search_second_));
+  FM_RETURN_IF_ERROR(reader->GetI64(&state.sides_[0].pushed));
+  FM_RETURN_IF_ERROR(reader->GetI64(&state.sides_[1].pushed));
+  FM_RETURN_IF_ERROR(
+      reader->GetI32(&state.sides_[0].appended_since_search));
+  FM_RETURN_IF_ERROR(
+      reader->GetI32(&state.sides_[1].appended_since_search));
   FM_RETURN_IF_ERROR(reader->GetBool(&state.searched_once_));
   FM_RETURN_IF_ERROR(reader->GetBool(&state.have_previous_));
   FM_RETURN_IF_ERROR(reader->GetI32(&state.previous_best_.i));

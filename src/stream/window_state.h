@@ -222,8 +222,9 @@ class WindowState {
   /// be null; mixing timestamped and bare appends on one side is an error.
   Status Append(int side, const Point& p, const double* timestamp);
 
-  /// True when the cadence (window full; `slide_step` appends since the
-  /// last search — or no search yet) says a search should run now.
+  /// True when the cadence says a search should run now: every side's
+  /// window is full, and `slide_step` appends (across both sides) arrived
+  /// since the last search — or no search ran yet.
   bool SearchDue() const;
 
   /// The seeded (or cold) relaxed subset search over the current window,
@@ -234,23 +235,20 @@ class WindowState {
   /// covers a larger slide (the threshold carry checks eviction itself).
   StatusOr<StreamUpdate> RunSearch(ThreadPool* pool);
 
-  /// The current window contents (with timestamps when pushed), in
-  /// window-relative order — exactly the trajectory a from-scratch
-  /// FindMotif parity check should run on.
-  Trajectory WindowTrajectory() const;
-  Trajectory SecondWindowTrajectory() const;
-
-  Index window_size() const { return static_cast<Index>(window_.size()); }
-  Index second_window_size() const {
-    return static_cast<Index>(second_window_.size());
+  /// The current contents of window `side` (0, or 1 for a cross pair's
+  /// second trajectory), with timestamps when pushed, in window-relative
+  /// order — exactly the trajectory a from-scratch FindMotif parity check
+  /// should run on.
+  Trajectory WindowTrajectory(int side) const;
+  Index window_size(int side) const {
+    return static_cast<Index>(sides_[side].points.size());
   }
-  std::int64_t points_seen() const { return pushed_first_; }
 
   /// Appends (across both sides) since the last search — the scheduler's
   /// dirty measure: each append dirties one ring row+column, i.e. O(W)
   /// matrix cells.
   Index appended_since_search() const {
-    return appended_since_search_first_ + appended_since_search_second_;
+    return sides_[0].appended_since_search + sides_[1].appended_since_search;
   }
   bool searched_once() const { return searched_once_; }
 
@@ -308,20 +306,23 @@ class WindowState {
   RingDistanceMatrix ring_;
   IncrementalRelaxedBounds bounds_;
 
-  std::deque<Point> window_;
-  std::deque<Point> second_window_;
-  std::deque<SphereVec> vecs_;
-  std::deque<SphereVec> second_vecs_;
-  std::deque<double> times_;
-  std::deque<double> second_times_;
-  bool timestamped_ = false;
-  bool second_timestamped_ = false;
-
-  std::int64_t pushed_first_ = 0;
-  std::int64_t pushed_second_ = 0;
-  /// Appends (per side) since the last search, for slide accounting.
-  Index appended_since_search_first_ = 0;
-  Index appended_since_search_second_ = 0;
+  /// One trajectory's window and its slide accounting. Side 0 is the
+  /// window of a single stream or a cross pair's first trajectory (the
+  /// ring's rows); side 1 is a cross pair's second trajectory (the ring's
+  /// columns) and stays empty for a single stream.
+  struct Side {
+    std::deque<Point> points;
+    /// Sphere vectors of `points` (haversine metric only).
+    std::deque<SphereVec> vecs;
+    /// Timestamps of `points`, when this side was pushed with them.
+    std::deque<double> times;
+    bool timestamped = false;
+    /// Points ever appended to this side.
+    std::int64_t pushed = 0;
+    /// Appends since the last search: the side's shift at the next one.
+    Index appended_since_search = 0;
+  };
+  Side sides_[2];
   bool searched_once_ = false;
 
   /// Previous search's answer, window-relative at that time.

@@ -456,6 +456,50 @@ TEST(CliDiagnostics, OffGlobeRowOrInfiniteTimestampFailsBatchCommands) {
   }
 }
 
+// A 40-point trace whose 20th point lies off the globe (lat 95). Batch
+// commands that never build a distance matrix must reject it too.
+std::string WriteOffGlobeTrace(const std::string& name) {
+  const std::string trace =
+      WriteTrace(name + ".src", "--kind=geolife --n=40 --seed=3");
+  const std::string path = TempPath(name);
+  RunShell("awk -F, 'NR == 21 { print \"95.0,116.32\"; next } "
+           "{ print $1 \",\" $2 }' " + trace + " > " + path);
+  return path;
+}
+
+void ExpectOutOfRange(const std::string& args) {
+  const CommandResult r = RunFmotif(args);
+  EXPECT_EQ(1, r.exit_code) << args << ": " << r.output;
+  EXPECT_NE(std::string::npos,
+            r.output.find("latitude/longitude out of range"))
+      << args << ": " << r.output;
+}
+
+TEST(CliDiagnostics, OffGlobeRowFailsGtmStarMotif) {
+  ExpectOutOfRange("motif " + WriteOffGlobeTrace("gsbad.csv") +
+                   " --algorithm=gtm_star --xi=5");
+}
+
+TEST(CliDiagnostics, OffGlobeRowFailsGtmStarCross) {
+  const std::string good =
+      WriteTrace("gsgood.csv", "--kind=geolife --n=40 --seed=4");
+  ExpectOutOfRange("cross " + WriteOffGlobeTrace("gscbad.csv") + " " + good +
+                   " --algorithm=gtm_star --xi=5");
+}
+
+TEST(CliDiagnostics, OffGlobeRowFailsJoin) {
+  const std::string bad = WriteOffGlobeTrace("jbad.csv");
+  const std::string good =
+      WriteTrace("jgood.csv", "--kind=geolife --n=40 --seed=4");
+  ExpectOutOfRange("join " + bad + " " + good + " --eps=100");
+  ExpectOutOfRange("join " + bad + " " + good + " --eps=100 --grid");
+}
+
+TEST(CliDiagnostics, OffGlobeRowFailsCluster) {
+  ExpectOutOfRange("cluster " + WriteOffGlobeTrace("cbad.csv") +
+                   " --window=10 --stride=5 --eps=5000");
+}
+
 TEST(CliFleet, MembersRunDurablyAndRecoverOnRestart) {
   // --members and --state-dir combine: the journal records each member's
   // options, so a restart recovers the heterogeneous fleet as declared.

@@ -66,6 +66,21 @@ TEST(ClusterTest, RejectsBadOptions) {
   ClusterOptions single = SmallOptions(40, 5, 50);
   single.min_members = 1;
   EXPECT_FALSE(BestSubtrajectoryCluster(t, Haversine(), single).ok());
+
+  // A point off the globe (lat 95) fails ValidateArrival before any DP.
+  std::vector<Point> points = t.points();
+  points[20] = LatLon(95.0, 116.32);
+  const Trajectory off_globe(points);
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            BestSubtrajectoryCluster(off_globe, Haversine(),
+                                     SmallOptions(40, 5, 50))
+                .status()
+                .code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            ClusterSubtrajectories(off_globe, Haversine(),
+                                   SmallOptions(40, 5, 50))
+                .status()
+                .code());
 }
 
 TEST(ClusterTest, FindsThePlantedRepeats) {

@@ -625,6 +625,97 @@ TEST(FleetEngine, StatsAggregateAcrossStreams) {
             fleet.value().stream_stats(1).dfd_cells_computed);
 }
 
+// --- bound maintenance -------------------------------------------------------
+
+struct RescanRun {
+  std::vector<std::int64_t> rescans;   // per member
+  std::vector<std::int64_t> searches;  // per member
+  Index widest_shift = 0;  // largest window_start advance between searches
+};
+
+// Feeds a fixed schedule to three single members and one cross pair
+// whose second side is fed unevenly (two points in three rounds, and
+// none at all for rounds 150–189, so its slides are one-sided as well as
+// two-sided). `rounds_per_call` rounds go into each Ingest call.
+RescanRun RunRescanFeed(int budget, Index rounds_per_call) {
+  const HaversineMetric metric;
+  FleetOptions options;
+  options.stream = SmallStreamOptions();
+  options.max_searches_per_drain = budget;
+  auto fleet = MotifFleetEngine::Create(options, metric);
+  EXPECT_TRUE(fleet.ok());
+  StreamOptions narrow = options.stream;
+  narrow.window_length = 60;
+  narrow.slide_step = 7;
+  narrow.min_length_xi = 8;
+  StreamOptions relaxed = options.stream;
+  relaxed.approximation_epsilon = 0.1;
+  StreamOptions cross = options.stream;
+  cross.window_length = 50;
+  cross.slide_step = 6;
+  cross.min_length_xi = 8;
+  EXPECT_EQ(0u, fleet.value().AddStream().value());
+  EXPECT_EQ(1u, fleet.value().AddStream(narrow).value());
+  EXPECT_EQ(2u, fleet.value().AddStream(relaxed).value());
+  EXPECT_EQ(3u, fleet.value().AddCrossPair(cross).value().first);
+
+  constexpr Index kRounds = 300;
+  std::vector<Trajectory> data;
+  for (std::uint64_t s = 0; s < 5; ++s) data.push_back(GeoWalk(kRounds, 70 + s));
+  std::vector<std::int64_t> last_start(4, -1);
+  RescanRun run;
+  std::vector<FleetArrival> batch;
+  for (Index k = 0; k < kRounds; ++k) {
+    for (std::size_t s = 0; s < 4; ++s) {
+      batch.push_back(FleetArrival{s, data[s][k], false, 0.0});
+    }
+    if (k % 3 != 0 && (k < 150 || k >= 190)) {
+      batch.push_back(FleetArrival{4, data[4][k], false, 0.0});
+    }
+    if ((k + 1) % rounds_per_call != 0 && k + 1 < kRounds) continue;
+    auto report = fleet.value().Ingest(batch);
+    EXPECT_TRUE(report.ok()) << report.status();
+    batch.clear();
+    for (const FleetStreamUpdate& fu : report.value().updates) {
+      // Member k's primary stream id is k (the cross pair comes last).
+      std::int64_t& last = last_start[fu.stream];
+      if (last >= 0) {
+        run.widest_shift = std::max<Index>(
+            run.widest_shift, static_cast<Index>(fu.update.window_start - last));
+      }
+      last = fu.update.window_start;
+    }
+  }
+  for (std::size_t stream = 0; stream < 4; ++stream) {
+    run.rescans.push_back(fleet.value().stream_stats(stream).bound_rescans);
+    run.searches.push_back(fleet.value().stream_stats(stream).searches);
+  }
+  return run;
+}
+
+TEST(FleetEngine, BoundRescansArePinned) {
+  // The carry-or-rescan decisions of the incremental bounds are
+  // deterministic state: which achiever survives a tie decides every
+  // later rescan. These exact per-member counts pin them across
+  // refactors of the bound maintenance (values are pinned separately,
+  // against a fresh RelaxedBounds::Build, by the stream suites).
+  const RescanRun parity = RunRescanFeed(/*budget=*/0, /*rounds_per_call=*/1);
+  EXPECT_EQ((std::vector<std::int64_t>{53, 41, 33, 2520}), parity.rescans);
+  EXPECT_EQ((std::vector<std::int64_t>{24, 35, 24, 59}), parity.searches);
+
+  const RescanRun budgeted = RunRescanFeed(/*budget=*/2, /*rounds_per_call=*/1);
+  EXPECT_EQ((std::vector<std::int64_t>{53, 40, 33, 2243}), budgeted.rescans);
+  EXPECT_EQ((std::vector<std::int64_t>{24, 34, 24, 53}), budgeted.searches);
+
+  // One search per 15-round call: a member deferred for four or five
+  // calls shifts by a whole window or more, which forces the cold
+  // rebuild; shorter deferrals carry as usual.
+  const RescanRun cold = RunRescanFeed(/*budget=*/1, /*rounds_per_call=*/15);
+  EXPECT_GE(cold.widest_shift, 70);
+  EXPECT_EQ((std::vector<std::int64_t>{2, 0, 2, 71}), cold.rescans);
+  EXPECT_EQ((std::vector<std::int64_t>{4, 4, 4, 5}), cold.searches);
+}
+
 // --- heterogeneous fleets ----------------------------------------------------
 
 TEST(FleetEngine, CrossPairOccupiesTwoConsecutiveStreamIds) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "core/options.h"
 #include "geo/metric.h"
 #include "motif/brute_dp.h"
@@ -102,6 +105,33 @@ TEST(GtmStarTest, UsesLessPeakMemoryThanGtm) {
   ASSERT_TRUE(GtmStarMotif(s, Euclidean(), star, &star_stats).ok());
   // GTM holds the full n^2 dG matrix; GTM* must stay well below that.
   EXPECT_LT(star_stats.memory.peak_bytes(), gtm_stats.memory.peak_bytes() / 4);
+}
+
+TEST(GtmStarTest, TrajectoryOverloadsValidatePoints) {
+  // The trajectory overloads read points through an on-the-fly provider,
+  // never DistanceMatrix::Build, so they run the same ValidateArrival
+  // check themselves: off the globe under haversine, NaN under any metric.
+  std::vector<Point> points;
+  for (int k = 0; k < 30; ++k) {
+    points.push_back(LatLon(39.90 + 0.001 * k, 116.30 + 0.001 * (k % 7)));
+  }
+  const Trajectory good(points);
+  points[12] = LatLon(95.0, 116.32);
+  const Trajectory off_globe(points);
+  points[12].x = std::numeric_limits<double>::quiet_NaN();
+  const Trajectory with_nan(points);
+  GtmStarOptions star;
+  star.motif.min_length_xi = 3;
+  star.group_size_tau = 4;
+  ASSERT_TRUE(GtmStarMotif(good, Haversine(), star).ok());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            GtmStarMotif(off_globe, Haversine(), star).status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            GtmStarMotif(with_nan, Euclidean(), star).status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            GtmStarMotif(good, off_globe, Haversine(), star).status().code());
+  EXPECT_EQ(StatusCode::kInvalidArgument,
+            GtmStarMotif(off_globe, good, Haversine(), star).status().code());
 }
 
 TEST(GtmStarTest, CrossTrajectoryOverloadIsExact) {

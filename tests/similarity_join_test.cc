@@ -66,6 +66,38 @@ TEST(SimilarityJoinTest, RejectsBadInputs) {
   with_empty.emplace_back();
   EXPECT_FALSE(
       DfdSimilarityJoin(some, with_empty, Euclidean(), options).ok());
+
+  // Every point passes ValidateArrival before any distance, on either
+  // side and with or without the grid: a position off the globe under
+  // haversine, and a NaN coordinate under any metric.
+  const Trajectory on_globe({LatLon(39.90, 116.30), LatLon(39.91, 116.31)});
+  const Trajectory off_globe({LatLon(39.90, 116.30), LatLon(95.0, 116.32)});
+  std::vector<Point> points = some[0].points();
+  points[3].x = std::numeric_limits<double>::quiet_NaN();
+  const Trajectory with_nan(points);
+  for (const bool grid : {false, true}) {
+    options.use_grid_index = grid;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              DfdSimilarityJoin({off_globe}, {on_globe}, Haversine(), options)
+                  .status()
+                  .code())
+        << grid;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              DfdSimilarityJoin({on_globe}, {off_globe}, Haversine(), options)
+                  .status()
+                  .code())
+        << grid;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              DfdSelfJoin({on_globe, off_globe}, Haversine(), options)
+                  .status()
+                  .code())
+        << grid;
+    EXPECT_EQ(StatusCode::kInvalidArgument,
+              DfdSelfJoin({some[1], with_nan}, Euclidean(), options)
+                  .status()
+                  .code())
+        << grid;
+  }
 }
 
 class JoinAgreementTest

@@ -175,7 +175,7 @@ TEST(StreamParityFuzz, RandomCrossInterleavings) {
 }
 
 TEST(StreamParityFuzz, CrossBoundsMatchFreshBuildUnderTwoSidedSchedules) {
-  // The cross-mode incremental bound maintenance (SlideCross with two
+  // The cross-mode incremental bound maintenance (Update with two
   // independent shifts): random two-sided append schedules — including
   // heavily one-sided ones, so slides see (shift_row, 0), (0, shift_col)
   // and everything between — with the bound arrays the next search uses
@@ -234,8 +234,8 @@ TEST(StreamParityFuzz, CrossBoundsMatchFreshBuildUnderTwoSidedSchedules) {
       auto update = state.value().RunSearch(nullptr);
       ASSERT_TRUE(update.ok()) << update.status();
 
-      const Trajectory wa = state.value().WindowTrajectory();
-      const Trajectory wb = state.value().SecondWindowTrajectory();
+      const Trajectory wa = state.value().WindowTrajectory(0);
+      const Trajectory wb = state.value().WindowTrajectory(1);
       const DistanceMatrix dg = DistanceMatrix::Build(wa, wb, metric).value();
       const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
       const RelaxedBounds maintained = state.value().CurrentBounds();

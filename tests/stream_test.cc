@@ -123,7 +123,7 @@ TEST(StreamingBounds, MaintainedArraysEqualFreshBuildAtEverySlide) {
     if (!state.value().SearchDue()) continue;
     auto update = state.value().RunSearch(nullptr);
     ASSERT_TRUE(update.ok()) << update.status();
-    const Trajectory window = state.value().WindowTrajectory();
+    const Trajectory window = state.value().WindowTrajectory(0);
     const DistanceMatrix dg = DistanceMatrix::Build(window, metric).value();
     const RelaxedBounds fresh = RelaxedBounds::Build(dg, motif);
     const RelaxedBounds maintained = state.value().CurrentBounds();
