@@ -13,28 +13,6 @@ std::vector<SphereVec> VectorizePoints(const Trajectory& t) {
   return out;
 }
 
-/// Haversine fill over cached unit vectors: one O(n+m) trigonometric pass,
-/// then each cell costs a dot product + asin. Bit-identical to
-/// metric.Distance (GreatCircleDistanceMeters is defined as exactly this
-/// two-step computation), so every algorithm sees the same values.
-void FillHaversine(const Trajectory& s, const Trajectory& t, Index n, Index m,
-                   std::vector<double>* values) {
-  const std::vector<SphereVec> sv = VectorizePoints(s);
-  const std::vector<SphereVec> tv = VectorizePoints(t);
-  // Block over columns so the tv tile stays resident in L1 while the rows
-  // stream past it; column-major reuse is what a naive row-major fill of a
-  // large m misses.
-  constexpr Index kBlock = 256;
-  for (Index j0 = 0; j0 < m; j0 += kBlock) {
-    const Index j1 = std::min<Index>(j0 + kBlock, m);
-    for (Index i = 0; i < n; ++i) {
-      double* row = values->data() + static_cast<std::size_t>(i) * m;
-      SphereVecDistanceBatch(sv[i], tv.data() + j0,
-                             static_cast<std::size_t>(j1 - j0), row + j0);
-    }
-  }
-}
-
 }  // namespace
 
 Status ValidatePoints(const Trajectory& t, const GroundMetric& metric) {
@@ -56,19 +34,16 @@ StatusOr<DistanceMatrix> DistanceMatrix::Build(const Trajectory& s,
   const Index n = s.size();
   const Index m = t.size();
   std::vector<double> values(static_cast<std::size_t>(n) * m);
-  if (dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
-    FillHaversine(s, t, n, m, &values);
-    return DistanceMatrix(n, m, std::move(values));
-  }
+  // Block over columns so a tile of column points stays resident in L1
+  // while the rows stream past it; column-major reuse is what a naive
+  // row-major fill of a large m misses.
+  const OnTheFlyDistance fly(s, t, metric);
   constexpr Index kBlock = 256;
   for (Index j0 = 0; j0 < m; j0 += kBlock) {
-    const Index j1 = std::min<Index>(j0 + kBlock, m);
+    const Index count = std::min<Index>(kBlock, m - j0);
     for (Index i = 0; i < n; ++i) {
-      const Point& pi = s[i];
-      double* row = values.data() + static_cast<std::size_t>(i) * m;
-      for (Index j = j0; j < j1; ++j) {
-        row[j] = metric.Distance(pi, t[j]);
-      }
+      fly.RowSpan(i, j0, count,
+                  values.data() + static_cast<std::size_t>(i) * m + j0);
     }
   }
   return DistanceMatrix(n, m, std::move(values));
@@ -95,6 +70,18 @@ RingDistanceMatrix::RingDistanceMatrix(Index row_capacity, Index col_capacity)
     : row_capacity_(row_capacity),
       col_capacity_(col_capacity),
       values_(static_cast<std::size_t>(row_capacity) * col_capacity, 0.0) {}
+
+const double* RingDistanceMatrix::RowSpan(Index r, Index c0, Index count,
+                                          double* buf) const {
+  const double* row = values_.data() +
+                      static_cast<std::size_t>(PhysicalRow(r)) * col_capacity_;
+  const Index p = PhysicalCol(c0);
+  const Index first = col_capacity_ - p;  // slots before the column seam
+  if (count <= first) return row + p;
+  std::copy(row + p, row + col_capacity_, buf);
+  std::copy(row, row + (count - first), buf + first);
+  return buf;
+}
 
 void RingDistanceMatrix::WriteRowFromBuffer(Index i, const double* values,
                                             Index count) {
@@ -154,11 +141,28 @@ void RingDistanceMatrix::AppendPoint(const double* new_to_k,
   *Cell(k_new, k_new) = self_distance;
 }
 
-CachedHaversineDistance::CachedHaversineDistance(const Trajectory& s,
-                                                 const Trajectory& t)
-    : rows_vec_(VectorizePoints(s)), cols_vec_(VectorizePoints(t)) {}
+OnTheFlyDistance::OnTheFlyDistance(const Trajectory& s, const Trajectory& t,
+                                   const GroundMetric& metric)
+    : s_(s),
+      t_(t),
+      metric_(metric),
+      haversine_(dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
+  if (haversine_) {
+    rows_vec_ = VectorizePoints(s);
+    cols_vec_ = VectorizePoints(t);
+  }
+}
 
-CachedHaversineDistance::CachedHaversineDistance(const Trajectory& s)
-    : rows_vec_(VectorizePoints(s)), cols_vec_(rows_vec_) {}
+const double* OnTheFlyDistance::RowSpan(Index r, Index c0, Index count,
+                                        double* buf) const {
+  if (haversine_) {
+    SphereVecDistanceBatch(rows_vec_[r], cols_vec_.data() + c0,
+                           static_cast<std::size_t>(count), buf);
+  } else {
+    const Point& p = s_[r];
+    for (Index q = 0; q < count; ++q) buf[q] = metric_.Distance(p, t_[c0 + q]);
+  }
+  return buf;
+}
 
 }  // namespace frechet_motif

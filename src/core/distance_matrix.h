@@ -32,6 +32,18 @@ class DistanceProvider {
   /// dG between row point i and column point j.
   virtual double Distance(Index i, Index j) const = 0;
 
+  /// The row view: a pointer to dG(r, c0 .. c0+count-1), count >= 1, with
+  /// every value bit-identical to Distance(r, c0+q). A provider returns its
+  /// own storage when the span is contiguous there, and otherwise fills
+  /// `buf` (which must hold `count` values) and returns it. The pointer is
+  /// valid until the provider changes or `buf` is reused. This default
+  /// fills `buf` through Distance().
+  virtual const double* RowSpan(Index r, Index c0, Index count,
+                                double* buf) const {
+    for (Index q = 0; q < count; ++q) buf[q] = Distance(r, c0 + q);
+    return buf;
+  }
+
   /// Number of row points (n).
   virtual Index rows() const = 0;
 
@@ -76,6 +88,11 @@ class DistanceMatrix final : public DistanceProvider {
     return values_.data() + static_cast<std::size_t>(i) * cols_;
   }
 
+  /// Always the matrix's own storage; `buf` is never written.
+  const double* RowSpan(Index r, Index c0, Index, double*) const override {
+    return Row(r) + c0;
+  }
+
   Index rows() const override { return rows_; }
   Index cols() const override { return cols_; }
   std::size_t MemoryBytes() const override {
@@ -91,30 +108,48 @@ class DistanceMatrix final : public DistanceProvider {
   std::vector<double> values_;
 };
 
-/// Computes ground distances on demand from the trajectories — O(1) memory,
-/// one metric evaluation per access. This is GTM*'s Idea (i).
+/// Computes ground distances on demand from the trajectories — GTM*'s
+/// Idea (i), and the row producer DistanceMatrix::Build fills through.
+/// Under HaversineMetric it caches each point's unit vector once (O(n+m)
+/// memory), so a cell costs one sqrt + asin instead of six trigonometric
+/// calls and a row is one SphereVecDistanceBatch call; the values are
+/// bit-identical to metric.Distance (GreatCircleDistanceMeters is defined
+/// as exactly this computation). Any other metric is evaluated per cell
+/// with O(1) memory.
 class OnTheFlyDistance final : public DistanceProvider {
  public:
-  /// Both trajectories must outlive this provider.
+  /// Both trajectories and the metric must outlive this provider.
   OnTheFlyDistance(const Trajectory& s, const Trajectory& t,
-                   const GroundMetric& metric)
-      : s_(s), t_(t), metric_(metric) {}
+                   const GroundMetric& metric);
 
   /// Single-trajectory form.
   OnTheFlyDistance(const Trajectory& s, const GroundMetric& metric)
-      : s_(s), t_(s), metric_(metric) {}
+      : OnTheFlyDistance(s, s, metric) {}
 
   double Distance(Index i, Index j) const override {
-    return metric_.Distance(s_[i], t_[j]);
+    return haversine_ ? SphereVecDistanceMeters(rows_vec_[i], cols_vec_[j])
+                      : metric_.Distance(s_[i], t_[j]);
   }
+
+  /// Always fills `buf` and returns it, which is how DistanceMatrix::Build
+  /// fills its storage in place.
+  const double* RowSpan(Index r, Index c0, Index count,
+                        double* buf) const override;
+
   Index rows() const override { return s_.size(); }
   Index cols() const override { return t_.size(); }
-  std::size_t MemoryBytes() const override { return 0; }
+  std::size_t MemoryBytes() const override {
+    return (rows_vec_.capacity() + cols_vec_.capacity()) * sizeof(SphereVec);
+  }
 
  private:
   const Trajectory& s_;
   const Trajectory& t_;
   const GroundMetric& metric_;
+  bool haversine_;
+  // The haversine unit-vector caches; empty for any other metric.
+  std::vector<SphereVec> rows_vec_;
+  std::vector<SphereVec> cols_vec_;
 };
 
 /// Bounded sliding-window ground-distance matrix whose storage is reused
@@ -133,9 +168,10 @@ class OnTheFlyDistance final : public DistanceProvider {
 /// same metric on the same points — so every motif algorithm returns
 /// identical results over either provider.
 ///
-/// EvaluateSubset (motif/subset_search.cc) recognizes this provider and
-/// runs its DP monomorphized over the ring layout, like it does for
-/// DistanceMatrix.
+/// A logical row is at most two contiguous physical segments, split at the
+/// column seam: RowSpan returns the storage itself when the requested span
+/// stays on one side of the seam and copies the two segments into the
+/// caller's buffer when it crosses it.
 class RingDistanceMatrix final : public DistanceProvider {
  public:
   /// A fixed-capacity rows x cols buffer; both capacities must be >= 1.
@@ -145,6 +181,8 @@ class RingDistanceMatrix final : public DistanceProvider {
     return values_[static_cast<std::size_t>(PhysicalRow(i)) * col_capacity_ +
                    PhysicalCol(j)];
   }
+  const double* RowSpan(Index r, Index c0, Index count,
+                        double* buf) const override;
   Index rows() const override { return row_size_; }
   Index cols() const override { return col_size_; }
   std::size_t MemoryBytes() const override {
@@ -177,11 +215,9 @@ class RingDistanceMatrix final : public DistanceProvider {
   void AppendPoint(const double* new_to_k, const double* k_to_new,
                    double self_distance);
 
-  /// Raw layout accessors for monomorphized kernels (subset_search) and
-  /// incremental bound maintenance: cell (i, j) lives at
-  /// data()[phys(i, row_head, row_capacity) * col_capacity +
-  ///        phys(j, col_head, col_capacity)].
-  const double* data() const { return values_.data(); }
+  /// Physical slots of logical row 0 and column 0: cell (i, j) lives at
+  /// row (i + row_head) mod row_capacity, column (j + col_head) mod
+  /// col_capacity of the row-major buffer.
   Index row_head() const { return row_head_; }
   Index col_head() const { return col_head_; }
 
@@ -212,34 +248,6 @@ class RingDistanceMatrix final : public DistanceProvider {
   Index row_size_ = 0;
   Index col_size_ = 0;
   std::vector<double> values_;
-};
-
-/// On-the-fly great-circle distances with O(n+m) cached unit vectors: each
-/// point's sphere vector is precomputed once, so a distance evaluation
-/// costs one sqrt + asin instead of six trigonometric calls. Results are
-/// bit-identical to HaversineMetric (GreatCircleDistanceMeters is defined
-/// as exactly this computation), so GTM* over this provider returns the
-/// same distances as the matrix-based algorithms.
-class CachedHaversineDistance final : public DistanceProvider {
- public:
-  /// Both trajectories must outlive this provider.
-  CachedHaversineDistance(const Trajectory& s, const Trajectory& t);
-
-  /// Single-trajectory form.
-  explicit CachedHaversineDistance(const Trajectory& s);
-
-  double Distance(Index i, Index j) const override {
-    return SphereVecDistanceMeters(rows_vec_[i], cols_vec_[j]);
-  }
-  Index rows() const override { return static_cast<Index>(rows_vec_.size()); }
-  Index cols() const override { return static_cast<Index>(cols_vec_.size()); }
-  std::size_t MemoryBytes() const override {
-    return (rows_vec_.capacity() + cols_vec_.capacity()) * sizeof(SphereVec);
-  }
-
- private:
-  std::vector<SphereVec> rows_vec_;
-  std::vector<SphereVec> cols_vec_;
 };
 
 }  // namespace frechet_motif

@@ -79,12 +79,6 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
 
 namespace {
 
-/// The haversine metric admits an O(n)-memory unit-vector cache whose
-/// results are bit-identical to fresh evaluation; use it when applicable.
-bool IsHaversine(const GroundMetric& metric) {
-  return dynamic_cast<const HaversineMetric*>(&metric) != nullptr;
-}
-
 /// The trajectory overloads: one trajectory (Problem 1, the caller's
 /// variant) or two (the cross variant, which this sets), read through an
 /// on-the-fly provider instead of a materialized dG.
@@ -98,10 +92,6 @@ StatusOr<MotifResult> GtmStarOnTheFly(GtmStarOptions options,
   }
   for (const Trajectory* t : {&trajectories...}) {
     FM_RETURN_IF_ERROR(ValidatePoints(*t, metric));
-  }
-  if (IsHaversine(metric)) {
-    const CachedHaversineDistance dist(trajectories...);
-    return GtmStarMotif(dist, options, stats);
   }
   const OnTheFlyDistance dist(trajectories..., metric);
   return GtmStarMotif(dist, options, stats);

@@ -45,7 +45,9 @@ struct GtmStarOptions {
 ///
 /// The provider-based entry point lets tests drive GTM* over explicit
 /// matrices; production use goes through the trajectory overloads, which
-/// construct an OnTheFlyDistance.
+/// construct one OnTheFlyDistance (unit vectors cached under haversine,
+/// O(n+m)). The subset DP fills one O(m) row of it per DP row into a
+/// per-lane buffer, so no O(n²) structure is ever built.
 StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
                                    const GtmStarOptions& options,
                                    MotifStats* stats = nullptr);

@@ -11,16 +11,15 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// The shared subset DP, templated on the ground-distance accessor so that
-/// the matrix-backed instantiation inlines to raw row-major loads (the
-/// devirtualized hot path) while any other provider keeps the generic
-/// virtual-call instantiation. `dist_at(r, c)` uses absolute indices.
-template <typename DistFn>
-void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
-                        const MotifOptions& options, Index i, Index j,
-                        const RelaxedBounds* relaxed, bool use_end_cross,
-                        const EndpointCaps& caps, SearchState* state,
-                        MotifStats* stats, FrechetScratch* scratch) {
+}  // namespace
+
+void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
+                    Index i, Index j, const RelaxedBounds* relaxed,
+                    bool use_end_cross, const EndpointCaps& caps,
+                    SearchState* state, MotifStats* stats,
+                    FrechetScratch* scratch) {
+  const Index n = dist.rows();
+  const Index m = dist.cols();
   const Index xi = options.min_length_xi;
   const bool single = options.variant == MotifVariant::kSingleTrajectory;
   // An endpoint cap is a wall: row ie_cap+1 / column je_cap+1 is too
@@ -37,20 +36,23 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
 
   std::vector<double>& prev = scratch->prev;
   std::vector<double>& curr = scratch->row;
-  // Guard the two rows independently: other kernels grow scratch->row on
+  // Guard each buffer on its own: other kernels grow scratch->row on
   // their own, and the swap below exchanges the members, so their sizes
   // can legitimately differ on entry.
-  if (static_cast<Index>(prev.size()) < width) prev.resize(width);
-  if (static_cast<Index>(curr.size()) < width) curr.resize(width);
+  for (std::vector<double>* v : {&prev, &curr, &scratch->dist_row}) {
+    if (static_cast<Index>(v->size()) < width) v->resize(width);
+  }
+  // The row view: d = dG(r, j .. je_max), one provider call per DP row.
+  double* const buf = scratch->dist_row.data();
 
   std::int64_t cells = 0;
 
   // Init row ie = i: dF(i, i, j, je) = running max of dG(i, j..je).
-  double running = dist_at(i, j);
+  const double* d = dist.RowSpan(i, j, width, buf);
+  double running = d[0];
   prev[0] = running;
   for (Index q = 1; q < width; ++q) {
-    const double d = dist_at(i, j + q);
-    if (d > running) running = d;
+    if (d[q] > running) running = d[q];
     prev[q] = running;
   }
   cells += width;
@@ -58,10 +60,11 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
   const bool pruning = use_end_cross && relaxed != nullptr;
 
   for (Index ie = i + 1; ie <= ie_max; ++ie) {
+    d = dist.RowSpan(ie, j, width, buf);
     const bool endpoint_row = ie >= i + xi + 1;
     Index live = 0;  // cells of this row that are not frozen
     // First column je = j (never a valid endpoint: je must exceed j+xi).
-    curr[0] = prev[0] == kInf ? kInf : std::max(prev[0], dist_at(ie, j));
+    curr[0] = prev[0] == kInf ? kInf : std::max(prev[0], d[0]);
     if (curr[0] != kInf && pruning && relaxed->Cmin(ie) > state->threshold &&
         relaxed->Rmin(j) > state->threshold) {
       curr[0] = kInf;
@@ -74,7 +77,7 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
       if (best_predecessor == kInf) {
         v = kInf;  // unreachable through frozen frontier
       } else {
-        v = std::max(dist_at(ie, j + q), best_predecessor);
+        v = std::max(d[q], best_predecessor);
       }
       const Index je = j + q;
       if (v != kInf) {
@@ -109,35 +112,7 @@ void EvaluateSubsetImpl(const DistFn& dist_at, Index n, Index m,
   }
 }
 
-/// Devirtualized absolute-index accessor over a materialized matrix.
-struct MatrixDist {
-  const double* base;
-  std::size_t stride;
-  double operator()(Index r, Index c) const {
-    return base[static_cast<std::size_t>(r) * stride +
-                static_cast<std::size_t>(c)];
-  }
-};
-
-/// Devirtualized accessor over the sliding-window ring matrix: same
-/// row-major loads, plus the logical-to-physical head rotation (a
-/// branchless-friendly compare per axis, no modulo).
-struct RingDist {
-  const double* base;
-  std::size_t stride;
-  Index row_head;
-  Index col_head;
-  Index row_capacity;
-  Index col_capacity;
-  double operator()(Index r, Index c) const {
-    Index pr = row_head + r;
-    if (pr >= row_capacity) pr -= row_capacity;
-    Index pc = col_head + c;
-    if (pc >= col_capacity) pc -= col_capacity;
-    return base[static_cast<std::size_t>(pr) * stride +
-                static_cast<std::size_t>(pc)];
-  }
-};
+namespace {
 
 /// Accumulates the counters EvaluateSubset touches, for the deterministic
 /// in-order merge of parallel batches.
@@ -146,39 +121,6 @@ void MergeEvaluationStats(const MotifStats& from, MotifStats* into) {
   into->dfd_cells_computed += from.dfd_cells_computed;
   into->bsf_updates += from.bsf_updates;
 }
-
-}  // namespace
-
-void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
-                    Index i, Index j, const RelaxedBounds* relaxed,
-                    bool use_end_cross, const EndpointCaps& caps,
-                    SearchState* state, MotifStats* stats,
-                    FrechetScratch* scratch) {
-  const Index n = dist.rows();
-  const Index m = dist.cols();
-  if (const auto* matrix = dynamic_cast<const DistanceMatrix*>(&dist)) {
-    const MatrixDist at{matrix->Row(0), static_cast<std::size_t>(m)};
-    EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                       state, stats, scratch);
-    return;
-  }
-  if (const auto* ring = dynamic_cast<const RingDistanceMatrix*>(&dist)) {
-    const RingDist at{ring->data(),
-                      static_cast<std::size_t>(ring->col_capacity()),
-                      ring->row_head(),
-                      ring->col_head(),
-                      ring->row_capacity(),
-                      ring->col_capacity()};
-    EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                       state, stats, scratch);
-    return;
-  }
-  const auto at = [&dist](Index r, Index c) { return dist.Distance(r, c); };
-  EvaluateSubsetImpl(at, n, m, options, i, j, relaxed, use_end_cross, caps,
-                     state, stats, scratch);
-}
-
-namespace {
 
 /// Shrinks the global endpoint caps after a best-so-far improvement
 /// (Algorithm 2 lines 12-13, both axes), justified by whole-row/column

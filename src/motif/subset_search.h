@@ -99,10 +99,13 @@ struct EndpointCaps {
 /// caller-provided `scratch`, reused across subsets so no evaluation
 /// allocates after warm-up.
 ///
-/// When `dist` is a DistanceMatrix the DP inner loop runs monomorphized
-/// over the row-major storage (no virtual call per cell); any other
-/// provider takes the generic virtual-dispatch path. Results are
-/// bit-identical either way.
+/// Reads dG through the row view: one dist.RowSpan(ie, j, width, buf)
+/// call per DP row, with `buf` the per-lane scratch->dist_row. A matrix
+/// serves the span from its storage, the ring copies only a span that
+/// crosses its column seam, and an on-the-fly provider fills `buf` (one
+/// batched call under haversine). Every provider's spans are
+/// bit-identical to its Distance(), so the result and the counters do not
+/// depend on which provider is passed.
 ///
 /// When `relaxed` is non-null and `use_end_cross` is set, applies the
 /// end-cell cross bound (Equation 9): a DP cell whose extensions are all

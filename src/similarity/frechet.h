@@ -31,6 +31,10 @@ struct FrechetScratch {
   /// Second rolling row for the subset-search DP (EvaluateSubset).
   std::vector<double> prev;
 
+  /// EvaluateSubset's row-view buffer: the ground-distance row a provider
+  /// fills when it cannot serve the span from its own storage.
+  std::vector<double> dist_row;
+
   /// Reachability row of the decision kernel (DiscreteFrechetAtMost).
   std::vector<char> reach;
 };

@@ -11,6 +11,7 @@ namespace frechet_motif {
 namespace {
 
 using testing_util::MakePlanarWalk;
+using testing_util::RowSpanMismatches;
 
 TEST(DistanceMatrixTest, RejectsEmptyTrajectory) {
   Trajectory empty;
@@ -77,6 +78,9 @@ TEST(OnTheFlyDistanceTest, MatchesMaterializedMatrix) {
     }
   }
   EXPECT_EQ(fly.MemoryBytes(), 0u);
+  // The row views of both providers match their per-cell reads.
+  EXPECT_EQ(RowSpanMismatches(fly), 0);
+  EXPECT_EQ(RowSpanMismatches(dg), 0);
 }
 
 TEST(OnTheFlyDistanceTest, SingleTrajectoryFormIsSelfDistance) {
@@ -245,6 +249,10 @@ TEST(RingDistanceMatrixTest, MidBufferHeadsSplitRowAndColumnWrites) {
           << "cell (" << i << "," << j << ")";
     }
   }
+  // With the column head at slot 3, logical columns 1 and 2 sit on either
+  // side of the column seam: spans from column 0 or 1 that reach column 2
+  // come back copied, the rest straight from the ring's storage.
+  EXPECT_EQ(RowSpanMismatches(ring), 0);
 }
 
 TEST(RingDistanceMatrixTest, FootprintIsCapacityBoundNotSizeBound) {

@@ -19,6 +19,7 @@ namespace frechet_motif {
 namespace {
 
 using testing_util::MakePlanarWalk;
+using testing_util::RowSpanMismatches;
 
 // ----------------------------------------------------------------- coupling
 
@@ -198,7 +199,7 @@ TEST(CachedHaversineTest, BitIdenticalToFreshEvaluation) {
   DatasetOptions d;
   d.length = 60;
   const Trajectory s = MakeDataset(DatasetKind::kBaboonLike, d).value();
-  const CachedHaversineDistance cached(s);
+  const OnTheFlyDistance cached(s, Haversine());
   for (Index i = 0; i < s.size(); ++i) {
     for (Index j = 0; j < s.size(); ++j) {
       // Bit-for-bit, not approximately: GreatCircleDistanceMeters is
@@ -207,6 +208,7 @@ TEST(CachedHaversineTest, BitIdenticalToFreshEvaluation) {
                 GreatCircleDistanceMeters(s[i], s[j]));
     }
   }
+  EXPECT_EQ(RowSpanMismatches(cached), 0);
 }
 
 TEST(CachedHaversineTest, CrossFormUsesBothTrajectories) {
@@ -215,11 +217,12 @@ TEST(CachedHaversineTest, CrossFormUsesBothTrajectories) {
   const Trajectory a = MakeDataset(DatasetKind::kGeoLifeLike, d).value();
   d.seed = 43;
   const Trajectory b = MakeDataset(DatasetKind::kGeoLifeLike, d).value();
-  const CachedHaversineDistance cached(a, b);
+  const OnTheFlyDistance cached(a, b, Haversine());
   EXPECT_EQ(cached.rows(), 20);
   EXPECT_EQ(cached.cols(), 20);
   EXPECT_EQ(cached.Distance(3, 7), GreatCircleDistanceMeters(a[3], b[7]));
   EXPECT_GT(cached.MemoryBytes(), 0u);
+  EXPECT_EQ(RowSpanMismatches(cached), 0);
 }
 
 }  // namespace

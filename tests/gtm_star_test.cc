@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "core/options.h"
+#include "data/datasets.h"
 #include "geo/metric.h"
 #include "motif/brute_dp.h"
 #include "motif/gtm.h"
@@ -71,22 +73,66 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(5u, 9u)));
 
 TEST(GtmStarTest, OnTheFlyPathMatchesMatrixPath) {
-  // The trajectory overload builds no dG matrix; it must still match GTM
-  // over a precomputed matrix.
-  const Trajectory s = MakePlanarWalk(80, 2);
-  MotifOptions motif;
-  motif.min_length_xi = 6;
-  GtmOptions gtm;
-  gtm.motif = motif;
-  gtm.group_size_tau = 8;
-  GtmStarOptions star;
-  star.motif = motif;
-  star.group_size_tau = 8;
-  StatusOr<MotifResult> expect = GtmMotif(s, Euclidean(), gtm);
-  StatusOr<MotifResult> got = GtmStarMotif(s, Euclidean(), star);
-  ASSERT_TRUE(expect.ok());
-  ASSERT_TRUE(got.ok());
-  EXPECT_DOUBLE_EQ(got.value().distance, expect.value().distance);
+  // The trajectory overload builds no dG matrix; over {haversine,
+  // Euclidean} x {single, cross} it must return GTM*'s matrix-path answer
+  // bit for bit, with every effort counter equal.
+  DatasetOptions data;
+  data.length = 80;
+  const Trajectory geo_s = MakeDataset(DatasetKind::kGeoLifeLike, data).value();
+  data.length = 70;
+  data.seed = 43;
+  const Trajectory geo_t = MakeDataset(DatasetKind::kGeoLifeLike, data).value();
+  const Trajectory walk_s = MakePlanarWalk(80, 2);
+  const Trajectory walk_t = MakePlanarWalk(70, 3);
+  struct Input {
+    const char* name;
+    const GroundMetric& metric;
+    const Trajectory& s;
+    const Trajectory& t;
+  };
+  for (const Input& in : {Input{"haversine", Haversine(), geo_s, geo_t},
+                          Input{"euclidean", Euclidean(), walk_s, walk_t}}) {
+    for (const bool cross : {false, true}) {
+      SCOPED_TRACE(std::string(in.name) + (cross ? " cross" : " single"));
+      GtmStarOptions star;
+      star.motif.min_length_xi = 6;
+      star.motif.variant = cross ? MotifVariant::kCrossTrajectory
+                                 : MotifVariant::kSingleTrajectory;
+      star.group_size_tau = 8;
+      MotifStats fly_stats;
+      MotifStats matrix_stats;
+      const StatusOr<MotifResult> fly =
+          cross ? GtmStarMotif(in.s, in.t, in.metric, star, &fly_stats)
+                : GtmStarMotif(in.s, in.metric, star, &fly_stats);
+      const DistanceMatrix dg =
+          (cross ? DistanceMatrix::Build(in.s, in.t, in.metric)
+                 : DistanceMatrix::Build(in.s, in.metric))
+              .value();
+      const StatusOr<MotifResult> matrix =
+          GtmStarMotif(dg, star, &matrix_stats);
+      ASSERT_TRUE(fly.ok()) << fly.status();
+      ASSERT_TRUE(matrix.ok()) << matrix.status();
+      ASSERT_TRUE(matrix.value().found);
+      EXPECT_EQ(fly.value().found, matrix.value().found);
+      EXPECT_EQ(fly.value().best, matrix.value().best);
+      EXPECT_EQ(fly.value().distance, matrix.value().distance);
+      // Every counter; memory and timings legitimately differ.
+      EXPECT_EQ(fly_stats.total_subsets, matrix_stats.total_subsets);
+      EXPECT_EQ(fly_stats.pruned_by_cell, matrix_stats.pruned_by_cell);
+      EXPECT_EQ(fly_stats.pruned_by_cross, matrix_stats.pruned_by_cross);
+      EXPECT_EQ(fly_stats.pruned_by_band, matrix_stats.pruned_by_band);
+      EXPECT_EQ(fly_stats.subsets_evaluated, matrix_stats.subsets_evaluated);
+      EXPECT_EQ(fly_stats.dfd_cells_computed,
+                matrix_stats.dfd_cells_computed);
+      EXPECT_EQ(fly_stats.bsf_updates, matrix_stats.bsf_updates);
+      EXPECT_EQ(fly_stats.group_pairs_total, matrix_stats.group_pairs_total);
+      EXPECT_EQ(fly_stats.group_pairs_pruned_pattern,
+                matrix_stats.group_pairs_pruned_pattern);
+      EXPECT_EQ(fly_stats.group_pairs_pruned_dfd_bound,
+                matrix_stats.group_pairs_pruned_dfd_bound);
+      EXPECT_EQ(fly_stats.gub_tightenings, matrix_stats.gub_tightenings);
+    }
+  }
 }
 
 TEST(GtmStarTest, UsesLessPeakMemoryThanGtm) {

@@ -2,13 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "core/options.h"
+#include "geo/metric.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
 
 namespace frechet_motif {
 namespace {
 
+using testing_util::MakePlanarWalk;
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
 
@@ -124,6 +129,91 @@ TEST(EvaluateSubsetTest, ThresholdSemanticsRecordWithoutPruningOptimum) {
                  nullptr, &scratch);
   ASSERT_TRUE(pruned.found);
   EXPECT_DOUBLE_EQ(pruned.best_distance, no_prune.best_distance);
+}
+
+/// A provider that implements only the per-cell read, so EvaluateSubset
+/// runs over the default RowSpan.
+class CellOnlyProvider final : public DistanceProvider {
+ public:
+  explicit CellOnlyProvider(const DistanceProvider& inner) : inner_(inner) {}
+  double Distance(Index i, Index j) const override {
+    return inner_.Distance(i, j);
+  }
+  Index rows() const override { return inner_.rows(); }
+  Index cols() const override { return inner_.cols(); }
+  std::size_t MemoryBytes() const override { return 0; }
+
+ private:
+  const DistanceProvider& inner_;
+};
+
+TEST(EvaluateSubsetTest, EveryProviderGivesTheSameSearch) {
+  // One planar walk presented four ways: the dense matrix, a ring appended
+  // past capacity so both heads sit mid-buffer (DP rows cross the column
+  // seam), the on-the-fly provider, and the default RowSpan.
+  const Index n = 40;
+  const Index extra = 7;  // points appended before the window: heads -> 7
+  const Trajectory feed = MakePlanarWalk(n + extra, 53);
+  const Trajectory s(std::vector<Point>(feed.points().begin() + extra,
+                                        feed.points().end()));
+  const DistanceMatrix dg = DistanceMatrix::Build(s, Euclidean()).value();
+  RingDistanceMatrix ring(n, n);
+  for (Index p = 0; p < feed.size(); ++p) {
+    const Index first = std::max<Index>(0, p - n + 1);  // after eviction
+    std::vector<double> to_window;
+    for (Index k = first; k < p; ++k) {
+      to_window.push_back(Euclidean().Distance(feed[p], feed[k]));
+    }
+    ring.AppendPoint(to_window.data(), to_window.data(), 0.0);
+  }
+  ASSERT_EQ(ring.row_head(), extra);
+  ASSERT_EQ(ring.col_head(), extra);
+  const OnTheFlyDistance fly(s, Euclidean());
+  const CellOnlyProvider cell_only(dg);
+  const DistanceProvider* providers[] = {&ring, &fly, &cell_only};
+
+  const MotifOptions options = Single(3);
+  const RelaxedBounds rb = RelaxedBounds::Build(dg, options);
+  EndpointCaps caps;
+  caps.ie_cap = 24;
+  caps.je_cap = 33;
+  // The tightest external threshold a group upper bound could set: the
+  // motif distance itself.
+  SearchState motif;
+  FrechetScratch motif_scratch;
+  ForEachValidSubset(options, n, n, [&](Index i, Index j) {
+    EvaluateSubset(dg, options, i, j, nullptr, false, EndpointCaps{}, &motif,
+                   nullptr, &motif_scratch);
+  });
+  const double threshold = motif.threshold;
+
+  const auto evaluate = [&](const DistanceProvider& dist, Index i, Index j,
+                            MotifStats* stats) {
+    SearchState state;
+    state.threshold = threshold;
+    FrechetScratch scratch;
+    EvaluateSubset(dist, options, i, j, &rb, /*use_end_cross=*/true, caps,
+                   &state, stats, &scratch);
+    return state;
+  };
+  MotifStats want_stats;
+  MotifStats got_stats[3];
+  ForEachValidSubset(options, n, n, [&](Index i, Index j) {
+    const SearchState want = evaluate(dg, i, j, &want_stats);
+    for (int k = 0; k < 3; ++k) {
+      const SearchState got = evaluate(*providers[k], i, j, &got_stats[k]);
+      EXPECT_EQ(got.found, want.found) << "provider " << k;
+      EXPECT_EQ(got.best, want.best) << "provider " << k;
+      EXPECT_EQ(got.best_distance, want.best_distance) << "provider " << k;
+      EXPECT_EQ(got.threshold, want.threshold) << "provider " << k;
+    }
+  });
+  EXPECT_GT(want_stats.bsf_updates, 0);
+  for (int k = 0; k < 3; ++k) {
+    EXPECT_EQ(got_stats[k].subsets_evaluated, want_stats.subsets_evaluated);
+    EXPECT_EQ(got_stats[k].dfd_cells_computed, want_stats.dfd_cells_computed);
+    EXPECT_EQ(got_stats[k].bsf_updates, want_stats.bsf_updates);
+  }
 }
 
 TEST(SearchStateTest, RecordUpdatesBestAndThreshold) {

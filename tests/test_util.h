@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "core/distance_matrix.h"
@@ -115,6 +116,29 @@ inline Trajectory MakePlanarWalk(Index n, std::uint64_t seed,
     y += rng.NextGaussian(0.0, step);
   }
   return Trajectory(std::move(points));
+}
+
+/// Number of (r, c0, count, q) with RowSpan(r, c0, count)[q] !=
+/// Distance(r, c0 + q), over every row and every in-range column span of
+/// `dist`. The fill buffer starts as NaN, so a span a provider returns
+/// without filling it counts too. Zero means the row view agrees with
+/// the per-cell reads bit for bit.
+inline std::int64_t RowSpanMismatches(const DistanceProvider& dist) {
+  std::int64_t mismatches = 0;
+  std::vector<double> buf;
+  for (Index r = 0; r < dist.rows(); ++r) {
+    for (Index c0 = 0; c0 < dist.cols(); ++c0) {
+      for (Index count = 1; c0 + count <= dist.cols(); ++count) {
+        buf.assign(static_cast<std::size_t>(count),
+                   std::numeric_limits<double>::quiet_NaN());
+        const double* span = dist.RowSpan(r, c0, count, buf.data());
+        for (Index q = 0; q < count; ++q) {
+          if (span[q] != dist.Distance(r, c0 + q)) ++mismatches;
+        }
+      }
+    }
+  }
+  return mismatches;
 }
 
 }  // namespace testing_util

@@ -43,6 +43,12 @@ bare-mutex
     std::condition_variable gives the analysis nothing to see.
     util/mutex.h itself is the one permitted wrapper site.
 
+provider-dispatch
+    The motif layer (src/motif/) reads ground distances only through
+    DistanceProvider's virtuals: Distance() per cell, RowSpan() per DP
+    row. The row view is the one dispatch, so a dynamic_cast there — a
+    provider-specific fast path beside it — is flagged.
+
 fuzz-seed
     Every randomized gtest suite (tests/*fuzz*_test.cc) must derive
     its randomness from test_util.h's FuzzSeed(), which prints the
@@ -97,6 +103,8 @@ BARE_MUTEX_RE = re.compile(
     r"lock_guard|unique_lock|scoped_lock|shared_lock|"
     r"condition_variable(?:_any)?)\b"
 )
+
+DYNAMIC_CAST_RE = re.compile(r"\bdynamic_cast\s*<")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -220,6 +228,15 @@ class Linter:
 
     rule_bare_mutex.NAME = "bare-mutex"
 
+    def rule_provider_dispatch(self, path, lineno, code):
+        if DYNAMIC_CAST_RE.search(code):
+            self.report(
+                path, lineno, "provider-dispatch",
+                "dynamic_cast in the motif layer; read dG through "
+                "DistanceProvider::RowSpan/Distance, the one dispatch")
+
+    rule_provider_dispatch.NAME = "provider-dispatch"
+
     def make_layer_rule(self, layer):
         level = LAYER_LEVEL[layer]
 
@@ -278,6 +295,8 @@ class Linter:
             rules = [Linter.rule_stderr]
             if layer in LAYER_LEVEL:
                 rules.append(self.make_layer_rule(layer))
+            if layer == "motif":
+                rules.append(Linter.rule_provider_dispatch)
             # util/mutex.h is where the std:: primitives get wrapped.
             if not (layer == "util" and path.name == "mutex.h"):
                 rules.append(Linter.rule_bare_mutex)
