@@ -30,7 +30,7 @@ StatusOr<DistanceMatrix> DistanceMatrix::Build(const Trajectory& s,
         "cannot build a distance matrix over an empty trajectory");
   }
   FM_RETURN_IF_ERROR(ValidatePoints(s, metric));
-  FM_RETURN_IF_ERROR(ValidatePoints(t, metric));
+  if (&s != &t) FM_RETURN_IF_ERROR(ValidatePoints(t, metric));
   const Index n = s.size();
   const Index m = t.size();
   std::vector<double> values(static_cast<std::size_t>(n) * m);
@@ -149,14 +149,15 @@ OnTheFlyDistance::OnTheFlyDistance(const Trajectory& s, const Trajectory& t,
       haversine_(dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
   if (haversine_) {
     rows_vec_ = VectorizePoints(s);
-    cols_vec_ = VectorizePoints(t);
+    if (&s != &t) cols_vec_ = VectorizePoints(t);
+    cols_ = &s == &t ? rows_vec_.data() : cols_vec_.data();
   }
 }
 
 const double* OnTheFlyDistance::RowSpan(Index r, Index c0, Index count,
                                         double* buf) const {
   if (haversine_) {
-    SphereVecDistanceBatch(rows_vec_[r], cols_vec_.data() + c0,
+    SphereVecDistanceBatch(rows_vec_[r], cols_ + c0,
                            static_cast<std::size_t>(count), buf);
   } else {
     const Point& p = s_[r];

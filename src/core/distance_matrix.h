@@ -114,8 +114,9 @@ class DistanceMatrix final : public DistanceProvider {
 /// memory), so a cell costs one sqrt + asin instead of six trigonometric
 /// calls and a row is one SphereVecDistanceBatch call; the values are
 /// bit-identical to metric.Distance (GreatCircleDistanceMeters is defined
-/// as exactly this computation). Any other metric is evaluated per cell
-/// with O(1) memory.
+/// as exactly this computation). A self-matrix (`&s == &t`) keeps one
+/// array for both roles. Any other metric is evaluated per cell with O(1)
+/// memory.
 class OnTheFlyDistance final : public DistanceProvider {
  public:
   /// Both trajectories and the metric must outlive this provider.
@@ -126,8 +127,12 @@ class OnTheFlyDistance final : public DistanceProvider {
   OnTheFlyDistance(const Trajectory& s, const GroundMetric& metric)
       : OnTheFlyDistance(s, s, metric) {}
 
+  // The column view may point into this object's own row array.
+  OnTheFlyDistance(const OnTheFlyDistance&) = delete;
+  OnTheFlyDistance& operator=(const OnTheFlyDistance&) = delete;
+
   double Distance(Index i, Index j) const override {
-    return haversine_ ? SphereVecDistanceMeters(rows_vec_[i], cols_vec_[j])
+    return haversine_ ? SphereVecDistanceMeters(rows_vec_[i], cols_[j])
                       : metric_.Distance(s_[i], t_[j]);
   }
 
@@ -148,8 +153,11 @@ class OnTheFlyDistance final : public DistanceProvider {
   const GroundMetric& metric_;
   bool haversine_;
   // The haversine unit-vector caches; empty for any other metric.
+  // cols_vec_ also stays empty for a self-matrix, whose cols_ is
+  // rows_vec_'s data.
   std::vector<SphereVec> rows_vec_;
   std::vector<SphereVec> cols_vec_;
+  const SphereVec* cols_ = nullptr;
 };
 
 /// Bounded sliding-window ground-distance matrix whose storage is reused

@@ -5,7 +5,8 @@
 /// dismisses in Section 2: trajectories become strings over a five-letter
 /// movement alphabet and motifs become repeated substrings. Fast, but
 /// blind to spatial distance — kept as the comparison subject for
-/// Figure 4 (tests and bench_fig4_symbolic demonstrate the failure mode).
+/// Figure 4 (tests and `bench_paper --figure=4` demonstrate the failure
+/// mode).
 
 #include <string>
 
@@ -20,7 +21,7 @@ namespace frechet_motif {
 /// by substring matching on the resulting string. The approach is fast but
 /// cannot capture spatial distance — two trajectories in different cities
 /// can map to the same string — which this module exists to demonstrate
-/// (tests and bench_fig4_symbolic).
+/// (tests and `bench_paper --figure=4`).
 ///
 /// Symbol alphabet, following Figure 4(a):
 ///   'V' vertical long straight    (heading within tolerance of north/south)

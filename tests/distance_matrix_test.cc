@@ -81,6 +81,29 @@ TEST(OnTheFlyDistanceTest, MatchesMaterializedMatrix) {
   // The row views of both providers match their per-cell reads.
   EXPECT_EQ(RowSpanMismatches(fly), 0);
   EXPECT_EQ(RowSpanMismatches(dg), 0);
+
+  // Under haversine the provider caches unit vectors: one array for a
+  // self-matrix, one per trajectory otherwise, with values bit-identical
+  // to the materialized matrix either way.
+  const Trajectory a = MakePlanarWalk(18, 6, 0.01);
+  const Trajectory b = MakePlanarWalk(21, 7, 0.01);
+  const OnTheFlyDistance self(a, Haversine());
+  const OnTheFlyDistance cross(a, b, Haversine());
+  EXPECT_EQ(self.MemoryBytes(), 18 * sizeof(SphereVec));
+  EXPECT_EQ(cross.MemoryBytes(), (18 + 21) * sizeof(SphereVec));
+  const DistanceMatrix self_dg = DistanceMatrix::Build(a, Haversine()).value();
+  const DistanceMatrix cross_dg =
+      DistanceMatrix::Build(a, b, Haversine()).value();
+  for (Index i = 0; i < a.size(); ++i) {
+    for (Index j = 0; j < a.size(); ++j) {
+      EXPECT_EQ(self.Distance(i, j), self_dg.Distance(i, j));
+    }
+    for (Index j = 0; j < b.size(); ++j) {
+      EXPECT_EQ(cross.Distance(i, j), cross_dg.Distance(i, j));
+    }
+  }
+  EXPECT_EQ(RowSpanMismatches(self), 0);
+  EXPECT_EQ(RowSpanMismatches(cross), 0);
 }
 
 TEST(OnTheFlyDistanceTest, SingleTrajectoryFormIsSelfDistance) {

@@ -57,6 +57,13 @@ fuzz-seed
     tests/fuzz/ are corpus-driven (the input is the repro) and must
     define LLVMFuzzerTestOneInput instead.
 
+bench-mains
+    bench/ holds three harnesses, each one executable:
+    bench_paper.cc (every paper figure and table, one config row each,
+    claims checked on counters), bench_micro_kernels.cc and
+    bench_approx_sweep.cc. Another `int main(` in bench/ is a new
+    per-figure driver; add a row to bench_paper's figure table instead.
+
 Suppressions
 ------------
     // fmotif-lint: allow(<rule>) <justification>          (this line)
@@ -105,6 +112,11 @@ BARE_MUTEX_RE = re.compile(
 )
 
 DYNAMIC_CAST_RE = re.compile(r"\bdynamic_cast\s*<")
+
+MAIN_RE = re.compile(r"\bint\s+main\s*\(")
+# The three bench/ files allowed a main (see the bench-mains rule).
+BENCH_MAIN_FILES = {
+    "bench_paper.cc", "bench_micro_kernels.cc", "bench_approx_sweep.cc"}
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 
@@ -237,6 +249,15 @@ class Linter:
 
     rule_provider_dispatch.NAME = "provider-dispatch"
 
+    def rule_bench_main(self, path, lineno, code):
+        if MAIN_RE.search(code):
+            self.report(
+                path, lineno, "bench-mains",
+                "a new main in bench/; add a FigureSpec row to "
+                "bench_paper.cc instead")
+
+    rule_bench_main.NAME = "bench-mains"
+
     def make_layer_rule(self, layer):
         level = LAYER_LEVEL[layer]
 
@@ -313,6 +334,12 @@ class Linter:
         if fuzz_dir.is_dir():
             for path in sorted(fuzz_dir.glob("fuzz_*.cc")):
                 self.lint_fuzz_harness(path)
+
+        bench = self.root / "bench"
+        if bench.is_dir():
+            for path in sorted(bench.glob("*.cc")):
+                if path.name not in BENCH_MAIN_FILES:
+                    self.lint_file(path, [Linter.rule_bench_main])
 
         return self.findings
 
