@@ -20,12 +20,14 @@
 #include "bench_common.h"
 #include "core/distance_matrix.h"
 #include "data/datasets.h"
+#include "geo/great_circle.h"
 #include "geo/metric.h"
 #include "motif/btm.h"
 #include "motif/group.h"
 #include "motif/relaxed_bounds.h"
 #include "similarity/frechet.h"
 #include "stream/motif_fleet_engine.h"
+#include "util/random.h"
 #include "util/simd.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -165,6 +167,48 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
                   ? 1.0
                   : 0.0;
   }));
+  // The ε-decision on a W=128 window of a GeoLife-like walk and a
+  // follower of it (each point moved by Gaussian noise, σ = 8 m, as a
+  // convoy member would be), at radii around the fleet join's.
+  // `matched` records the verdict.
+  const Trajectory w_a = t.Slice(0, 127);
+  std::vector<Point> follower;
+  Rng noise(11);
+  for (const Point& p : w_a.points()) {
+    follower.push_back(OffsetByMeters(p, noise.NextGaussian(0.0, 8.0),
+                                      noise.NextGaussian(0.0, 8.0)));
+  }
+  const Trajectory w_b(std::move(follower));
+  for (const double theta : {20.0, 50.0, 200.0}) {
+    const bool matched =
+        DiscreteFrechetAtMost(w_a, w_b, Haversine(), theta).value();
+    results.push_back(Measure(
+        "dfd_at_most_w128_theta" + std::to_string(static_cast<int>(theta)),
+        128, 1, budget, [&] {
+          g_sink += DiscreteFrechetAtMost(w_a, w_b, Haversine(), theta,
+                                          &scratch)
+                            .value()
+                        ? 1.0
+                        : 0.0;
+        }));
+    results.back().extras["theta_m"] = theta;
+    results.back().extras["matched"] = matched ? 1.0 : 0.0;
+    // The same decision on cached unit vectors, as the joins run it.
+    const DfdDecision decision(Haversine(), theta);
+    std::vector<SphereVec> va;
+    std::vector<SphereVec> vb;
+    decision.Vectorize(w_a, &va);
+    decision.Vectorize(w_b, &vb);
+    results.push_back(Measure(
+        "dfd_decision_w128_theta" + std::to_string(static_cast<int>(theta)),
+        128, 1, budget, [&] {
+          g_sink += decision.AtMost(DfdOperand::Of(w_a, va),
+                                    DfdOperand::Of(w_b, vb), &scratch)
+                        ? 1.0
+                        : 0.0;
+        }));
+    results.back().extras["theta_m"] = theta;
+  }
 
   // -- Bound precomputation and grouping ------------------------------
   MotifOptions motif;

@@ -11,8 +11,16 @@
 ///  * `DiscreteFrechetOnRange()` — DFD of a subtrajectory pair over a
 ///    ground-distance provider, with the threshold early-exit contract the
 ///    motif search builds on;
-///  * `DiscreteFrechetAtMost()` — the decision kernel ("is DFD ≤ θ?") the
-///    similarity join and clustering use;
+///  * `DiscreteFrechetAtMost()` — the decision "is DFD ≤ θ?", and
+///    `DfdDecision`, the primitive behind it that the similarity join and
+///    clustering hold once per (metric, θ). A cell is decided on its
+///    squared chord (haversine) or squared planar distance against a
+///    precomputed s*, and only a cell inside a 1e-9 relative guard band
+///    around s* evaluates its exact distance, so every verdict equals
+///    `metric.Distance(a, b) <= θ` bit for bit. Reachability runs 64
+///    columns per word: with F a row's within-θ bits and
+///    S = F & (R' | R' << 1) its seeds from the row above,
+///    R = F & (((F + S) ^ F) | S), with add-with-carry across words;
 ///  * `DiscreteFrechetCoupling()` — an optimal point alignment, for
 ///    rendering *why* two subtrajectories match;
 ///  * `FrechetScratch` — reusable DP buffers that make every evaluation

@@ -42,40 +42,36 @@ std::vector<Index> WindowStarts(const Trajectory& s,
 }
 
 /// Does window `b_start` match the reference window `a_start` within θ?
-bool WindowsMatch(const Trajectory& s, Index a_start, Index b_start,
-                  const ClusterOptions& options, const GroundMetric& metric,
+/// `s` is the whole trajectory's decision operand.
+bool WindowsMatch(const DfdDecision& decision, const DfdOperand& s,
+                  Index a_start, Index b_start, const ClusterOptions& options,
                   ClusterStats* stats, FrechetScratch* scratch) {
   if (stats != nullptr) ++stats->window_pairs;
   const Index len = options.window_length;
   // Endpoint lower bound: the coupling pins first to first, last to last.
-  const double endpoint_lb =
-      std::max(metric.Distance(s[a_start], s[b_start]),
-               metric.Distance(s[a_start + len - 1], s[b_start + len - 1]));
-  if (endpoint_lb > options.threshold_m) {
+  if (!decision.Within(s, a_start, s, b_start) ||
+      !decision.Within(s, a_start + len - 1, s, b_start + len - 1)) {
     if (stats != nullptr) ++stats->pruned_endpoints;
     return false;
   }
   if (stats != nullptr) ++stats->decided_exact;
-  const Trajectory a = s.Slice(a_start, a_start + len - 1);
-  const Trajectory b = s.Slice(b_start, b_start + len - 1);
-  const StatusOr<bool> within =
-      DiscreteFrechetAtMost(a, b, metric, options.threshold_m, scratch);
-  return within.ok() && within.value();
+  return decision.AtMost(s.Slice(a_start, len), s.Slice(b_start, len),
+                         scratch);
 }
 
 /// Greedy left-to-right selection of non-overlapping matching windows
 /// around the reference, restricted to `allowed` starts.
 std::vector<SubtrajectoryRef> CollectMembers(
-    const Trajectory& s, Index reference, const std::vector<Index>& allowed,
-    const ClusterOptions& options, const GroundMetric& metric,
+    const DfdDecision& decision, const DfdOperand& s, Index reference,
+    const std::vector<Index>& allowed, const ClusterOptions& options,
     ClusterStats* stats, FrechetScratch* scratch) {
   std::vector<SubtrajectoryRef> members;
   Index next_free = 0;  // first point index not yet covered by a member
   for (const Index start : allowed) {
     if (start < next_free) continue;  // would overlap the previous member
     const bool is_reference = start == reference;
-    if (is_reference ||
-        WindowsMatch(s, reference, start, options, metric, stats, scratch)) {
+    if (is_reference || WindowsMatch(decision, s, reference, start, options,
+                                     stats, scratch)) {
       members.push_back(
           SubtrajectoryRef{start, start + options.window_length - 1});
       next_free = start + options.window_length;
@@ -102,12 +98,15 @@ StatusOr<SubtrajectoryCluster> BestSubtrajectoryCluster(
   FM_RETURN_IF_ERROR(ValidateInputs(s, metric, options));
   const std::vector<Index> starts = WindowStarts(s, options);
 
+  const DfdDecision decision(metric, options.threshold_m);
+  std::vector<SphereVec> vecs;
+  decision.Vectorize(s, &vecs);
+  const DfdOperand operand = DfdOperand::Of(s, vecs);
   SubtrajectoryCluster best;
   FrechetScratch scratch;  // reused across every window-pair DP
   for (const Index reference : starts) {
-    const std::vector<SubtrajectoryRef> members =
-        CollectMembers(s, reference, starts, options, metric, stats,
-                       &scratch);
+    const std::vector<SubtrajectoryRef> members = CollectMembers(
+        decision, operand, reference, starts, options, stats, &scratch);
     if (static_cast<int>(members.size()) > best.size()) {
       best.reference = {reference, reference + options.window_length - 1};
       best.members = members;
@@ -127,14 +126,17 @@ StatusOr<std::vector<SubtrajectoryCluster>> ClusterSubtrajectories(
   FM_RETURN_IF_ERROR(ValidateInputs(s, metric, options));
   std::vector<Index> remaining = WindowStarts(s, options);
 
+  const DfdDecision decision(metric, options.threshold_m);
+  std::vector<SphereVec> vecs;
+  decision.Vectorize(s, &vecs);
+  const DfdOperand operand = DfdOperand::Of(s, vecs);
   std::vector<SubtrajectoryCluster> clusters;
   FrechetScratch scratch;  // reused across every window-pair DP
   while (true) {
     SubtrajectoryCluster best;
     for (const Index reference : remaining) {
-      const std::vector<SubtrajectoryRef> members =
-          CollectMembers(s, reference, remaining, options, metric, stats,
-                         &scratch);
+      const std::vector<SubtrajectoryRef> members = CollectMembers(
+          decision, operand, reference, remaining, options, stats, &scratch);
       if (static_cast<int>(members.size()) > best.size()) {
         best.reference = {reference, reference + options.window_length - 1};
         best.members = members;

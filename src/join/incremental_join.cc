@@ -21,7 +21,7 @@ bool PairLess(const JoinPair& a, const JoinPair& b) {
 
 IncrementalDfdJoin::IncrementalDfdJoin(const JoinOptions& options,
                                        const GroundMetric& metric)
-    : options_(options), metric_(&metric) {}
+    : options_(options), decision_(metric, options.threshold) {}
 
 StatusOr<IncrementalDfdJoin> IncrementalDfdJoin::Create(
     const JoinOptions& options, const GroundMetric& metric) {
@@ -40,7 +40,8 @@ Status IncrementalDfdJoin::Update(std::size_t id, Trajectory trajectory) {
       std::max(std::abs(box.min_x), std::abs(box.max_x));
   if (!grid_ready_) {
     abs_lat_max_ = abs_lat;
-    margin_ = JoinCoordinateMargin(*metric_, options_.threshold, abs_lat_max_);
+    margin_ = JoinCoordinateMargin(decision_.kind(), options_.threshold,
+                                   abs_lat_max_);
     // Cell size is a performance knob frozen at first contact with the
     // data; the margin itself stays current (below), which is what
     // soundness depends on.
@@ -51,21 +52,27 @@ Status IncrementalDfdJoin::Update(std::size_t id, Trajectory trajectory) {
     grid_ready_ = true;
   } else if (abs_lat > abs_lat_max_) {
     abs_lat_max_ = abs_lat;
-    margin_ =
-        std::max(margin_, JoinCoordinateMargin(*metric_, options_.threshold,
-                                               abs_lat_max_));
+    margin_ = std::max(margin_,
+                       JoinCoordinateMargin(decision_.kind(),
+                                            options_.threshold, abs_lat_max_));
   }
 
-  const auto it = members_.find(id);
-  if (it == members_.end()) {
+  if (members_.count(id) == 0) {
     FM_RETURN_IF_ERROR(grid_.Insert(id, box));
-    members_.emplace(id, Member{std::move(trajectory), box});
   } else {
     FM_RETURN_IF_ERROR(grid_.Update(id, box));
-    it->second = Member{std::move(trajectory), box};
   }
+  SetMember(id, std::move(trajectory), box);
   dirty_.insert(id);
   return Status::Ok();
+}
+
+void IncrementalDfdJoin::SetMember(std::size_t id, Trajectory trajectory,
+                                   const BoundingBox& box) {
+  Member& member = members_[id];
+  member.trajectory = std::move(trajectory);
+  member.box = box;
+  decision_.Vectorize(member.trajectory, &member.vecs);
 }
 
 Status IncrementalDfdJoin::Remove(std::size_t id) {
@@ -113,8 +120,8 @@ StatusOr<JoinDelta> IncrementalDfdJoin::Tick() {
       ++stats_.pairs_reverified;
       ++stats_.cascade.pairs_total;
       const bool now = ResolveJoinCandidate(
-          member->second.trajectory, member->second.box, other.trajectory,
-          other.box, *metric_, options_, &stats_.cascade, &scratch_);
+          decision_, member->second.operand(), member->second.box,
+          other.operand(), other.box, options_, &stats_.cascade, &scratch_);
       const auto adj = matches_.find(id);
       const bool was =
           adj != matches_.end() && adj->second.count(partner) != 0;
@@ -308,8 +315,7 @@ Status IncrementalDfdJoin::LoadFrom(BinaryReader* reader) {
     }
     const BoundingBox box = BoundingBox::Of(trajectory);
     FM_RETURN_IF_ERROR(grid_.Insert(static_cast<std::size_t>(id), box));
-    members_.emplace(static_cast<std::size_t>(id),
-                     Member{std::move(trajectory), box});
+    SetMember(static_cast<std::size_t>(id), std::move(trajectory), box);
   }
 
   std::vector<JoinPair> match_pairs;

@@ -131,13 +131,25 @@ class IncrementalDfdJoin {
  private:
   IncrementalDfdJoin(const JoinOptions& options, const GroundMetric& metric);
 
+  /// A member's snapshot, its decision vectors (computed once per
+  /// Update or LoadFrom, never serialized) and its bounding box.
   struct Member {
     Trajectory trajectory;
+    std::vector<SphereVec> vecs;
     BoundingBox box;
+
+    DfdOperand operand() const { return DfdOperand::Of(trajectory, vecs); }
   };
 
+  /// Stores `id`'s member record (the grid is the caller's) and computes
+  /// its vectors.
+  void SetMember(std::size_t id, Trajectory trajectory,
+                 const BoundingBox& box);
+
   JoinOptions options_;
-  const GroundMetric* metric_;
+  /// The cell test of every verdict: the metric's kind and the threshold,
+  /// resolved once.
+  DfdDecision decision_;
 
   std::unordered_map<std::size_t, Member> members_;
   /// Lazily created at the first Update (cell size needs a margin, the

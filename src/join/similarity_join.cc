@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-
-#include "geo/great_circle.h"
 #include <functional>
 
 #include "core/distance_matrix.h"
+#include "geo/great_circle.h"
 #include "join/grid_index.h"
 #include "similarity/frechet.h"
 #include "util/thread_pool.h"
@@ -33,15 +31,14 @@ double AxisGap(double lo_a, double hi_a, double lo_b, double hi_b) {
 ///    R·Δφ_gap, and the longitude separation evaluated with the most
 ///    meridian-converging latitude of either box,
 ///    2R·asin(cos φ_max · sin(Δλ_gap/2)). Both only ever under-estimate.
-///  * Unknown metrics: 0 (no pruning — always safe).
-double BboxGap(const BoundingBox& a, const BoundingBox& b,
-               const GroundMetric& metric) {
+///  * Other metrics: 0 (no pruning — always safe).
+double BboxGap(const BoundingBox& a, const BoundingBox& b, MetricKind kind) {
   const double gx = AxisGap(a.min_x, a.max_x, b.min_x, b.max_x);
   const double gy = AxisGap(a.min_y, a.max_y, b.min_y, b.max_y);
-  if (dynamic_cast<const EuclideanMetric*>(&metric) != nullptr) {
+  if (kind == MetricKind::kEuclidean) {
     return std::sqrt(gx * gx + gy * gy);
   }
-  if (dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
+  if (kind == MetricKind::kHaversine) {
     const double lat_bound = kEarthRadiusMeters * DegToRad(gx);
     const double abs_lat_max =
         std::max({std::abs(a.min_x), std::abs(a.max_x), std::abs(b.min_x),
@@ -57,21 +54,17 @@ double BboxGap(const BoundingBox& a, const BoundingBox& b,
   return 0.0;
 }
 
-/// Sampled one-sided Hausdorff lower bound: max over sampled points a_p of
-/// min over all b_q of d(a_p, b_q). Every coupling matches a_p with some
-/// b_q, so this never exceeds the DFD. O(samples * lb).
-double SampledHausdorffLb(const Trajectory& a, const Trajectory& b,
-                          const GroundMetric& metric, Index samples) {
-  double worst = 0.0;
-  const Index step = std::max<Index>(1, a.size() / std::max<Index>(1, samples));
-  for (Index p = 0; p < a.size(); p += step) {
-    double best = std::numeric_limits<double>::infinity();
-    for (Index q = 0; q < b.size(); ++q) {
-      best = std::min(best, metric.Distance(a[p], b[q]));
-    }
-    worst = std::max(worst, best);
+/// Sampled one-sided Hausdorff bound: for sampled points a_p, is
+/// min over all b_q of d(a_p, b_q) above the threshold? Every coupling
+/// matches a_p with some b_q, so if one sampled a_p has no b_q within
+/// the threshold, DFD > threshold. O(samples * lb).
+bool SampledHausdorffExceeds(const DfdDecision& decision, const DfdOperand& a,
+                             const DfdOperand& b, Index samples) {
+  const Index step = std::max<Index>(1, a.size / std::max<Index>(1, samples));
+  for (Index p = 0; p < a.size; p += step) {
+    if (!decision.AnyWithin(a, p, b)) return true;
   }
-  return worst;
+  return false;
 }
 
 /// The largest |latitude| any box in either collection reaches, for the
@@ -112,12 +105,10 @@ Status ValidateInputs(const std::vector<Trajectory>& left,
 
 }  // namespace
 
-double JoinCoordinateMargin(const GroundMetric& metric, double threshold,
+double JoinCoordinateMargin(MetricKind kind, double threshold,
                             double abs_lat_max) {
-  if (dynamic_cast<const EuclideanMetric*>(&metric) != nullptr) {
-    return threshold;
-  }
-  if (dynamic_cast<const HaversineMetric*>(&metric) != nullptr) {
+  if (kind == MetricKind::kEuclidean) return threshold;
+  if (kind == MetricKind::kHaversine) {
     const double meters_per_degree = 111132.0;  // conservative minimum
     const double lat_margin = threshold / meters_per_degree;
     const double cos_lat =
@@ -125,40 +116,33 @@ double JoinCoordinateMargin(const GroundMetric& metric, double threshold,
     const double lon_margin = threshold / (meters_per_degree * cos_lat);
     return std::max(lat_margin, lon_margin);
   }
-  // Unknown metric: no sound conversion — effectively disable filtering by
+  // Other metric: no sound conversion — effectively disable filtering by
   // using an enormous margin.
   return 1e12;
 }
 
-/// Resolves one pair through the cascade. Returns true iff it matches.
-bool ResolveJoinCandidate(const Trajectory& a, const BoundingBox& box_a,
-                          const Trajectory& b, const BoundingBox& box_b,
-                          const GroundMetric& metric,
-                          const JoinOptions& options, JoinStats* stats,
-                          FrechetScratch* scratch) {
-  const double theta = options.threshold;
+bool ResolveJoinCandidate(const DfdDecision& decision, const DfdOperand& a,
+                          const BoundingBox& box_a, const DfdOperand& b,
+                          const BoundingBox& box_b, const JoinOptions& options,
+                          JoinStats* stats, FrechetScratch* scratch) {
   if (options.use_pruning) {
-    if (BboxGap(box_a, box_b, metric) > theta) {
+    if (BboxGap(box_a, box_b, decision.kind()) > options.threshold) {
       if (stats != nullptr) ++stats->pruned_bbox;
       return false;
     }
-    const double endpoint_lb =
-        std::max(metric.Distance(a[0], b[0]),
-                 metric.Distance(a[a.size() - 1], b[b.size() - 1]));
-    if (endpoint_lb > theta) {
+    if (!decision.Within(a, 0, b, 0) ||
+        !decision.Within(a, a.size - 1, b, b.size - 1)) {
       if (stats != nullptr) ++stats->pruned_endpoints;
       return false;
     }
     if (options.hausdorff_samples > 0 &&
-        SampledHausdorffLb(a, b, metric, options.hausdorff_samples) > theta) {
+        SampledHausdorffExceeds(decision, a, b, options.hausdorff_samples)) {
       if (stats != nullptr) ++stats->pruned_hausdorff;
       return false;
     }
   }
   if (stats != nullptr) ++stats->decided_exact;
-  const StatusOr<bool> within =
-      DiscreteFrechetAtMost(a, b, metric, theta, scratch);
-  const bool matched = within.ok() && within.value();
+  const bool matched = decision.AtMost(a, b, scratch);
   if (matched && stats != nullptr) ++stats->matched;
   return matched;
 }
@@ -179,6 +163,29 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into) {
 using CandidateEnumerator =
     std::function<void(const std::function<void(const JoinPair&)>&)>;
 
+/// One side of a join, prepared once per call: each trajectory's box,
+/// its decision vectors, and its operand view over both. Not copyable:
+/// the operands point into `vecs`.
+struct JoinSide {
+  std::vector<BoundingBox> boxes;
+  std::vector<std::vector<SphereVec>> vecs;
+  std::vector<DfdOperand> operands;
+
+  JoinSide(const JoinSide&) = delete;
+  JoinSide& operator=(const JoinSide&) = delete;
+  JoinSide(const std::vector<Trajectory>& trajectories,
+           const DfdDecision& decision)
+      : vecs(trajectories.size()) {
+    boxes.reserve(trajectories.size());
+    operands.reserve(trajectories.size());
+    for (std::size_t k = 0; k < trajectories.size(); ++k) {
+      boxes.push_back(BoundingBox::Of(trajectories[k]));
+      decision.Vectorize(trajectories[k], &vecs[k]);
+      operands.push_back(DfdOperand::Of(trajectories[k], vecs[k]));
+    }
+  }
+};
+
 /// Runs the pruning cascade + exact decision over the enumerated
 /// candidates. Serial path (threads <= 1): candidates stream straight
 /// through the cascade — no list is materialized, preserving the O(1)
@@ -189,23 +196,25 @@ using CandidateEnumerator =
 /// summed in lane order. Per-lane FrechetScratch keeps the decision
 /// kernel allocation-free.
 std::vector<JoinPair> ResolveCandidates(const CandidateEnumerator& enumerate,
-                                        const std::vector<Trajectory>& left,
-                                        const std::vector<BoundingBox>& left_boxes,
-                                        const std::vector<Trajectory>& right,
-                                        const std::vector<BoundingBox>& right_boxes,
-                                        const GroundMetric& metric,
+                                        const DfdDecision& decision,
+                                        const JoinSide& left,
+                                        const JoinSide& right,
                                         const JoinOptions& options,
                                         JoinStats* stats) {
+  const auto resolve = [&](const JoinPair& c, JoinStats* lane_stats,
+                           FrechetScratch* scratch) {
+    return ResolveJoinCandidate(decision, left.operands[c.li],
+                                left.boxes[c.li], right.operands[c.ri],
+                                right.boxes[c.ri], options, lane_stats,
+                                scratch);
+  };
   const int threads = ResolveThreadCount(options.threads);
   if (threads <= 1) {
     std::vector<JoinPair> matches;
     FrechetScratch scratch;
     enumerate([&](const JoinPair& c) {
       if (stats != nullptr) ++stats->pairs_total;
-      if (ResolveJoinCandidate(left[c.li], left_boxes[c.li], right[c.ri],
-                      right_boxes[c.ri], metric, options, stats, &scratch)) {
-        matches.push_back(c);
-      }
+      if (resolve(c, stats, &scratch)) matches.push_back(c);
     });
     return matches;
   }
@@ -225,11 +234,7 @@ std::vector<JoinPair> ResolveCandidates(const CandidateEnumerator& enumerate,
         JoinStats* local = stats != nullptr ? &lane_stats[lane] : nullptr;
         for (std::int64_t k = lo; k < hi; ++k) {
           const JoinPair& c = candidates[static_cast<std::size_t>(k)];
-          if (ResolveJoinCandidate(left[c.li], left_boxes[c.li], right[c.ri],
-                          right_boxes[c.ri], metric, options, local,
-                          &scratch)) {
-            lane_matches[lane].push_back(c);
-          }
+          if (resolve(c, local, &scratch)) lane_matches[lane].push_back(c);
         }
       });
   std::vector<JoinPair> matches;
@@ -262,35 +267,31 @@ StatusOr<std::vector<JoinPair>> DfdSimilarityJoin(
     const GroundMetric& metric, const JoinOptions& options,
     JoinStats* stats) {
   FM_RETURN_IF_ERROR(ValidateInputs(left, right, metric, options));
-
-  std::vector<BoundingBox> left_boxes;
-  left_boxes.reserve(left.size());
-  for (const Trajectory& t : left) left_boxes.push_back(BoundingBox::Of(t));
-  std::vector<BoundingBox> right_boxes;
-  right_boxes.reserve(right.size());
-  for (const Trajectory& t : right) right_boxes.push_back(BoundingBox::Of(t));
+  const DfdDecision decision(metric, options.threshold);
+  const JoinSide left_side(left, decision);
+  const JoinSide right_side(right, decision);
 
   // Candidate generation (grid-indexed or exhaustive) is cheap and runs
   // serially; verification streams (threads=1) or fans out over the
   // enumerated candidates.
   if (options.use_grid_index) {
-    const double margin =
-        JoinCoordinateMargin(metric, options.threshold,
-                             AbsLatMaxOf(left_boxes, right_boxes));
+    const double margin = JoinCoordinateMargin(
+        decision.kind(), options.threshold,
+        AbsLatMaxOf(left_side.boxes, right_side.boxes));
     const StatusOr<GridIndex> index =
-        GridIndex::Build(right_boxes, std::max(margin, 1e-9) * 2.0);
+        GridIndex::Build(right_side.boxes, std::max(margin, 1e-9) * 2.0);
     if (!index.ok()) return index.status();
     const CandidateEnumerator enumerate =
         [&](const std::function<void(const JoinPair&)>& emit) {
           for (std::size_t li = 0; li < left.size(); ++li) {
-            for (const std::size_t ri :
-                 index.value().Candidates(left_boxes[li].Expanded(margin))) {
+            for (const std::size_t ri : index.value().Candidates(
+                     left_side.boxes[li].Expanded(margin))) {
               emit(JoinPair{li, ri});
             }
           }
         };
-    return ResolveCandidates(enumerate, left, left_boxes, right, right_boxes,
-                             metric, options, stats);
+    return ResolveCandidates(enumerate, decision, left_side, right_side,
+                             options, stats);
   }
   const CandidateEnumerator enumerate =
       [&](const std::function<void(const JoinPair&)>& emit) {
@@ -300,8 +301,8 @@ StatusOr<std::vector<JoinPair>> DfdSimilarityJoin(
           }
         }
       };
-  return ResolveCandidates(enumerate, left, left_boxes, right, right_boxes,
-                           metric, options, stats);
+  return ResolveCandidates(enumerate, decision, left_side, right_side,
+                           options, stats);
 }
 
 StatusOr<std::vector<JoinPair>> DfdSelfJoin(
@@ -309,31 +310,27 @@ StatusOr<std::vector<JoinPair>> DfdSelfJoin(
     const JoinOptions& options, JoinStats* stats) {
   FM_RETURN_IF_ERROR(
       ValidateInputs(trajectories, trajectories, metric, options));
-
-  std::vector<BoundingBox> boxes;
-  boxes.reserve(trajectories.size());
-  for (const Trajectory& t : trajectories) {
-    boxes.push_back(BoundingBox::Of(t));
-  }
+  const DfdDecision decision(metric, options.threshold);
+  const JoinSide side(trajectories, decision);
 
   if (options.use_grid_index) {
     const double margin =
-        JoinCoordinateMargin(metric, options.threshold, AbsLatMaxOf(boxes, boxes));
+        JoinCoordinateMargin(decision.kind(), options.threshold,
+                             AbsLatMaxOf(side.boxes, side.boxes));
     const StatusOr<GridIndex> index =
-        GridIndex::Build(boxes, std::max(margin, 1e-9) * 2.0);
+        GridIndex::Build(side.boxes, std::max(margin, 1e-9) * 2.0);
     if (!index.ok()) return index.status();
     const CandidateEnumerator enumerate =
         [&](const std::function<void(const JoinPair&)>& emit) {
           for (std::size_t i = 0; i < trajectories.size(); ++i) {
             for (const std::size_t j :
-                 index.value().Candidates(boxes[i].Expanded(margin))) {
+                 index.value().Candidates(side.boxes[i].Expanded(margin))) {
               if (j <= i) continue;  // unordered pairs once
               emit(JoinPair{i, j});
             }
           }
         };
-    return ResolveCandidates(enumerate, trajectories, boxes, trajectories,
-                             boxes, metric, options, stats);
+    return ResolveCandidates(enumerate, decision, side, side, options, stats);
   }
   const CandidateEnumerator enumerate =
       [&](const std::function<void(const JoinPair&)>& emit) {
@@ -343,8 +340,7 @@ StatusOr<std::vector<JoinPair>> DfdSelfJoin(
           }
         }
       };
-  return ResolveCandidates(enumerate, trajectories, boxes, trajectories,
-                           boxes, metric, options, stats);
+  return ResolveCandidates(enumerate, decision, side, side, options, stats);
 }
 
 }  // namespace frechet_motif

@@ -105,17 +105,19 @@ StatusOr<std::vector<JoinPair>> DfdSelfJoin(
 
 /// Resolves one candidate pair through the join's pruning cascade
 /// (bounding-box gap, endpoint bound, sampled Hausdorff bound, then the
-/// exact early-abandoning decision kernel). Returns true iff
-/// DFD(a, b) <= options.threshold. This is the single-pair verdict the
-/// batch joins apply per candidate, exposed so incremental consumers
+/// exact early-abandoning decision). Returns true iff DFD(a, b) <=
+/// options.threshold. Every stage after the box gap takes its verdicts
+/// from `decision`'s one cell test (DfdDecision over the join's metric
+/// and threshold), so each stage prunes exactly the pairs the per-cell
+/// `metric.Distance <= threshold` would. This is the single-pair verdict
+/// the batch joins apply per candidate, exposed so incremental consumers
 /// (IncrementalDfdJoin) produce verdicts bit-identical to a from-scratch
 /// join. `stats` may be null; `scratch` (optional) makes the call
 /// allocation-free.
-bool ResolveJoinCandidate(const Trajectory& a, const BoundingBox& box_a,
-                          const Trajectory& b, const BoundingBox& box_b,
-                          const GroundMetric& metric,
-                          const JoinOptions& options, JoinStats* stats,
-                          FrechetScratch* scratch);
+bool ResolveJoinCandidate(const DfdDecision& decision, const DfdOperand& a,
+                          const BoundingBox& box_a, const DfdOperand& b,
+                          const BoundingBox& box_b, const JoinOptions& options,
+                          JoinStats* stats, FrechetScratch* scratch);
 
 /// Conservative conversion of the metric threshold θ into coordinate
 /// units, for grid cell sizing and query-box expansion: any two points
@@ -124,8 +126,8 @@ bool ResolveJoinCandidate(const Trajectory& a, const BoundingBox& box_a,
 /// with the longitude axis corrected for the worst meridian convergence
 /// at `abs_lat_max` degrees (pass the largest |latitude| the data can
 /// reach; the margin grows with it, so over-estimating is always safe).
-/// Unknown metrics get an effectively unbounded margin (no filtering).
-double JoinCoordinateMargin(const GroundMetric& metric, double threshold,
+/// Other metrics get an effectively unbounded margin (no filtering).
+double JoinCoordinateMargin(MetricKind kind, double threshold,
                             double abs_lat_max);
 
 }  // namespace frechet_motif

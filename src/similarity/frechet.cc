@@ -383,6 +383,336 @@ Status ValidateDfdThreshold(double threshold, const char* name) {
   return Status::Ok();
 }
 
+namespace {
+
+/// Relative half-width of the guard band around s* (see DfdDecision).
+constexpr double kBand = 1e-9;
+/// Below this s* may be subnormal, where a relative band means nothing:
+/// the band becomes [0, s* + kBandFloor] instead.
+constexpr double kBandFloor = 1e-280;
+/// Largest haversine half-angle θ / 2R the band is built for: sin still
+/// grows steeply there. Past it, every cell beyond the chord of this
+/// angle takes the exact path.
+constexpr double kMaxHalfAngle = 1.5;
+
+/// The squared quantity dG grows with: the squared chord of two unit
+/// vectors, and the squared planar distance. Each evaluates s exactly as
+/// SphereVecDistanceMeters / EuclideanMetric::Distance do.
+inline double Chord2(const SphereVec& a, const SphereVec& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  const double dz = a.z - b.z;
+  return dx * dx + dy * dy + dz * dz;
+}
+
+inline double Chord2(const Point& a, const Point& b) {
+  const double dx = a.x - b.x;
+  const double dy = a.y - b.y;
+  return dx * dx + dy * dy;
+}
+
+constexpr Index kWordBits = 64;
+
+inline int LowestBit(std::uint64_t word) { return __builtin_ctzll(word); }
+inline int HighestBit(std::uint64_t word) {
+  return 63 - __builtin_clzll(word);
+}
+
+/// Bit q of a reach row.
+inline bool Reached(const std::uint64_t* reach, Index q) {
+  return ((reach[q / kWordBits] >> (q % kWordBits)) & 1) != 0;
+}
+
+/// Cell verdicts of one operand pair under a closed-form metric: the
+/// threshold test on Chord2 over `a`/`b` (unit vectors or points), with
+/// `exact(p, q)` inside the guard band [lo, hi].
+template <typename V, typename Exact>
+struct BandCells {
+  const V* a;
+  const V* b;
+  double lo;
+  double hi;
+  Exact exact;
+
+  bool Within(Index p, Index q) const {
+    const double s = Chord2(a[p], b[q]);
+    if (s < lo) return true;
+    return s <= hi && exact(p, q);
+  }
+
+  /// Row p's verdicts on columns [q0, q0 + n), n <= 64, bit i for q0 + i.
+  std::uint64_t Word(Index p, Index q0, int n) const {
+    const V& u = a[p];
+    const V* v = b + q0;
+    std::uint64_t within = 0;
+    std::uint64_t band = 0;
+    for (int i = 0; i < n; ++i) {
+      const double s = Chord2(u, v[i]);
+      within |= static_cast<std::uint64_t>(s < lo) << i;
+      band |= static_cast<std::uint64_t>(s <= hi) << i;
+    }
+    band &= ~within;
+    for (; band != 0; band &= band - 1) {
+      const int i = LowestBit(band);
+      if (exact(p, q0 + i)) within |= std::uint64_t{1} << i;
+    }
+    return within;
+  }
+};
+
+/// The haversine exact path: bit-identical to HaversineMetric::Distance.
+struct SphereExact {
+  const SphereVec* a;
+  const SphereVec* b;
+  double threshold;
+  bool operator()(Index p, Index q) const {
+    return SphereVecDistanceMeters(a[p], b[q]) <= threshold;
+  }
+};
+
+/// The exact path through the metric: the Euclidean band's fallback, and
+/// every cell of a metric the decision has no closed form for.
+struct MetricExact {
+  const GroundMetric* metric;
+  const Point* a;
+  const Point* b;
+  double threshold;
+  bool operator()(Index p, Index q) const {
+    return metric->Distance(a[p], b[q]) <= threshold;
+  }
+};
+
+/// Cell verdicts under any other metric: the exact test on every cell.
+struct MetricCells {
+  MetricExact exact;
+
+  bool Within(Index p, Index q) const { return exact(p, q); }
+
+  std::uint64_t Word(Index p, Index q0, int n) const {
+    std::uint64_t within = 0;
+    for (int i = 0; i < n; ++i) {
+      within |= static_cast<std::uint64_t>(exact(p, q0 + i)) << i;
+    }
+    return within;
+  }
+};
+
+/// The haversine cells of a one-shot decision, whose operands come
+/// without vectors: `a`'s rows and `b`'s columns are converted into `va`
+/// / `vb` as a prefix, as far as the DP has read (`*done_a`, `*done_b`),
+/// so a pair that abandons early converts few points. A lone cell (the
+/// corner tests) converts its two points without caching them.
+struct LazySphereCells {
+  const Point* pa;
+  const Point* pb;
+  SphereVec* va;
+  SphereVec* vb;
+  Index* done_a;
+  Index* done_b;
+  double lo;
+  double hi;
+  double threshold;
+
+  static void Extend(const Point* points, SphereVec* vecs, Index upto,
+                     Index* done) {
+    for (; *done < upto; ++*done) vecs[*done] = ToSphereVec(points[*done]);
+  }
+
+  BandCells<SphereVec, SphereExact> Cached() const {
+    return {va, vb, lo, hi, SphereExact{va, vb, threshold}};
+  }
+
+  bool Within(Index p, Index q) const {
+    if (p < *done_a && q < *done_b) return Cached().Within(p, q);
+    const SphereVec u = ToSphereVec(pa[p]);
+    const SphereVec v = ToSphereVec(pb[q]);
+    return BandCells<SphereVec, SphereExact>{&u, &v, lo, hi,
+                                             SphereExact{&u, &v, threshold}}
+        .Within(0, 0);
+  }
+
+  std::uint64_t Word(Index p, Index q0, int n) const {
+    Extend(pa, va, p + 1, done_a);
+    Extend(pb, vb, q0 + n, done_b);
+    return Cached().Word(p, q0, n);
+  }
+};
+
+/// Advances the reach row in place from row p − 1 (nonzero words
+/// [*first, *last]) to row p; see DfdDecision::AtMost for the
+/// recurrence. `diagonal` is false for row 0, whose only seed is the
+/// virtual cell above (0, 0) that `reach` holds on entry. Only the
+/// columns a seed can sit on, [leftmost, rightmost + 1] of the row
+/// above, are tested word by word; past them the row can only extend its
+/// last run, which is tested as far as it stays free. Returns false when
+/// row p reaches nothing.
+template <typename Cells>
+bool ReachRow(const Cells& cells, Index p, Index lb, bool diagonal,
+              std::uint64_t* reach, Index* first, Index* last) {
+  const Index from = *first * kWordBits + LowestBit(reach[*first]);
+  const Index right = *last * kWordBits + HighestBit(reach[*last]);
+  const Index to = std::min(lb, right + (diagonal ? 2 : 1));  // past seeds
+  std::uint64_t carry = 0;  // of F + S, into the next word
+  std::uint64_t spill = 0;  // bit 63 of the row above, moving diagonally
+  Index new_first = -1;
+  Index new_last = -1;
+  for (Index k = *first; k * kWordBits < to; ++k) {
+    const std::uint64_t above = reach[k];
+    const Index q0 = std::max(k * kWordBits, from);
+    const Index q1 = std::min((k + 1) * kWordBits, to);
+    const std::uint64_t free =
+        cells.Word(p, q0, static_cast<int>(q1 - q0)) << (q0 - k * kWordBits);
+    const std::uint64_t seeds =
+        free & (diagonal ? above | (above << 1) | spill : above);
+    spill = diagonal ? above >> 63 : 0;
+    const std::uint64_t partial = free + seeds;
+    const std::uint64_t sum = partial + carry;
+    carry = (partial < free || sum < partial) ? 1 : 0;
+    const std::uint64_t row = free & ((sum ^ free) | seeds);
+    reach[k] = row;
+    if (row != 0) {
+      if (new_first < 0) new_first = k;
+      new_last = k;
+    }
+  }
+  if (new_first < 0) return false;
+  // The run through column to − 1 continues while its cells are free.
+  Index q = to;
+  bool running = Reached(reach, q - 1);
+  while (running && q < lb) {
+    const Index offset = q % kWordBits;
+    const int n = static_cast<int>(std::min(kWordBits - offset, lb - q));
+    const std::uint64_t free = cells.Word(p, q, n);
+    const int run = ~free == 0 ? n : LowestBit(~free);
+    if (run > 0) {
+      const std::uint64_t bits =
+          run == kWordBits ? ~std::uint64_t{0} : (std::uint64_t{1} << run) - 1;
+      reach[q / kWordBits] |= bits << offset;
+      new_last = q / kWordBits;
+    }
+    running = run == n;
+    q += n;
+  }
+  *first = new_first;
+  *last = new_last;
+  return true;
+}
+
+template <typename Cells>
+bool ReachAtMost(const Cells& cells, Index la, Index lb,
+                 std::vector<std::uint64_t>& reach) {
+  // Every coupling starts and ends on these corners.
+  if (!cells.Within(0, 0) || !cells.Within(la - 1, lb - 1)) return false;
+  reach.assign(static_cast<std::size_t>((lb + kWordBits - 1) / kWordBits), 0);
+  reach[0] = 1;  // row 0's one seed: column 0
+  Index first = 0;
+  Index last = 0;
+  for (Index p = 0; p < la; ++p) {
+    if (!ReachRow(cells, p, lb, p > 0, reach.data(), &first, &last)) {
+      return false;
+    }
+  }
+  return Reached(reach.data(), lb - 1);
+}
+
+}  // namespace
+
+DfdOperand DfdOperand::Of(const Trajectory& t,
+                          const std::vector<SphereVec>& vecs) {
+  return DfdOperand{t.points().data(), vecs.empty() ? nullptr : vecs.data(),
+                    t.size()};
+}
+
+DfdOperand DfdOperand::Slice(Index first, Index count) const {
+  return DfdOperand{points + first, vecs != nullptr ? vecs + first : nullptr,
+                    count};
+}
+
+DfdDecision::DfdDecision(const GroundMetric& metric, double threshold)
+    : metric_(&metric),
+      kind_(dynamic_cast<const HaversineMetric*>(&metric) != nullptr
+                ? MetricKind::kHaversine
+            : dynamic_cast<const EuclideanMetric*>(&metric) != nullptr
+                ? MetricKind::kEuclidean
+                : MetricKind::kOther),
+      threshold_(threshold),
+      lo_(-std::numeric_limits<double>::infinity()),
+      hi_(-std::numeric_limits<double>::infinity()) {
+  if (!(threshold >= 0.0)) return;  // negative or NaN: nothing is within
+  double s_star = threshold * threshold;
+  bool capped = false;
+  if (kind_ == MetricKind::kHaversine) {
+    const double half_angle = threshold / (2.0 * kEarthRadiusMeters);
+    capped = !(half_angle < kMaxHalfAngle);
+    const double chord = 2.0 * std::sin(capped ? kMaxHalfAngle : half_angle);
+    s_star = chord * chord;
+  }
+  lo_ = s_star >= kBandFloor ? s_star * (1.0 - kBand) : 0.0;
+  hi_ = capped ? std::numeric_limits<double>::infinity()
+               : s_star * (1.0 + kBand) + kBandFloor;
+}
+
+void DfdDecision::Vectorize(const Trajectory& t,
+                            std::vector<SphereVec>* out) const {
+  out->clear();
+  if (kind_ != MetricKind::kHaversine) return;
+  out->reserve(static_cast<std::size_t>(t.size()));
+  for (const Point& p : t.points()) out->push_back(ToSphereVec(p));
+}
+
+template <typename Fn>
+auto DfdDecision::WithCells(const DfdOperand& a, const DfdOperand& b,
+                            Fn&& fn) const {
+  const MetricExact exact{metric_, a.points, b.points, threshold_};
+  switch (kind_) {
+    case MetricKind::kHaversine:
+      return fn(BandCells<SphereVec, SphereExact>{
+          a.vecs, b.vecs, lo_, hi_, SphereExact{a.vecs, b.vecs, threshold_}});
+    case MetricKind::kEuclidean:
+      return fn(BandCells<Point, MetricExact>{a.points, b.points, lo_, hi_,
+                                              exact});
+    case MetricKind::kOther:
+      break;
+  }
+  return fn(MetricCells{exact});
+}
+
+bool DfdDecision::Within(const DfdOperand& a, Index p, const DfdOperand& b,
+                         Index q) const {
+  return WithCells(a, b, [&](const auto& cells) { return cells.Within(p, q); });
+}
+
+bool DfdDecision::AnyWithin(const DfdOperand& a, Index p,
+                            const DfdOperand& b) const {
+  return WithCells(a, b, [&](const auto& cells) {
+    for (Index q0 = 0; q0 < b.size; q0 += kWordBits) {
+      const Index n = std::min(kWordBits, b.size - q0);
+      if (cells.Word(p, q0, static_cast<int>(n)) != 0) return true;
+    }
+    return false;
+  });
+}
+
+bool DfdDecision::AtMost(const DfdOperand& a, const DfdOperand& b,
+                         FrechetScratch* scratch) const {
+  FrechetScratch local;
+  FrechetScratch& s = scratch != nullptr ? *scratch : local;
+  if (kind_ == MetricKind::kHaversine &&
+      (a.vecs == nullptr || b.vecs == nullptr)) {
+    s.vecs_a.resize(static_cast<std::size_t>(a.size));
+    s.vecs_b.resize(static_cast<std::size_t>(b.size));
+    Index done_a = 0;
+    Index done_b = 0;
+    const LazySphereCells cells{a.points, b.points, s.vecs_a.data(),
+                                s.vecs_b.data(), &done_a, &done_b,
+                                lo_, hi_, threshold_};
+    return ReachAtMost(cells, a.size, b.size, s.reach);
+  }
+  return WithCells(a, b, [&](const auto& cells) {
+    return ReachAtMost(cells, a.size, b.size, s.reach);
+  });
+}
+
 StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,
                                      const GroundMetric& metric,
                                      double threshold,
@@ -392,41 +722,9 @@ StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,
         "discrete Fréchet distance of an empty trajectory is undefined");
   }
   if (threshold < 0.0) return false;
-  const Index la = a.size();
-  const Index lb = b.size();
-  FrechetScratch local;
-  FrechetScratch& s = scratch != nullptr ? *scratch : local;
-  // reach[q]: prefix b[0..q] is reachable with leash <= threshold.
-  std::vector<char>& reach = s.reach;
-  reach.assign(static_cast<std::size_t>(lb), 0);
-  reach[0] = metric.Distance(a[0], b[0]) <= threshold ? 1 : 0;
-  for (Index q = 1; q < lb; ++q) {
-    reach[q] = (reach[q - 1] != 0 &&
-                metric.Distance(a[0], b[q]) <= threshold)
-                   ? 1
-                   : 0;
-  }
-  for (Index p = 1; p < la; ++p) {
-    char diag = reach[0];  // reach(p-1, 0)
-    reach[0] = (reach[0] != 0 && metric.Distance(a[p], b[0]) <= threshold)
-                   ? 1
-                   : 0;
-    bool any = reach[0] != 0;
-    for (Index q = 1; q < lb; ++q) {
-      const char up = reach[q];
-      const char left = reach[q - 1];
-      const bool predecessor_ok = up != 0 || left != 0 || diag != 0;
-      reach[q] = (predecessor_ok &&
-                  metric.Distance(a[p], b[q]) <= threshold)
-                     ? 1
-                     : 0;
-      any = any || reach[q] != 0;
-      diag = up;
-    }
-    // Early abandon: an unreachable frontier can never recover.
-    if (!any) return false;
-  }
-  return reach[static_cast<std::size_t>(lb) - 1] != 0;
+  const DfdDecision decision(metric, threshold);
+  return decision.AtMost(DfdOperand::Of(a, {}), DfdOperand::Of(b, {}),
+                         scratch);
 }
 
 StatusOr<Coupling> DiscreteFrechetCoupling(const Trajectory& a,

@@ -5,16 +5,19 @@
 /// the library. The paper's d_F (Section 2, Eiter & Mannila 1994) comes in
 /// four forms: the exact whole-trajectory distance, the subtrajectory-range
 /// DP with a threshold early-exit contract (what every motif algorithm
-/// calls), the boolean decision kernel the join/clustering use, and the
-/// coupling backtrack for visualization. All kernels accept an optional
-/// FrechetScratch so steady-state evaluations allocate nothing; see
-/// docs/PERFORMANCE.md for the monomorphization and early-exit design.
+/// calls), the boolean ε-decision the join/clustering use (DfdDecision,
+/// DiscreteFrechetAtMost), and the coupling backtrack for visualization.
+/// All kernels accept an optional FrechetScratch so steady-state
+/// evaluations allocate nothing; see docs/PERFORMANCE.md for the
+/// monomorphization, early-exit and ε-decision design.
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "core/distance_matrix.h"
 #include "core/trajectory.h"
+#include "geo/great_circle.h"
 #include "geo/metric.h"
 #include "util/status.h"
 
@@ -35,8 +38,14 @@ struct FrechetScratch {
   /// fills when it cannot serve the span from its own storage.
   std::vector<double> dist_row;
 
-  /// Reachability row of the decision kernel (DiscreteFrechetAtMost).
-  std::vector<char> reach;
+  /// Reachability row of the ε-decision, 64 columns per word
+  /// (DfdDecision::AtMost).
+  std::vector<std::uint64_t> reach;
+
+  /// Unit vectors of a one-shot haversine decision (DfdDecision::AtMost
+  /// on operands without vectors, as DiscreteFrechetAtMost passes them).
+  std::vector<SphereVec> vecs_a;
+  std::vector<SphereVec> vecs_b;
 };
 
 /// Sentinel "no threshold": with this value the kernels never early-exit
@@ -102,14 +111,115 @@ StatusOr<std::vector<double>> DiscreteFrechetMatrix(const Trajectory& a,
                                                     const Trajectory& b,
                                                     const GroundMetric& metric);
 
+/// The ground metrics the ε-decision evaluates in closed form; any other
+/// metric is called through GroundMetric::Distance.
+enum class MetricKind { kHaversine, kEuclidean, kOther };
+
+/// One operand of an ε-decision: `size` points and, under the haversine
+/// metric, their unit vectors (DfdDecision::Vectorize; null otherwise).
+/// A view: it owns nothing, and both arrays must outlive it. Under
+/// haversine, `vecs` may be null only for a one-shot AtMost, which then
+/// converts the points as the DP first reads them.
+struct DfdOperand {
+  const Point* points = nullptr;
+  const SphereVec* vecs = nullptr;
+  Index size = 0;
+
+  /// `t` with the vectors DfdDecision::Vectorize made of it.
+  static DfdOperand Of(const Trajectory& t, const std::vector<SphereVec>& vecs);
+
+  /// Points [first, first + count) of this operand.
+  DfdOperand Slice(Index first, Index count) const;
+};
+
+/// The ε-decision: is a ground distance, or the DFD of two trajectories,
+/// at most θ? One object per (metric, θ) serves every cell test of the
+/// join cascade (endpoints, sampled Hausdorff, the exact decision) and of
+/// clustering, so the metric's kind and the threshold test are resolved
+/// once rather than per pair or per cell.
+///
+/// Cell test. dG grows with a squared quantity s that needs no
+/// trigonometry: the squared chord |ua − ub|² of the two unit vectors
+/// under haversine (dG = 2R·asin(√s / 2)), and dx² + dy² under Euclidean
+/// (dG = √s). Setup computes s* = (2·sin(θ / 2R))² (haversine) or θ²
+/// (Euclidean) and a guard band [lo, hi] = s*·(1 ∓ 1e-9). A cell with
+/// s < lo is within θ and one with s > hi is not; only a cell inside the
+/// band evaluates its exact distance (SphereVecDistanceMeters, which is
+/// bit-identical to HaversineMetric::Distance, or metric.Distance) and
+/// compares that. Outside the band the true distance is at least ~5e-10
+/// relatively away from θ (dG's relative growth is at least half of s's:
+/// d ln dG / d ln s ≥ 1/2), while the computed distance is within a few
+/// ulps of the true one; so every verdict equals `metric.Distance(a, b)
+/// <= θ` bit for bit, without assuming libm's asin is monotone. For
+/// θ ≥ 3R (half-angle past 1.5 rad) the band's top is +∞, so every cell
+/// beyond the 3R chord takes the exact path; tiny thresholds (s* below
+/// 1e-280, subnormal territory) get an absolute band instead. A NaN
+/// coordinate gives NaN s, which is in neither region and never within,
+/// as with the exact comparison.
+///
+/// Other metrics take the exact path, metric.Distance(a, b) <= θ, on
+/// every cell.
+class DfdDecision {
+ public:
+  /// Resolves `metric`'s kind and the threshold test. The metric must
+  /// outlive the decision. A negative or NaN θ makes no cell within.
+  DfdDecision(const GroundMetric& metric, double threshold);
+
+  MetricKind kind() const { return kind_; }
+
+  /// The per-trajectory cache the cell test reads: the unit vector of
+  /// every point of `t` under haversine; cleared under any other metric.
+  void Vectorize(const Trajectory& t, std::vector<SphereVec>* out) const;
+
+  /// metric.Distance(a[p], b[q]) <= θ.
+  bool Within(const DfdOperand& a, Index p, const DfdOperand& b,
+              Index q) const;
+
+  /// Whether some point of `b` is within θ of a[p].
+  bool AnyWithin(const DfdOperand& a, Index p, const DfdOperand& b) const;
+
+  /// DFD(a, b) <= θ, for non-empty operands.
+  ///
+  /// Reachability DP, 64 columns per word. Cell (p, q) is reachable when
+  /// it is within θ and one of (p−1, q), (p−1, q−1), (p, q−1) is. Let F
+  /// be row p's within-θ bits and S = F & (R' | R' << 1) the cells the
+  /// row above (R') reaches directly. Then R = F & (((F + S) ^ F) | S):
+  /// adding a seed bit carries it through the rest of its run of free
+  /// cells, so the XOR marks every cell from the seed to the run's end
+  /// (the "| S" restores a seed bit that the carry of a lower seed in the
+  /// same run left unchanged). The addition carries across words. Row 0
+  /// seeds only column 0. A row tests only the columns a seed can sit on
+  /// (leftmost to rightmost + 1 of the row above; no path moves left),
+  /// then extends its last run while its cells stay free; an all-zero
+  /// row abandons. The corner cells (0, 0) and (ℓa−1, ℓb−1), which every
+  /// coupling starts and ends on, are tested first.
+  bool AtMost(const DfdOperand& a, const DfdOperand& b,
+              FrechetScratch* scratch) const;
+
+ private:
+  /// Calls fn(cells) with the cell-test object of this kind for (a, b).
+  template <typename Fn>
+  auto WithCells(const DfdOperand& a, const DfdOperand& b, Fn&& fn) const;
+
+  const GroundMetric* metric_;
+  MetricKind kind_;
+  double threshold_;
+  /// The guard band on s (unused for MetricKind::kOther).
+  double lo_;
+  double hi_;
+};
+
 /// Decision version: is DFD(a, b) <= `threshold`?
 ///
-/// Runs the same dynamic program but treats every cell whose ground
-/// distance exceeds the threshold as unreachable and abandons as soon as a
-/// whole frontier row is unreachable — typically far faster than the exact
-/// computation for negative answers. This is the kernel a DFD similarity
-/// join needs (the paper's Section 7 outlook). O(ℓa·ℓb) worst case,
-/// O(min) space. `scratch` (optional) makes the call allocation-free.
+/// DfdDecision::AtMost over `a` and `b` (under haversine each point is
+/// converted to its unit vector once, when the DP first reads it):
+/// verdicts equal the per-cell test
+/// `metric.Distance(a[p], b[q]) <= threshold` on every cell, and the DP
+/// abandons as soon as a whole row is unreachable — typically far
+/// faster than the exact computation for negative answers. Callers that
+/// decide many pairs (the joins, clustering) hold one DfdDecision and
+/// each trajectory's vectors instead. O(ℓa·ℓb) worst case, O(ℓb) space.
+/// `scratch` (optional) makes the call allocation-free.
 StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,
                                      const GroundMetric& metric,
                                      double threshold,

@@ -113,7 +113,9 @@ void IncrementalRelaxedBounds::Update(const RingDistanceMatrix& dg, bool cross,
       rmin_[j] = rmin_[j + shift];
       rmin_arg_[j] = rmin_arg_[j + shift] - shift;
     } else {
-      if (survived) ++rescans_;
+      // Entry 0's row range [0, -1] is empty, so its achiever is always
+      // -1 and its "rescan" would read no cell: not counted.
+      if (survived && j > 0) ++rescans_;
       LineMin<true>(dg, j + 1, 0, j - 1, &rmin_[j], &rmin_arg_[j]);
     }
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "data/datasets.h"
+#include "geo/great_circle.h"
 #include "geo/metric.h"
 #include "gtest/gtest.h"
 #include "join/grid_index.h"
@@ -290,6 +291,101 @@ TEST(IncrementalDfdJoin, EuclideanRandomizedParity) {
     ASSERT_TRUE(delta.ok()) << delta.status();
     ExpectMatchesFromScratch(join.value(), snapshots, options, metric);
   }
+}
+
+
+// --- Cascade counters --------------------------------------------------------
+
+/// A seeded convoy: `convoys` routes, each walked by `members` streams
+/// that follow it with their own offset and per-point noise (meters).
+/// Under haversine the routes are GeoLife-like walks started kilometers
+/// apart; under Euclidean they are planar walks. Streams are ordered
+/// convoy by convoy.
+std::vector<Trajectory> Convoy(bool haversine, int convoys, int members,
+                               Index n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Trajectory> out;
+  for (int c = 0; c < convoys; ++c) {
+    const std::uint64_t route_seed = seed * 31 + static_cast<std::uint64_t>(c);
+    const Trajectory route = haversine ? GeoWalk(n, route_seed)
+                                       : testing_util::MakePlanarWalk(
+                                             n, route_seed, /*step=*/6.0);
+    const double shift_m = 2500.0 * c;
+    for (int m = 0; m < members; ++m) {
+      const double east = rng.NextGaussian(0.0, 15.0);
+      const double north = rng.NextGaussian(0.0, 15.0);
+      std::vector<Point> points;
+      for (Index i = 0; i < n; ++i) {
+        const double de = shift_m + east + rng.NextGaussian(0.0, 6.0);
+        const double dn = north + rng.NextGaussian(0.0, 6.0);
+        points.push_back(haversine ? OffsetByMeters(route[i], de, dn)
+                                   : Point(route[i].x + de, route[i].y + dn));
+      }
+      out.push_back(Trajectory(std::move(points)));
+    }
+  }
+  return out;
+}
+
+std::vector<std::int64_t> CascadeCounters(const JoinStats& s) {
+  return {s.pairs_total,      s.pruned_bbox,   s.pruned_endpoints,
+          s.pruned_hausdorff, s.decided_exact, s.matched};
+}
+
+/// The cascade counters of a from-scratch DfdSelfJoin over one window of
+/// the convoy, and of an IncrementalDfdJoin fed the convoy's sliding
+/// windows, as {pairs_total, pruned_bbox, pruned_endpoints,
+/// pruned_hausdorff, decided_exact, matched}.
+struct CascadeRun {
+  std::vector<std::int64_t> self_join;
+  std::vector<std::int64_t> incremental;
+};
+
+CascadeRun RunCascade(const GroundMetric& metric, bool haversine) {
+  constexpr Index kLength = 220;
+  constexpr Index kWindow = 100;
+  constexpr Index kStep = 8;
+  const std::vector<Trajectory> streams =
+      Convoy(haversine, /*convoys=*/3, /*members=*/4, kLength, /*seed=*/29);
+  JoinOptions options;
+  options.threshold = 30.0;
+
+  CascadeRun run;
+  std::vector<Trajectory> windows;
+  for (const Trajectory& s : streams) {
+    windows.push_back(s.Slice(0, kWindow - 1));
+  }
+  JoinStats self_stats;
+  EXPECT_TRUE(DfdSelfJoin(windows, metric, options, &self_stats).ok());
+  run.self_join = CascadeCounters(self_stats);
+
+  auto join = IncrementalDfdJoin::Create(options, metric);
+  EXPECT_TRUE(join.ok());
+  for (Index start = 0; start + kWindow <= kLength; start += kStep) {
+    for (std::size_t s = 0; s < streams.size(); ++s) {
+      EXPECT_TRUE(join.value()
+                      .Update(s, streams[s].Slice(start, start + kWindow - 1))
+                      .ok());
+    }
+    EXPECT_TRUE(join.value().Tick().ok());
+  }
+  run.incremental = CascadeCounters(join.value().stats().cascade);
+  return run;
+}
+
+TEST(IncrementalDfdJoin, CascadeCountersArePinned) {
+  // Which stage of the cascade resolves each pair is part of the join's
+  // observable behavior (JoinStats, pipebench's join counters). These
+  // counts pin it across changes to how the stages take their verdicts.
+  const CascadeRun geo = RunCascade(HaversineMetric(), /*haversine=*/true);
+  EXPECT_EQ((std::vector<std::int64_t>{66, 48, 9, 0, 9, 7}), geo.self_join);
+  EXPECT_EQ((std::vector<std::int64_t>{288, 0, 118, 12, 158, 95}),
+            geo.incremental);
+
+  const CascadeRun planar = RunCascade(EuclideanMetric(), /*haversine=*/false);
+  EXPECT_EQ((std::vector<std::int64_t>{66, 48, 9, 0, 9, 8}), planar.self_join);
+  EXPECT_EQ((std::vector<std::int64_t>{288, 0, 118, 4, 166, 123}),
+            planar.incremental);
 }
 
 }  // namespace

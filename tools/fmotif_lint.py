@@ -49,6 +49,13 @@ provider-dispatch
     row. The row view is the one dispatch, so a dynamic_cast there — a
     provider-specific fast path beside it — is flagged.
 
+metric-dispatch
+    The join layer (src/join/) resolves the ground metric's kind once,
+    through the ε-decision primitive (DfdDecision in
+    similarity/frechet.h, whose kind() also drives the box gap and the
+    grid margin). A dynamic_cast there is a per-pair or per-call
+    re-resolution of what the decision already knows, so it is flagged.
+
 fuzz-seed
     Every randomized gtest suite (tests/*fuzz*_test.cc) must derive
     its randomness from test_util.h's FuzzSeed(), which prints the
@@ -249,6 +256,15 @@ class Linter:
 
     rule_provider_dispatch.NAME = "provider-dispatch"
 
+    def rule_metric_dispatch(self, path, lineno, code):
+        if DYNAMIC_CAST_RE.search(code):
+            self.report(
+                path, lineno, "metric-dispatch",
+                "dynamic_cast in the join layer; take the metric kind "
+                "from the join's DfdDecision, resolved once")
+
+    rule_metric_dispatch.NAME = "metric-dispatch"
+
     def rule_bench_main(self, path, lineno, code):
         if MAIN_RE.search(code):
             self.report(
@@ -318,6 +334,8 @@ class Linter:
                 rules.append(self.make_layer_rule(layer))
             if layer == "motif":
                 rules.append(Linter.rule_provider_dispatch)
+            if layer == "join":
+                rules.append(Linter.rule_metric_dispatch)
             # util/mutex.h is where the std:: primitives get wrapped.
             if not (layer == "util" and path.name == "mutex.h"):
                 rules.append(Linter.rule_bare_mutex)
