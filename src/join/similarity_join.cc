@@ -163,26 +163,24 @@ void MergeJoinStats(const JoinStats& from, JoinStats* into) {
 using CandidateEnumerator =
     std::function<void(const std::function<void(const JoinPair&)>&)>;
 
-/// One side of a join, prepared once per call: each trajectory's box,
-/// its decision vectors, and its operand view over both. Not copyable:
-/// the operands point into `vecs`.
+/// One side of a join, prepared once per call: the trajectories with
+/// each one's box and decision vectors.
 struct JoinSide {
+  const std::vector<Trajectory>& trajectories;
   std::vector<BoundingBox> boxes;
   std::vector<std::vector<SphereVec>> vecs;
-  std::vector<DfdOperand> operands;
 
-  JoinSide(const JoinSide&) = delete;
-  JoinSide& operator=(const JoinSide&) = delete;
-  JoinSide(const std::vector<Trajectory>& trajectories,
-           const DfdDecision& decision)
-      : vecs(trajectories.size()) {
-    boxes.reserve(trajectories.size());
-    operands.reserve(trajectories.size());
-    for (std::size_t k = 0; k < trajectories.size(); ++k) {
-      boxes.push_back(BoundingBox::Of(trajectories[k]));
-      decision.Vectorize(trajectories[k], &vecs[k]);
-      operands.push_back(DfdOperand::Of(trajectories[k], vecs[k]));
+  JoinSide(const std::vector<Trajectory>& of, const DfdDecision& decision)
+      : trajectories(of), vecs(of.size()) {
+    boxes.reserve(of.size());
+    for (std::size_t k = 0; k < of.size(); ++k) {
+      boxes.push_back(BoundingBox::Of(of[k]));
+      decision.Vectorize(of[k], &vecs[k]);
     }
+  }
+
+  DfdOperand operand(std::size_t k) const {
+    return DfdOperand::Of(trajectories[k], vecs[k]);
   }
 };
 
@@ -203,8 +201,8 @@ std::vector<JoinPair> ResolveCandidates(const CandidateEnumerator& enumerate,
                                         JoinStats* stats) {
   const auto resolve = [&](const JoinPair& c, JoinStats* lane_stats,
                            FrechetScratch* scratch) {
-    return ResolveJoinCandidate(decision, left.operands[c.li],
-                                left.boxes[c.li], right.operands[c.ri],
+    return ResolveJoinCandidate(decision, left.operand(c.li),
+                                left.boxes[c.li], right.operand(c.ri),
                                 right.boxes[c.ri], options, lane_stats,
                                 scratch);
   };

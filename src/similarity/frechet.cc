@@ -497,47 +497,6 @@ struct MetricCells {
   }
 };
 
-/// The haversine cells of a one-shot decision, whose operands come
-/// without vectors: `a`'s rows and `b`'s columns are converted into `va`
-/// / `vb` as a prefix, as far as the DP has read (`*done_a`, `*done_b`),
-/// so a pair that abandons early converts few points. A lone cell (the
-/// corner tests) converts its two points without caching them.
-struct LazySphereCells {
-  const Point* pa;
-  const Point* pb;
-  SphereVec* va;
-  SphereVec* vb;
-  Index* done_a;
-  Index* done_b;
-  double lo;
-  double hi;
-  double threshold;
-
-  static void Extend(const Point* points, SphereVec* vecs, Index upto,
-                     Index* done) {
-    for (; *done < upto; ++*done) vecs[*done] = ToSphereVec(points[*done]);
-  }
-
-  BandCells<SphereVec, SphereExact> Cached() const {
-    return {va, vb, lo, hi, SphereExact{va, vb, threshold}};
-  }
-
-  bool Within(Index p, Index q) const {
-    if (p < *done_a && q < *done_b) return Cached().Within(p, q);
-    const SphereVec u = ToSphereVec(pa[p]);
-    const SphereVec v = ToSphereVec(pb[q]);
-    return BandCells<SphereVec, SphereExact>{&u, &v, lo, hi,
-                                             SphereExact{&u, &v, threshold}}
-        .Within(0, 0);
-  }
-
-  std::uint64_t Word(Index p, Index q0, int n) const {
-    Extend(pa, va, p + 1, done_a);
-    Extend(pb, vb, q0 + n, done_b);
-    return Cached().Word(p, q0, n);
-  }
-};
-
 /// Advances the reach row in place from row p − 1 (nonzero words
 /// [*first, *last]) to row p; see DfdDecision::AtMost for the
 /// recurrence. `diagonal` is false for row 0, whose only seed is the
@@ -697,17 +656,6 @@ bool DfdDecision::AtMost(const DfdOperand& a, const DfdOperand& b,
                          FrechetScratch* scratch) const {
   FrechetScratch local;
   FrechetScratch& s = scratch != nullptr ? *scratch : local;
-  if (kind_ == MetricKind::kHaversine &&
-      (a.vecs == nullptr || b.vecs == nullptr)) {
-    s.vecs_a.resize(static_cast<std::size_t>(a.size));
-    s.vecs_b.resize(static_cast<std::size_t>(b.size));
-    Index done_a = 0;
-    Index done_b = 0;
-    const LazySphereCells cells{a.points, b.points, s.vecs_a.data(),
-                                s.vecs_b.data(), &done_a, &done_b,
-                                lo_, hi_, threshold_};
-    return ReachAtMost(cells, a.size, b.size, s.reach);
-  }
   return WithCells(a, b, [&](const auto& cells) {
     return ReachAtMost(cells, a.size, b.size, s.reach);
   });
@@ -722,9 +670,13 @@ StatusOr<bool> DiscreteFrechetAtMost(const Trajectory& a, const Trajectory& b,
         "discrete Fréchet distance of an empty trajectory is undefined");
   }
   if (threshold < 0.0) return false;
+  FrechetScratch local;
+  FrechetScratch& s = scratch != nullptr ? *scratch : local;
   const DfdDecision decision(metric, threshold);
-  return decision.AtMost(DfdOperand::Of(a, {}), DfdOperand::Of(b, {}),
-                         scratch);
+  decision.Vectorize(a, &s.vecs_a);
+  decision.Vectorize(b, &s.vecs_b);
+  return decision.AtMost(DfdOperand::Of(a, s.vecs_a),
+                         DfdOperand::Of(b, s.vecs_b), &s);
 }
 
 StatusOr<Coupling> DiscreteFrechetCoupling(const Trajectory& a,

@@ -42,8 +42,8 @@ struct FrechetScratch {
   /// (DfdDecision::AtMost).
   std::vector<std::uint64_t> reach;
 
-  /// Unit vectors of a one-shot haversine decision (DfdDecision::AtMost
-  /// on operands without vectors, as DiscreteFrechetAtMost passes them).
+  /// Unit vectors of a one-shot decision (DiscreteFrechetAtMost's
+  /// DfdDecision::Vectorize of its two trajectories).
   std::vector<SphereVec> vecs_a;
   std::vector<SphereVec> vecs_b;
 };
@@ -117,9 +117,8 @@ enum class MetricKind { kHaversine, kEuclidean, kOther };
 
 /// One operand of an ε-decision: `size` points and, under the haversine
 /// metric, their unit vectors (DfdDecision::Vectorize; null otherwise).
-/// A view: it owns nothing, and both arrays must outlive it. Under
-/// haversine, `vecs` may be null only for a one-shot AtMost, which then
-/// converts the points as the DP first reads them.
+/// Every DfdDecision call under haversine reads `vecs`. A view: it owns
+/// nothing, and both arrays must outlive it.
 struct DfdOperand {
   const Point* points = nullptr;
   const SphereVec* vecs = nullptr;
@@ -211,9 +210,8 @@ class DfdDecision {
 
 /// Decision version: is DFD(a, b) <= `threshold`?
 ///
-/// DfdDecision::AtMost over `a` and `b` (under haversine each point is
-/// converted to its unit vector once, when the DP first reads it):
-/// verdicts equal the per-cell test
+/// DfdDecision::AtMost over `a` and `b`, each vectorized once into
+/// `scratch` (DfdDecision::Vectorize): verdicts equal the per-cell test
 /// `metric.Distance(a[p], b[q]) <= threshold` on every cell, and the DP
 /// abandons as soon as a whole row is unreachable — typically far
 /// faster than the exact computation for negative answers. Callers that
