@@ -27,8 +27,7 @@ StatusOr<MotifResult> BruteDpMotif(const DistanceProvider& dist,
     stats->memory.Add(2 * static_cast<std::size_t>(m) * sizeof(double));
   }
   ForEachValidSubset(options, n, m, [&](Index i, Index j) {
-    EvaluateSubset(dist, options, i, j, /*relaxed=*/nullptr,
-                   /*use_end_cross=*/false, EndpointCaps{}, &state, stats,
+    EvaluateSubset(dist, options, i, j, EndpointCaps{}, &state, stats,
                    &scratch);
   });
 

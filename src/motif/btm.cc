@@ -26,7 +26,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// or is followed by the shared DP.
 SearchState RunTight(const DistanceProvider& dist, const BtmOptions& options,
                      const std::vector<SubsetEntry>& entries,
-                     const RelaxedBounds* rb, MotifStats* stats) {
+                     MotifStats* stats) {
   SearchState state;
   const double lb_scale = 1.0 + options.approximation_epsilon;
   FrechetScratch scratch;
@@ -58,8 +58,8 @@ SearchState RunTight(const DistanceProvider& dist, const BtmOptions& options,
       if (stats != nullptr) ++stats->pruned_by_band;
       continue;
     }
-    EvaluateSubset(dist, options.motif, e.i, e.j, rb, options.use_end_cross,
-                   EndpointCaps{}, &state, stats, &scratch);
+    EvaluateSubset(dist, options.motif, e.i, e.j, EndpointCaps{}, &state,
+                   stats, &scratch);
   }
   return state;
 }
@@ -77,12 +77,11 @@ StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
   if (stats != nullptr) stats->memory.Add(dist.MemoryBytes());
   const std::unique_ptr<ThreadPool> pool = MakeSearchPool(options.motif);
 
-  // Relaxed-bound arrays serve both the relaxed subset bounds and the
-  // end-cross / endpoint-cap pruning inside the DP.
-  const bool need_relaxed = options.relaxed || options.use_end_cross;
+  // Relaxed-bound arrays serve the relaxed subset bounds and the endpoint
+  // caps of the relaxed queue.
   RelaxedBounds rb;
   Timer timer;
-  if (need_relaxed) {
+  if (options.relaxed) {
     rb = RelaxedBounds::Build(dist, options.motif, pool.get());
     if (stats != nullptr) {
       stats->memory.Add(rb.MemoryBytes());
@@ -126,12 +125,11 @@ StatusOr<MotifResult> BtmMotif(const DistanceProvider& dist,
   timer.Restart();
   SearchState state;
   if (options.relaxed) {
-    RunSubsetQueue(dist, options.motif, &entries, &rb, options.use_end_cross,
-                   options.sort_subsets, &state, stats, /*caps=*/nullptr,
+    RunSubsetQueue(dist, options.motif, &entries, &rb, options.sort_subsets,
+                   &state, stats, /*caps=*/nullptr,
                    1.0 + options.approximation_epsilon, pool.get());
   } else {
-    state = RunTight(dist, options, entries, need_relaxed ? &rb : nullptr,
-                     stats);
+    state = RunTight(dist, options, entries, stats);
   }
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
 

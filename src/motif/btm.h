@@ -34,9 +34,6 @@ struct BtmOptions {
   /// True: O(1)-amortized relaxed bounds (Section 4.3).
   /// False: tight bounds (Section 4.2; O(n)/O(ξn) per subset).
   bool relaxed = true;
-  /// Enables end-cell cross pruning inside the shared DP (Equation 9) and
-  /// the global endpoint caps of Algorithm 2 lines 12-13.
-  bool use_end_cross = true;
   /// Processes subsets in ascending lower-bound order (best-first). The
   /// paper's Algorithm 2 always sorts; disabling isolates the contribution
   /// of the search order in ablations.

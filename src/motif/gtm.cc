@@ -30,8 +30,8 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
 
   const std::unique_ptr<ThreadPool> pool = MakeSearchPool(options.motif);
 
-  // Point-level relaxed bounds, used in the final phase and for end-cross
-  // pruning inside the shared DP.
+  // Point-level relaxed bounds, used in the final phase (subset bounds and
+  // endpoint caps).
   const RelaxedBounds rb =
       RelaxedBounds::Build(dist, options.motif, pool.get());
   if (stats != nullptr) {
@@ -99,9 +99,8 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
   if (stats != nullptr) {
     stats->memory.Add(entries.capacity() * sizeof(SubsetEntry));
   }
-  RunSubsetQueue(dist, motif, &entries, &rb, options.use_end_cross,
-                 /*sort_entries=*/true, &state, stats, /*caps=*/nullptr,
-                 lb_scale, pool.get());
+  RunSubsetQueue(dist, motif, &entries, &rb, /*sort_entries=*/true, &state,
+                 stats, /*caps=*/nullptr, lb_scale, pool.get());
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
   return state.result();
 }

@@ -27,9 +27,6 @@ struct GtmOptions {
   /// Halved every round until it reaches 1. Must be >= 1.
   Index group_size_tau = 32;
 
-  /// Enables end-cell cross pruning in the final point-level phase.
-  bool use_end_cross = true;
-
   /// Approximation knob (the paper's Section 7 future-work direction),
   /// with the same contract as BtmOptions: every lower-bound prune —
   /// group pattern bounds, GLB_DFD, and the point-level subset queue —

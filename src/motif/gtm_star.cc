@@ -69,9 +69,8 @@ StatusOr<MotifResult> GtmStarMotif(const DistanceProvider& dist,
         block.push_back(SubsetEntry{rb.SubsetLb(dist, i, j), i, j});
       }
     }
-    RunSubsetQueue(dist, motif, &block, &rb, options.use_end_cross,
-                   /*sort_entries=*/true, &state, stats, &caps,
-                   lb_scale, pool.get());
+    RunSubsetQueue(dist, motif, &block, &rb, /*sort_entries=*/true, &state,
+                   stats, &caps, lb_scale, pool.get());
   }
   if (stats != nullptr) stats->search_seconds += timer.ElapsedSeconds();
   return state.result();

@@ -24,9 +24,6 @@ struct GtmStarOptions {
   /// (Idea iii), so — unlike GTM — it is not halved.
   Index group_size_tau = 32;
 
-  /// Enables end-cell cross pruning in the point-level phase.
-  bool use_end_cross = true;
-
   /// Approximation knob with the same contract as GtmOptions: lower-bound
   /// prunes (pattern, GLB_DFD, per-block subset queue) fire at
   /// lb·(1+ε) > threshold, GUB tightenings contribute gub·(1+ε), and the

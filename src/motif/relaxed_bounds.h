@@ -68,8 +68,8 @@ class RelaxedBounds {
   /// Relaxed column bound valid for *end-cell* queries Cmin(ie): the
   /// crossing row may be as low as j = ie+1 in the single-trajectory
   /// variant, so the scan starts at the diagonal. In that variant the scan
-  /// therefore contains dG(ie+1, ie+1) = 0, Cmin(ie) is 0, and the Eq. 9
-  /// end-cell freeze built on it can act only in the cross variant.
+  /// therefore contains dG(ie+1, ie+1) = 0 and Cmin(ie) is 0, so EndCross
+  /// below carries information only in the cross variant.
   double Cmin(Index i) const { return cmin_[i]; }
 
   /// Relaxed column bound valid for *start-cell* and band queries: every

@@ -14,8 +14,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 }  // namespace
 
 void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
-                    Index i, Index j, const RelaxedBounds* relaxed,
-                    bool use_end_cross, const EndpointCaps& caps,
+                    Index i, Index j, const EndpointCaps& caps,
                     SearchState* state, MotifStats* stats,
                     FrechetScratch* scratch) {
   const Index n = dist.rows();
@@ -34,76 +33,86 @@ void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
 
   if (ie_max <= i || width <= 0) return;
 
-  std::vector<double>& prev = scratch->prev;
-  std::vector<double>& curr = scratch->row;
-  // Guard each buffer on its own: other kernels grow scratch->row on
-  // their own, and the swap below exchanges the members, so their sizes
-  // can legitimately differ on entry.
-  for (std::vector<double>* v : {&prev, &curr, &scratch->dist_row}) {
-    if (static_cast<Index>(v->size()) < width) v->resize(width);
+  // Two rolling DP rows, each one slot longer than the subset: slot 0 is
+  // column -1, a +inf sentinel, so column 0 needs no special case.
+  for (std::vector<double>* v : {&scratch->prev, &scratch->row}) {
+    if (static_cast<Index>(v->size()) <= width) v->resize(width + 1);
   }
-  // The row view: d = dG(r, j .. je_max), one provider call per DP row.
+  if (static_cast<Index>(scratch->dist_row.size()) < width) {
+    scratch->dist_row.resize(width);
+  }
+  double* prev = scratch->prev.data() + 1;
+  double* curr = scratch->row.data() + 1;
+  prev[-1] = kInf;
+  // The row view: dG(ie, j + q) lands in buf[q] when the provider cannot
+  // serve it from its own storage.
   double* const buf = scratch->dist_row.data();
 
   std::int64_t cells = 0;
-
-  // Init row ie = i: dF(i, i, j, je) = running max of dG(i, j..je).
-  const double* d = dist.RowSpan(i, j, width, buf);
-  double running = d[0];
-  prev[0] = running;
-  for (Index q = 1; q < width; ++q) {
-    if (d[q] > running) running = d[q];
-    prev[q] = running;
-  }
-  cells += width;
-
-  const bool pruning = use_end_cross && relaxed != nullptr;
-
-  for (Index ie = i + 1; ie <= ie_max; ++ie) {
-    d = dist.RowSpan(ie, j, width, buf);
-    const bool endpoint_row = ie >= i + xi + 1;
-    Index live = 0;  // cells of this row that are not frozen
-    // First column je = j (never a valid endpoint: je must exceed j+xi).
-    curr[0] = prev[0] == kInf ? kInf : std::max(prev[0], d[0]);
-    if (curr[0] != kInf && pruning && relaxed->Cmin(ie) > state->threshold &&
-        relaxed->Rmin(j) > state->threshold) {
-      curr[0] = kInf;
+  Index ie = i;
+  bool endpoint_row = false;
+  // Live band [lo, hi] of the row being built; hi < 0 while it is empty.
+  Index lo = 0;
+  Index hi = -1;
+  // Stores cell q of row ie from its ground distance and its best live
+  // predecessor. A value above the threshold is frozen to +inf: a path's
+  // value never falls along an extension, so nothing through the cell can
+  // be recorded. Equal values stay live, which keeps every tied optimum.
+  const auto cell = [&](Index q, double g, double pred) {
+    ++cells;
+    const double v = std::max(g, pred);
+    if (v > state->threshold) {
+      curr[q] = kInf;
+      return false;
     }
-    if (curr[0] != kInf) ++live;
-    for (Index q = 1; q < width; ++q) {
-      const double best_predecessor =
-          std::min({prev[q], prev[q - 1], curr[q - 1]});
-      double v;
-      if (best_predecessor == kInf) {
-        v = kInf;  // unreachable through frozen frontier
-      } else {
-        v = std::max(d[q], best_predecessor);
+    if (endpoint_row && q > xi) {
+      // (i, ie, j, j + q) is a valid candidate with exact DFD v.
+      if (v < state->best_distance && stats != nullptr) ++stats->bsf_updates;
+      state->Record(Candidate{i, ie, j, j + q}, v);
+    }
+    curr[q] = v;
+    if (hi < 0) lo = q;
+    hi = q;
+    return true;
+  };
+  // Extends row ie rightward from column q while the run stays live; past
+  // the previous row's band a cell's only predecessor is its left
+  // neighbour. The span is fetched in chunks that double, so a run of L
+  // cells asks the provider for fewer than 2L columns.
+  const auto run = [&](Index q) {
+    for (Index chunk = 1; q < width; chunk *= 2) {
+      const Index count = std::min(chunk, width - q);
+      const double* d = dist.RowSpan(ie, j + q, count, buf + q);
+      for (Index k = 0; k < count; ++k, ++q) {
+        if (!cell(q, d[k], curr[q - 1])) return;
       }
-      const Index je = j + q;
-      if (v != kInf) {
-        if (endpoint_row && q >= xi + 1) {
-          // (i, ie, j, je) is a valid candidate with exact DFD v.
-          if (v < state->best_distance && stats != nullptr) {
-            ++stats->bsf_updates;
-          }
-          state->Record(Candidate{i, ie, j, je}, v);
-        }
-        // End-cell cross bound (Eq. 9): freeze the cell when every
-        // continuation is provably worse than the threshold.
-        if (pruning && relaxed->Cmin(ie) > state->threshold &&
-            relaxed->Rmin(je) > state->threshold) {
-          v = kInf;
-        }
-      }
-      if (v != kInf) ++live;
-      curr[q] = v;
     }
-    cells += width;
-    if (live == 0) {
-      // The whole frontier is frozen; no deeper row can be reached.
-      break;
-    }
+  };
+
+  // Init row ie = i: dF(i, i, j, je) is the running max of dG(i, j..je),
+  // one run from the path's origin (column -1 reads -inf for this row).
+  curr[-1] = -kInf;
+  run(0);
+  curr[-1] = kInf;
+
+  while (hi >= 0 && ie < ie_max) {
+    ++ie;
     std::swap(prev, curr);
+    endpoint_row = ie >= i + xi + 1;
+    const Index plo = lo;
+    const Index end = std::min(hi + 2, width);
+    hi = -1;
+    // The previous band [plo, end - 2] and the column after it, reached
+    // diagonally. Every slot read is live, frozen (+inf) or a sentinel:
+    // prev[plo - 1] was frozen or the sentinel a row ago, prev[end - 1]
+    // was computed frozen, and curr[plo - 1] is set here because the slot
+    // may hold a stale value.
+    curr[plo - 1] = kInf;
+    const double* d = dist.RowSpan(ie, j + plo, end - plo, buf + plo);
+    for (Index q = plo; q < end; ++q) {
+      cell(q, d[q - plo], std::min({prev[q], prev[q - 1], curr[q - 1]}));
+    }
+    if (hi == end - 1) run(end);
   }
 
   if (stats != nullptr) {
@@ -164,8 +173,8 @@ Admission Admit(const SubsetEntry& entry, double threshold, double lb_scale,
 
 void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
                     std::vector<SubsetEntry>* entries,
-                    const RelaxedBounds* relaxed, bool use_end_cross,
-                    bool sort_entries, SearchState* state, MotifStats* stats,
+                    const RelaxedBounds* relaxed, bool sort_entries,
+                    SearchState* state, MotifStats* stats,
                     EndpointCaps* caps_io, double lb_scale, ThreadPool* pool) {
   if (sort_entries) SortSubsetQueue(entries);
   EndpointCaps local_caps;
@@ -190,8 +199,7 @@ void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
     lane_stats[lane] = MotifStats{};
     const SubsetEntry& entry =
         (*entries)[batch[static_cast<std::size_t>(lane)]];
-    EvaluateSubset(dist, options, entry.i, entry.j, relaxed, use_end_cross,
-                   caps, &lane_state[lane],
+    EvaluateSubset(dist, options, entry.i, entry.j, caps, &lane_state[lane],
                    stats != nullptr ? &lane_stats[lane] : nullptr,
                    &scratch[lane]);
   };

@@ -48,7 +48,7 @@ namespace frechet_motif {
 /// is eventually evaluated and recorded in `best`/`best_distance`.
 ///
 /// Tie stability: every pruning rule in the library is strict (`lb >
-/// threshold`, end-cross freeze, endpoint caps), so *every* candidate
+/// threshold`, the DP's cell freeze, endpoint caps), so *every* candidate
 /// achieving the optimal distance is evaluated by every algorithm, and
 /// Record resolves equal-distance candidates to the minimum under
 /// `CandidateOrderedBefore`. The reported pair is therefore a function of
@@ -92,30 +92,40 @@ struct EndpointCaps {
 };
 
 /// Runs the shared dynamic program over candidate subset CS(i,j): one pass
-/// computing dF(i, ie, j, je) for all end pairs, updating `state` with every
-/// valid candidate (Algorithm 1 lines 4-13 / Algorithm 2 lines 6-13).
+/// computing dF(i, ie, j, je) for the end pairs that can still matter,
+/// updating `state` with every valid candidate whose DFD does not exceed
+/// the running threshold (Algorithm 1 lines 4-13 / Algorithm 2 lines 6-13).
+///
+/// Threshold freeze: a DP cell's value is the maximum along its path, so
+/// it never falls along an extension. A cell above state->threshold is
+/// frozen — neither recorded nor extended — and each row carries only its
+/// live column band [lo, hi]: the next row starts at lo, covers hi+1, and
+/// runs further right only while the horizontal run stays at or below the
+/// threshold. The subset ends on an empty band. Cells equal to the
+/// threshold stay live, so every candidate achieving a distance <= the
+/// threshold is recorded and ties resolve as SearchState::Record orders
+/// them. A candidate above the threshold is never recorded: with a
+/// threshold below the subset's optimum the call records nothing. Pass
+/// +inf (a fresh SearchState) for the subset's exact optimum.
 ///
 /// Uses two rolling DP rows (O(m) space — GTM*'s Idea (ii)) held in the
 /// caller-provided `scratch`, reused across subsets so no evaluation
 /// allocates after warm-up.
 ///
-/// Reads dG through the row view: one dist.RowSpan(ie, j, width, buf)
-/// call per DP row, with `buf` the per-lane scratch->dist_row. A matrix
-/// serves the span from its storage, the ring copies only a span that
-/// crosses its column seam, and an on-the-fly provider fills `buf` (one
-/// batched call under haversine). Every provider's spans are
-/// bit-identical to its Distance(), so the result and the counters do not
-/// depend on which provider is passed.
-///
-/// When `relaxed` is non-null and `use_end_cross` is set, applies the
-/// end-cell cross bound (Equation 9): a DP cell whose extensions are all
-/// strictly worse than state->threshold is frozen (set to +inf), and the
-/// subset evaluation stops early once an entire row is frozen.
+/// Reads dG through the row view, over the band only: one
+/// dist.RowSpan(ie, j + lo, ...) call per DP row covering [lo, hi+1], and
+/// chunks that double in length while a run passes hi+1, with `buf` the
+/// per-lane scratch->dist_row. A matrix serves the span from its storage,
+/// the ring copies only a span that crosses its column seam, and an
+/// on-the-fly provider computes only the columns asked for (one batched
+/// call under haversine). Every provider's spans are bit-identical to its
+/// Distance(), so the result and the counters do not depend on which
+/// provider is passed. stats->dfd_cells_computed counts the DP cells
+/// computed, frozen ones included.
 ///
 /// `stats` may be null.
 void EvaluateSubset(const DistanceProvider& dist, const MotifOptions& options,
-                    Index i, Index j, const RelaxedBounds* relaxed,
-                    bool use_end_cross, const EndpointCaps& caps,
+                    Index i, Index j, const EndpointCaps& caps,
                     SearchState* state, MotifStats* stats,
                     FrechetScratch* scratch);
 
@@ -150,11 +160,11 @@ struct SubsetEntry {
 /// `pool` (optional) parallelizes the verification: batches of up to
 /// pool->threads() queue-eligible subsets are evaluated concurrently, each
 /// against a frozen snapshot of the search state, and the per-subset
-/// improvements are merged back in queue order. Because the end-cross
+/// improvements are merged back in queue order. Because the DP's cell
 /// freeze and the endpoint caps only ever discard candidates that are
 /// provably worse than the running threshold (which only tightens), a
-/// stale snapshot threshold prunes less but never changes which candidate
-/// wins — the returned motif (candidate, distance, found) is bit-identical
+/// stale snapshot threshold — never below the serial one — freezes and
+/// prunes less, never more, and never changes which candidate wins — the returned motif (candidate, distance, found) is bit-identical
 /// to the serial path. Effort counters (subsets_evaluated,
 /// dfd_cells_computed, bsf_updates) may legitimately differ from the
 /// serial run — a batch is admitted against the batch-start threshold —
@@ -165,8 +175,8 @@ struct SubsetEntry {
 /// returned.
 void RunSubsetQueue(const DistanceProvider& dist, const MotifOptions& options,
                     std::vector<SubsetEntry>* entries,
-                    const RelaxedBounds* relaxed, bool use_end_cross,
-                    bool sort_entries, SearchState* state, MotifStats* stats,
+                    const RelaxedBounds* relaxed, bool sort_entries,
+                    SearchState* state, MotifStats* stats,
                     EndpointCaps* caps = nullptr, double lb_scale = 1.0,
                     ThreadPool* pool = nullptr);
 

@@ -93,11 +93,14 @@ StatusOr<std::vector<MotifResult>> TopKMotifs(const DistanceProvider& dist,
     // Sorted: once the scaled bound exceeds the running k-th best, the
     // rest of the queue can only do worse (by at most a (1+ε) factor).
     if (e.lb * lb_scale > prune_threshold()) break;
+    // The DP freezes cells above its threshold. With separation 1 a subset
+    // optimum above the heap top can never place, so the heap top serves.
+    // A wider separation's greedy selection may reach past the heap top
+    // into the pool, which therefore needs each subset's exact optimum.
     SearchState local;
-    local.threshold = prune_threshold();
-    EvaluateSubset(dist, options.motif, e.i, e.j, &rb,
-                   /*use_end_cross=*/true, EndpointCaps{}, &local, stats,
-                   &scratch);
+    if (options.min_start_separation == 1) local.threshold = prune_threshold();
+    EvaluateSubset(dist, options.motif, e.i, e.j, EndpointCaps{}, &local,
+                   stats, &scratch);
     if (!local.found) continue;  // whole subset above the threshold
     candidate_pool.push_back(PoolEntry{local.best_distance, local.best});
     best_k.push(local.best_distance);

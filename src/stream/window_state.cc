@@ -275,9 +275,8 @@ StatusOr<StreamUpdate> WindowState::RunSearch(ThreadPool* pool) {
   timer.Restart();
   SearchState state;
   state.threshold = update.seed_threshold;
-  RunSubsetQueue(ring_, motif, &entries, &rb, /*use_end_cross=*/true,
-                 /*sort_entries=*/true, &state, &update.stats,
-                 /*caps=*/nullptr, lb_scale, pool);
+  RunSubsetQueue(ring_, motif, &entries, &rb, /*sort_entries=*/true, &state,
+                 &update.stats, /*caps=*/nullptr, lb_scale, pool);
   update.stats.search_seconds += timer.ElapsedSeconds();
 
   // Resolve the seeded search against the previous optimum under the

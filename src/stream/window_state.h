@@ -39,7 +39,7 @@
 ///    crossing bound (a suffix-max of Rmin) exceeds T are dropped before
 ///    any DP work.
 ///  * Every pruning rule anywhere in the search (queue skip, dirty-
-///    frontier drop, endpoint caps, end-cross freeze) discards only
+///    frontier drop, endpoint caps, the DP's cell freeze) discards only
 ///    candidates *strictly* worse than the running threshold >= d*, so
 ///    both searches evaluate every d*-achiever that is dirty, and
 ///    `SearchState::Record` resolves achievers to the canonical

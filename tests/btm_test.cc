@@ -18,12 +18,12 @@ using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
 
 BtmOptions MakeOptions(Index xi, MotifVariant variant, bool relaxed,
-                       bool use_end_cross, bool sort_subsets) {
+                       bool pooled, bool sort_subsets) {
   BtmOptions options;
   options.motif.min_length_xi = xi;
   options.motif.variant = variant;
   options.relaxed = relaxed;
-  options.use_end_cross = use_end_cross;
+  options.motif.threads = pooled ? 4 : 1;
   options.sort_subsets = sort_subsets;
   return options;
 }
@@ -35,43 +35,46 @@ TEST(BtmTest, RejectsTooShortInput) {
   EXPECT_FALSE(BtmMotif(dg, options).ok());
 }
 
-/// Every configuration of BTM must return the exact BruteDP distance.
-/// Parameters: (n, xi, seed, relaxed, use_end_cross, sort).
+/// Every configuration of BTM must return the exact BruteDP motif, on the
+/// serial path and with a 4-lane verification pool.
+/// Parameters: (n, xi, seed, relaxed, pooled, sort).
 class BtmConfigAgreementTest
     : public ::testing::TestWithParam<
           std::tuple<int, int, std::uint64_t, bool, bool, bool>> {};
 
 TEST_P(BtmConfigAgreementTest, MatchesBruteDpSingle) {
-  const auto [n, xi, seed, relaxed, end_cross, sorted] = GetParam();
+  const auto [n, xi, seed, relaxed, pooled, sorted] = GetParam();
   const DistanceMatrix dg = MakeRandomSelfMatrix(n, seed);
   MotifOptions motif;
   motif.min_length_xi = xi;
   StatusOr<MotifResult> expect = BruteDpMotif(dg, motif);
   BtmOptions options = MakeOptions(xi, MotifVariant::kSingleTrajectory,
-                                   relaxed, end_cross, sorted);
+                                   relaxed, pooled, sorted);
   StatusOr<MotifResult> got = BtmMotif(dg, options);
   ASSERT_TRUE(expect.ok());
   ASSERT_TRUE(got.ok()) << got.status();
   ASSERT_TRUE(got.value().found);
   EXPECT_DOUBLE_EQ(got.value().distance, expect.value().distance)
       << "n=" << n << " xi=" << xi << " seed=" << seed
-      << " relaxed=" << relaxed << " end_cross=" << end_cross
+      << " relaxed=" << relaxed << " pooled=" << pooled
       << " sorted=" << sorted;
+  EXPECT_EQ(got.value().best, expect.value().best);
 }
 
 TEST_P(BtmConfigAgreementTest, MatchesBruteDpCross) {
-  const auto [n, xi, seed, relaxed, end_cross, sorted] = GetParam();
+  const auto [n, xi, seed, relaxed, pooled, sorted] = GetParam();
   const DistanceMatrix dg = MakeRandomCrossMatrix(n, n + 5, seed);
   MotifOptions motif;
   motif.min_length_xi = xi;
   motif.variant = MotifVariant::kCrossTrajectory;
   StatusOr<MotifResult> expect = BruteDpMotif(dg, motif);
   BtmOptions options = MakeOptions(xi, MotifVariant::kCrossTrajectory,
-                                   relaxed, end_cross, sorted);
+                                   relaxed, pooled, sorted);
   StatusOr<MotifResult> got = BtmMotif(dg, options);
   ASSERT_TRUE(expect.ok());
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_DOUBLE_EQ(got.value().distance, expect.value().distance);
+  EXPECT_EQ(got.value().best, expect.value().best);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,7 +82,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(24, 40), ::testing::Values(2, 4),
                        ::testing::Values(11u, 22u, 33u),
                        ::testing::Bool(),   // relaxed vs tight
-                       ::testing::Bool(),   // end-cross pruning
+                       ::testing::Bool(),   // serial vs 4-lane pool
                        ::testing::Bool())); // sorted vs scan order
 
 /// Ablations of the bound set (Figure 16's combinations) must not change

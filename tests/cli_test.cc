@@ -722,6 +722,19 @@ TEST(CliJson, TopKReturnsAscendingDistances) {
   EXPECT_NE(std::string::npos, r.output.find("\"results\""));
 }
 
+TEST(CliTopK, WideSeparationGolden) {
+  // With a separation above 1 the greedy selection reaches past the k-th
+  // best subset optimum, so every evaluated subset must report its exact
+  // optimum: a subset DP frozen at that k-th best reports a 254.76 m third
+  // motif here instead of 225.13 m. The golden pins the numbers verbatim.
+  const std::string path =
+      WriteTrace("ks.csv", "--kind=geolife --n=300 --seed=3");
+  const CommandResult r =
+      RunFmotif("topk " + path + " --k=3 --xi=20 --separation=20");
+  ASSERT_EQ(0, r.exit_code) << r.output;
+  ExpectMatchesGolden(r.output, "topk_separation.golden");
+}
+
 TEST(CliJson, LegacyMotifTopkFlagRoutesToTopK) {
   // The pre-subcommand CLI spelled top-k as `motif --topk=N`; that must
   // keep returning N ranked motifs, not silently fall back to the best.

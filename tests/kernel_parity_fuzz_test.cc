@@ -1,4 +1,4 @@
-/// Kernel-parity fuzz tier, two families. The range family: the AVX2 DFD
+/// Kernel-parity fuzz tier, three families. The range family: the AVX2 DFD
 /// kernel (src/similarity/frechet.cc) must return **bit-identical** doubles to
 /// the scalar kernel on every input — exact distances below the threshold,
 /// and the *same* lower bound when the threshold early-exit fires. The
@@ -9,8 +9,10 @@
 /// DfdDecision's guard-banded squared-chord test and 64-bit reach rows
 /// (DiscreteFrechetAtMost) must return the verdict of the per-cell reach
 /// DP over `metric.Distance(a[p], b[q]) <= θ`, on pairs whose critical
-/// cell lies within a few ulps of θ. Seeded via FMOTIF_FUZZ_SEED, rounds
-/// via FMOTIF_FUZZ_ROUNDS (see test_util.h).
+/// cell lies within a few ulps of θ. The frozen-DP family: the motif
+/// search's thresholded subset DP must return the unpruned oracle's motif
+/// at thresholds on and one ulp either side of it. Seeded via
+/// FMOTIF_FUZZ_SEED, rounds via FMOTIF_FUZZ_ROUNDS (see test_util.h).
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,8 @@
 #include "geo/great_circle.h"
 #include "geo/metric.h"
 #include "motif/brute_dp.h"
+#include "motif/relaxed_bounds.h"
+#include "motif/subset_search.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -37,9 +41,11 @@ namespace {
 
 using testing_util::FuzzRounds;
 using testing_util::FuzzSeed;
+using testing_util::FullSubsetDp;
 using testing_util::MakePlanarWalk;
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::MakeShiftedRing;
 
 /// Every level the running build and CPU can execute, scalar first. With
 /// FRECHET_MOTIF_SIMD=OFF (or on a CPU without AVX2) this is just
@@ -231,6 +237,70 @@ TEST(KernelParityFuzz, MotifArgminInvariantAcrossLevelsAndThreads) {
             << "level " << SimdLevelName(level) << " threads " << threads;
         EXPECT_EQ(reference.distance, lane_result.distance)
             << "level " << SimdLevelName(level) << " threads " << threads;
+      }
+    }
+  }
+}
+
+TEST(KernelParityFuzz, FrozenSubsetDpMatchesTheUnprunedOracle) {
+  // The subset DP freezes every cell above the running threshold. Through
+  // the subset queue — serial, and with four lanes whose snapshot
+  // thresholds lag the serial one — on the matrix, a ring whose DP rows
+  // cross its column seam and the on-the-fly provider, a search seeded at
+  // +inf, at the motif distance d* or one ulp above it must return the
+  // canonical motif of the unpruned full-rectangle DP over every subset;
+  // seeded one ulp below d*, no candidate qualifies.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const Index n = 48;
+  const Index extra = 5;
+  MotifOptions options;
+  options.min_length_xi = 6;
+  const int rounds = FuzzRounds(3);
+  for (int round = 0; round < rounds; ++round) {
+    const Trajectory feed = MakePlanarWalk(n + extra, FuzzSeed(4242) + round);
+    const Trajectory s(std::vector<Point>(feed.points().begin() + extra,
+                                          feed.points().end()));
+    const DistanceMatrix dg = DistanceMatrix::Build(s, Euclidean()).value();
+    const RingDistanceMatrix ring = MakeShiftedRing(feed, n, Euclidean());
+    const OnTheFlyDistance fly(s, Euclidean());
+    const DistanceProvider* providers[] = {&dg, &ring, &fly};
+
+    MotifResult oracle;
+    ForEachValidSubset(options, n, n, [&](Index i, Index j) {
+      const MotifResult best = FullSubsetDp(dg, options, i, j).best;
+      if (best.distance < oracle.distance ||
+          (best.distance == oracle.distance &&
+           CandidateOrderedBefore(best.best, oracle.best))) {
+        oracle = best;
+      }
+    });
+    ASSERT_TRUE(oracle.found);
+    ASSERT_EQ(oracle.distance, NaiveMotif(dg, options).value().distance);
+    const double d = oracle.distance;
+
+    const RelaxedBounds rb = RelaxedBounds::Build(dg, options);
+    for (const int threads : {1, 4}) {
+      ThreadPool pool(threads);
+      for (const DistanceProvider* dist : providers) {
+        for (const double t : {kInf, d, std::nextafter(d, kInf),
+                               std::nextafter(d, -kInf)}) {
+          std::vector<SubsetEntry> entries = BuildSubsetQueue(
+              options, n, n, nullptr,
+              [&](Index i, Index j) { return rb.SubsetLb(dg, i, j); });
+          SearchState state;
+          state.threshold = t;
+          RunSubsetQueue(*dist, options, &entries, &rb, /*sort_entries=*/true,
+                         &state, nullptr, /*caps=*/nullptr, 1.0, &pool);
+          if (t < d) {
+            EXPECT_FALSE(state.found) << "threads " << threads << " at " << t;
+          } else {
+            ASSERT_TRUE(state.found) << "threads " << threads << " at " << t;
+            EXPECT_EQ(oracle.best, state.best)
+                << "threads " << threads << " at " << t;
+            EXPECT_EQ(d, state.best_distance)
+                << "threads " << threads << " at " << t;
+          }
+        }
       }
     }
   }

@@ -119,20 +119,20 @@ TEST(FastPathParityTest, ScratchSharedAcrossKernelsStaysConsistent) {
   FrechetScratch shared;
 
   SearchState narrow;
-  EvaluateSubset(dg, options, 0, 40, nullptr, false, EndpointCaps{}, &narrow,
+  EvaluateSubset(dg, options, 0, 40, EndpointCaps{}, &narrow,
                  nullptr, &shared);  // width 24
   const double wide_range =
       DiscreteFrechetOnRange(dg, 0, 50, 5, 60, kNoFrechetThreshold, &shared)
           .value();  // grows row past prev
   SearchState mid;
-  EvaluateSubset(dg, options, 0, 30, nullptr, false, EndpointCaps{}, &mid,
+  EvaluateSubset(dg, options, 0, 30, EndpointCaps{}, &mid,
                  nullptr, &shared);  // width 34, after a swap-induced skew
 
   FrechetScratch fresh1, fresh2;
   SearchState narrow_ref, mid_ref;
-  EvaluateSubset(dg, options, 0, 40, nullptr, false, EndpointCaps{},
+  EvaluateSubset(dg, options, 0, 40, EndpointCaps{},
                  &narrow_ref, nullptr, &fresh1);
-  EvaluateSubset(dg, options, 0, 30, nullptr, false, EndpointCaps{}, &mid_ref,
+  EvaluateSubset(dg, options, 0, 30, EndpointCaps{}, &mid_ref,
                  nullptr, &fresh2);
   EXPECT_EQ(narrow.best_distance, narrow_ref.best_distance);
   EXPECT_EQ(mid.best_distance, mid_ref.best_distance);

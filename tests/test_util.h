@@ -1,6 +1,7 @@
 #ifndef FRECHET_MOTIF_TESTS_TEST_UTIL_H_
 #define FRECHET_MOTIF_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -8,7 +9,9 @@
 #include <vector>
 
 #include "core/distance_matrix.h"
+#include "core/options.h"
 #include "core/trajectory.h"
+#include "geo/metric.h"
 #include "util/random.h"
 
 namespace frechet_motif {
@@ -116,6 +119,68 @@ inline Trajectory MakePlanarWalk(Index n, std::uint64_t seed,
     y += rng.NextGaussian(0.0, step);
   }
   return Trajectory(std::move(points));
+}
+
+/// The window of `feed`'s last `n` points as a ring whose heads sit
+/// mid-buffer: all of `feed` is appended to an n x n self-matrix ring
+/// under `metric`, evicting the first feed.size() - n points, so DP rows
+/// cross the ring's column seam.
+inline RingDistanceMatrix MakeShiftedRing(const Trajectory& feed, Index n,
+                                          const GroundMetric& metric) {
+  RingDistanceMatrix ring(n, n);
+  for (Index p = 0; p < feed.size(); ++p) {
+    const Index first = p - n + 1 > 0 ? p - n + 1 : 0;  // after eviction
+    std::vector<double> to_window;
+    for (Index k = first; k < p; ++k) {
+      to_window.push_back(metric.Distance(feed[p], feed[k]));
+    }
+    ring.AppendPoint(to_window.data(), to_window.data(), 0.0);
+  }
+  return ring;
+}
+
+/// The unpruned subset DP: dF(i, ie, j, je) over CS(i, j)'s whole
+/// rectangle — rows ie in [i, ie_max], columns je in [j, m-1], with
+/// ie_max = j-1 (single variant) or n-1 (cross) — with no threshold.
+struct SubsetReference {
+  /// table[ie - i][je - j] is dF(i, ie, j, je).
+  std::vector<std::vector<double>> table;
+  /// The subset's optimum, ties resolved by CandidateOrderedBefore.
+  MotifResult best;
+};
+
+inline SubsetReference FullSubsetDp(const DistanceProvider& dist,
+                                    const MotifOptions& options, Index i,
+                                    Index j) {
+  const Index xi = options.min_length_xi;
+  const Index ie_max = options.variant == MotifVariant::kSingleTrajectory
+                           ? j - 1
+                           : dist.rows() - 1;
+  const Index width = dist.cols() - j;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  SubsetReference ref;
+  for (Index r = i; r <= ie_max; ++r) {
+    std::vector<double> row(static_cast<std::size_t>(width));
+    for (Index q = 0; q < width; ++q) {
+      double pred = r == i && q == 0 ? -kInf : kInf;
+      if (q > 0) pred = std::min(pred, row[q - 1]);
+      if (r > i) {
+        const std::vector<double>& up = ref.table.back();
+        pred = std::min(pred, up[q]);
+        if (q > 0) pred = std::min(pred, up[q - 1]);
+      }
+      row[q] = std::max(dist.Distance(r, j + q), pred);
+      const Candidate c{i, r, j, j + q};
+      const bool better = row[q] < ref.best.distance ||
+                          (row[q] == ref.best.distance &&
+                           CandidateOrderedBefore(c, ref.best.best));
+      if (r > i + xi && q > xi && better) {
+        ref.best = MotifResult{c, row[q], true};
+      }
+    }
+    ref.table.push_back(std::move(row));
+  }
+  return ref;
 }
 
 /// Number of (r, c0, count, q) with RowSpan(r, c0, count)[q] !=

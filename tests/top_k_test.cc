@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <limits>
 #include <map>
+#include <queue>
+#include <tuple>
 
+#include "data/datasets.h"
 #include "geo/metric.h"
 #include "motif/btm.h"
+#include "motif/relaxed_bounds.h"
 #include "motif/subset_search.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
@@ -198,6 +204,91 @@ TEST(TopKTest, CrossVariantWorks) {
     EXPECT_TRUE(IsValidCandidate(r.best, cross, s.size(), t.size()));
   }
 }
+
+/// TopKMotifs' selection over exact subset optima: the same sorted queue,
+/// stop rule, heap and greedy separation, but every evaluated subset
+/// reports its exact optimum (a fresh SearchState, threshold +inf), so no
+/// pruning threshold reaches the subset DP.
+std::vector<MotifResult> ExactPoolTopK(const DistanceProvider& dist,
+                                       const TopKOptions& options) {
+  const RelaxedBounds rb = RelaxedBounds::Build(dist, options.motif);
+  std::vector<SubsetEntry> entries = BuildSubsetQueue(
+      options.motif, dist.rows(), dist.cols(), nullptr,
+      [&](Index i, Index j) { return rb.SubsetLb(dist, i, j); });
+  SortSubsetQueue(&entries);
+  const Index sep = options.min_start_separation;
+  const std::size_t capacity =
+      static_cast<std::size_t>(options.k * (sep == 1 ? 1 : 2 * sep));
+  std::priority_queue<double> heap;
+  std::vector<MotifResult> pool;
+  FrechetScratch scratch;
+  for (const SubsetEntry& e : entries) {
+    if (heap.size() == capacity && e.lb > heap.top()) break;
+    SearchState exact;
+    EvaluateSubset(dist, options.motif, e.i, e.j, EndpointCaps{}, &exact,
+                   nullptr, &scratch);
+    pool.push_back(exact.result());
+    heap.push(exact.best_distance);
+    if (heap.size() > capacity) heap.pop();
+  }
+  std::sort(pool.begin(), pool.end(),
+            [](const MotifResult& a, const MotifResult& b) {
+              if (a.distance != b.distance) return a.distance < b.distance;
+              return CandidateOrderedBefore(a.best, b.best);
+            });
+  std::vector<MotifResult> chosen;
+  for (const MotifResult& r : pool) {
+    if (static_cast<int>(chosen.size()) == options.k) break;
+    const bool conflicts = std::any_of(
+        chosen.begin(), chosen.end(), [&](const MotifResult& c) {
+          return std::max(std::abs(r.best.i - c.best.i),
+                          std::abs(r.best.j - c.best.j)) < sep;
+        });
+    if (!conflicts) chosen.push_back(r);
+  }
+  return chosen;
+}
+
+/// The subset DP freezes cells above the threshold TopKMotifs hands it;
+/// the answer must still be the exact-pool selection, on every rank. A
+/// separation above 1 is where a DP frozen at the heap top changed the
+/// answer (a wider pool needs every evaluated subset's exact optimum).
+/// Parameters: (index into kAllDatasetKinds, n, seed); each runs
+/// separations {1, 5, 20} and k {3, 8} at xi = 20.
+class TopKExactPoolTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(TopKExactPoolTest, MatchesTheExactPoolSelection) {
+  const auto [kind, n, seed] = GetParam();
+  DatasetOptions data;
+  data.length = n;
+  data.seed = static_cast<std::uint64_t>(seed);
+  const Trajectory t = MakeDataset(kAllDatasetKinds[kind], data).value();
+  const DistanceMatrix dg = DistanceMatrix::Build(t, Haversine()).value();
+  for (const Index sep : {1, 5, 20}) {
+    for (const int k : {3, 8}) {
+      TopKOptions options;
+      options.motif.min_length_xi = 20;
+      options.min_start_separation = sep;
+      options.k = k;
+      const std::vector<MotifResult> got = TopKMotifs(dg, options).value();
+      const std::vector<MotifResult> want = ExactPoolTopK(dg, options);
+      ASSERT_EQ(want.size(), got.size()) << "sep=" << sep << " k=" << k;
+      for (std::size_t r = 0; r < want.size(); ++r) {
+        EXPECT_EQ(want[r].best, got[r].best)
+            << "sep=" << sep << " k=" << k << " rank " << r;
+        EXPECT_EQ(want[r].distance, got[r].distance)
+            << "sep=" << sep << " k=" << k << " rank " << r;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, TopKExactPoolTest,
+    ::testing::Combine(::testing::Range(0, 3),
+                       ::testing::Values(300, 600),
+                       ::testing::Values(1, 2, 3)));
 
 }  // namespace
 }  // namespace frechet_motif
