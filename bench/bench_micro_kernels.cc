@@ -2,8 +2,9 @@
 // analysis is built on: the haversine ground distance, the dG matrix build,
 // the O(l^2) DFD dynamic program (generic virtual-dispatch baseline vs the
 // monomorphized matrix path vs the threshold early-exit path), the
-// relaxed-bound precomputation pass, the group-envelope construction and
-// the end-to-end BTM search (serial and thread-pooled).
+// relaxed-bound precomputation pass, the group-envelope construction (one
+// level, and GTM's whole level chain) and the end-to-end BTM search
+// (serial and thread-pooled).
 //
 // Self-contained harness (no Google Benchmark): each kernel is run until a
 // minimum wall-clock budget is spent and reported as mean ns/op. With
@@ -227,6 +228,17 @@ std::vector<KernelResult> RunAll(const BenchConfig& config) {
     g_sink += static_cast<double>(
         Grouping::Build(dg, motif, static_cast<Index>(config.tau))
             .num_row_groups());
+  }));
+  // The whole level chain as GTM builds it from τ=32: the finest level
+  // (τ=2) from dG, then τ=4..32 folded from it. grouping_build above
+  // times one level built from dG.
+  results.push_back(Measure("grouping_levels_tau32", n, 1, budget, [&] {
+    const Grouping finest = Grouping::Build(dg, motif, 2);
+    Index groups = finest.num_row_groups();
+    for (Index tau = 4; tau <= 32; tau *= 2) {
+      groups += Grouping::Coarsen(finest, tau).num_row_groups();
+    }
+    g_sink += static_cast<double>(groups);
   }));
 
   // -- End-to-end search: serial vs pooled ----------------------------

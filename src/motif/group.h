@@ -29,11 +29,19 @@ namespace frechet_motif {
 /// guaranteed and the cross/band bounds simply deactivate).
 class Grouping {
  public:
-  /// Scans the provider once (O(n·m) distance evaluations, O((n/τ)(m/τ))
-  /// memory) and precomputes the group-level relaxed pattern-bound arrays.
-  /// `tau` must be >= 1.
+  /// Reads each row of dG once through DistanceProvider::RowSpan (O(n·m)
+  /// distance evaluations, O((n/τ)(m/τ)) memory) and precomputes the
+  /// group-level relaxed pattern-bound arrays. `tau` must be >= 1.
   static Grouping Build(const DistanceProvider& dist,
                         const MotifOptions& options, Index tau);
+
+  /// The level at `tau` derived from a finer one without touching dG: a
+  /// τ-group is exactly the union of k = τ/fine.tau() consecutive fine
+  /// groups, so its envelopes are the block min/max of theirs
+  /// (Definition 4). O((n/fine.tau())(m/fine.tau())). Bit-identical to
+  /// Build(dist, options, tau) over the provider `fine` was built from.
+  /// `tau` must be a positive multiple of fine.tau().
+  static Grouping Coarsen(const Grouping& fine, Index tau);
 
   Index tau() const { return tau_; }
   Index num_row_groups() const { return nu_; }
@@ -77,6 +85,11 @@ class Grouping {
   /// one valid candidate under the options.
   bool AdmitsCandidate(Index u, Index v) const;
 
+  /// Reusable rolling rows of DfdBounds; they grow to the widest call.
+  struct DfdScratch {
+    std::vector<double> rows;
+  };
+
   /// Group-based DFD bounds for start pair (u,v) (Section 5.3):
   /// `*glb` <= dF(i,ie,j,je) for every valid candidate starting in
   /// g_u x g_v, and there exists a valid candidate with dF <= `*gub`
@@ -91,14 +104,21 @@ class Grouping {
   /// is only guaranteed exact when no cutoff occurred (e.g. threshold =
   /// +infinity), and `*gub` remains a valid — possibly less tight — upper
   /// bound. Pass +infinity for exact bounds.
+  ///
+  /// `scratch` (optional) keeps the DP's rolling rows across calls, so a
+  /// caller that runs many (PruneGroupPairs) allocates once.
   void DfdBounds(Index u, Index v, double threshold, double* glb,
-                 double* gub) const;
+                 double* gub, DfdScratch* scratch = nullptr) const;
 
   /// Bytes held by the envelope matrices and bound arrays.
   std::size_t MemoryBytes() const;
 
  private:
-  Grouping() = default;
+  /// An empty level: dimensions set, envelopes at (+inf, -inf).
+  Grouping(const MotifOptions& options, Index tau, Index n, Index m);
+
+  /// Derives grmin_/gcmin_ and the band arrays from dmin_.
+  void BuildGroupBounds();
 
   Index tau_ = 1;
   Index n_ = 0;   // row points

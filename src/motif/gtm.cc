@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -43,38 +44,56 @@ StatusOr<MotifResult> GtmMotif(const DistanceProvider& dist,
   timer.Restart();
   SearchState state;
 
-  // Multi-level grouping loop (Algorithm 3 lines 2-14).
+  // Multi-level grouping loop (Algorithm 3 lines 2-14) over the levels
+  // τ0, τ0/2, ... down to the last τ > 1. Only that finest level reads
+  // dG; every coarser level whose τ is a multiple of it folds from it
+  // (Definition 4: a group's envelope is the min/max of its cells, hence
+  // of its sub-groups'), and any other level is built from dG. The
+  // finest level lives for the whole loop, a coarser one for its round.
   Index tau = options.group_size_tau;
   std::vector<std::pair<Index, Index>> pairs;
   bool have_pairs = false;
-  while (tau > 1) {
-    const Grouping grouping = Grouping::Build(dist, options.motif, tau);
-    const ScopedAllocation grouping_mem(
-        stats != nullptr ? &stats->memory : nullptr, grouping.MemoryBytes());
-    // The first round considers every group pair.
-    const std::vector<std::pair<Index, Index>> survivors =
-        PruneGroupPairs(grouping, have_pairs ? &pairs : nullptr, lb_scale,
-                        &state.threshold, stats);
-    have_pairs = true;
+  if (tau > 1) {
+    MemoryTracker* const tracker = stats != nullptr ? &stats->memory : nullptr;
+    Index finest_tau = tau;
+    while (finest_tau / 2 > 1) finest_tau /= 2;
+    const Grouping finest = Grouping::Build(dist, options.motif, finest_tau);
+    const ScopedAllocation finest_mem(tracker, finest.MemoryBytes());
+    while (tau > 1) {
+      std::optional<Grouping> coarse;
+      if (tau != finest_tau) {
+        coarse.emplace(tau % finest_tau == 0
+                           ? Grouping::Coarsen(finest, tau)
+                           : Grouping::Build(dist, options.motif, tau));
+      }
+      const Grouping& grouping = coarse ? *coarse : finest;
+      const ScopedAllocation coarse_mem(tracker,
+                                        coarse ? coarse->MemoryBytes() : 0);
+      // The first round considers every group pair.
+      const std::vector<std::pair<Index, Index>> survivors =
+          PruneGroupPairs(grouping, have_pairs ? &pairs : nullptr, lb_scale,
+                          &state.threshold, stats);
+      have_pairs = true;
 
-    // Halve τ: each survivor splits into the child pairs whose point spans
-    // intersect the parent's (Algorithm 3 line 14). For odd τ the child
-    // span per axis covers three groups, not two.
-    const Index parent_tau = tau;
-    tau /= 2;
-    pairs.clear();
-    const Index child_nu = (n + tau - 1) / tau;
-    const Index child_nv = (m + tau - 1) / tau;
-    for (const auto& [u, v] : survivors) {
-      const Index cu_lo = (u * parent_tau) / tau;
-      const Index cu_hi =
-          std::min<Index>(((u + 1) * parent_tau - 1) / tau, child_nu - 1);
-      const Index cv_lo = (v * parent_tau) / tau;
-      const Index cv_hi =
-          std::min<Index>(((v + 1) * parent_tau - 1) / tau, child_nv - 1);
-      for (Index cu = cu_lo; cu <= cu_hi; ++cu) {
-        for (Index cv = cv_lo; cv <= cv_hi; ++cv) {
-          pairs.emplace_back(cu, cv);
+      // Halve τ: each survivor splits into the child pairs whose point
+      // spans intersect the parent's (Algorithm 3 line 14). For odd τ the
+      // child span per axis covers three groups, not two.
+      const Index parent_tau = tau;
+      tau /= 2;
+      pairs.clear();
+      const Index child_nu = (n + tau - 1) / tau;
+      const Index child_nv = (m + tau - 1) / tau;
+      for (const auto& [u, v] : survivors) {
+        const Index cu_lo = (u * parent_tau) / tau;
+        const Index cu_hi =
+            std::min<Index>(((u + 1) * parent_tau - 1) / tau, child_nu - 1);
+        const Index cv_lo = (v * parent_tau) / tau;
+        const Index cv_hi =
+            std::min<Index>(((v + 1) * parent_tau - 1) / tau, child_nv - 1);
+        for (Index cu = cu_lo; cu <= cu_hi; ++cu) {
+          for (Index cv = cv_lo; cv <= cv_hi; ++cv) {
+            pairs.emplace_back(cu, cv);
+          }
         }
       }
     }

@@ -1,13 +1,35 @@
 #include "motif/relaxed_bounds.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <vector>
 
 namespace frechet_motif {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// min(p[lo .. hi-1]), +infinity for an empty range. Four independent
+/// accumulators break the compare chain; min is exact, so the value does
+/// not depend on the order.
+double RangeMin(const double* p, Index lo, Index hi) {
+  double a = kInf;
+  double b = kInf;
+  double c = kInf;
+  double d = kInf;
+  Index k = lo;
+  for (; k + 4 <= hi; k += 4) {
+    a = std::min(a, p[k]);
+    b = std::min(b, p[k + 1]);
+    c = std::min(c, p[k + 2]);
+    d = std::min(d, p[k + 3]);
+  }
+  for (; k < hi; ++k) a = std::min(a, p[k]);
+  return std::min(std::min(a, b), std::min(c, d));
+}
+
 }  // namespace
 
 std::vector<double> SlidingWindowMax(const std::vector<double>& values,
@@ -37,63 +59,72 @@ RelaxedBounds RelaxedBounds::Build(const DistanceProvider& dist,
   const bool single = options.variant == MotifVariant::kSingleTrajectory;
 
   RelaxedBounds rb;
-  rb.rmin_.assign(m, kInf);
-  rb.rmin_full_.assign(m, kInf);
   rb.cmin_.assign(n, kInf);
   rb.cmin_full_.assign(n, kInf);
   rb.cmin_start_.assign(n, kInf);
 
-  // Rmin[j]: scan column j+1 over the admissible first-index prefix. Each
-  // j writes only its own output slots, so the sweep shards freely.
-  const auto rmin_sweep = [&](Index j_lo, Index j_hi) {
-    for (Index j = j_lo; j < j_hi; ++j) {
-      if (j + 1 > m - 1) continue;
-      const Index c_restricted_hi = single ? j - 1 : n - 1;
-      double full = kInf;
-      double restricted = kInf;
-      for (Index c = 0; c <= n - 1; ++c) {
-        const double d = dist.Distance(c, j + 1);
-        full = std::min(full, d);
-        if (c <= c_restricted_hi) restricted = std::min(restricted, d);
+  // Column minima, one set per lane of `stride` values: col_full, then
+  // (single mode) col_lead, merged across lanes after the sweep.
+  const int lanes = pool != nullptr ? pool->threads() : 1;
+  const std::size_t width = static_cast<std::size_t>(m);
+  const std::size_t stride = single ? 2 * width : width;
+  std::vector<double> cols(stride * lanes, kInf);
+  std::vector<double> bufs(width * lanes);
+
+  // One row-major sweep over rows [r_lo, r_hi). Row r = i+1 gives the
+  // three Cmin minima of i in one pass over nested suffixes (see header):
+  // start-cell and band queries admit columns >= i+3 = r+2, end-cell
+  // queries columns >= i+1 = r, CminFull every column. The row also folds
+  // into the column minima Rmin reads at j = c-1: `col_full[c]` over every
+  // row and, in single mode, `col_lead[c]` over the rows r <= c-2 = j-1,
+  // i.e. the row's columns from r+2 on. Each Cmin slot is written by its
+  // row alone.
+  const auto sweep = [&](int lane, Index r_lo, Index r_hi) {
+    double* col_full = cols.data() + stride * lane;
+    double* col_lead = col_full + width;  // single mode only
+    double* buf = bufs.data() + width * lane;
+    for (Index r = r_lo; r < r_hi; ++r) {
+      const double* row = dist.RowSpan(r, 0, m, buf);
+      for (Index c = 0; c < m; ++c) {
+        col_full[c] = std::min(col_full[c], row[c]);
       }
-      rb.rmin_full_[j] = full;
-      rb.rmin_[j] = restricted;
+      const Index end_lo = single ? std::min(r, m) : 0;
+      const Index start_lo = single ? std::min(r + 2, m) : 0;
+      if (single) {
+        for (Index c = start_lo; c < m; ++c) {
+          col_lead[c] = std::min(col_lead[c], row[c]);
+        }
+      }
+      if (r == 0) continue;
+      const double start = RangeMin(row, start_lo, m);
+      const double end = std::min(start, RangeMin(row, end_lo, start_lo));
+      rb.cmin_start_[r - 1] = start;
+      rb.cmin_[r - 1] = end;
+      rb.cmin_full_[r - 1] = std::min(end, RangeMin(row, 0, end_lo));
     }
   };
-
-  // Cmin[i]: scan row i+1 over the admissible second-index suffix. Two
-  // restrictions coexist (see header): end-cell queries admit j >= i+1,
-  // start-cell and band queries admit j >= i+3.
-  const auto cmin_sweep = [&](Index i_lo, Index i_hi) {
-    for (Index i = i_lo; i < i_hi; ++i) {
-      if (i + 1 > n - 1) continue;
-      const Index r_end_lo = single ? i + 1 : 0;
-      const Index r_start_lo = single ? i + 3 : 0;
-      double full = kInf;
-      double end_restricted = kInf;
-      double start_restricted = kInf;
-      for (Index r = 0; r <= m - 1; ++r) {
-        const double d = dist.Distance(i + 1, r);
-        full = std::min(full, d);
-        if (r >= r_end_lo) end_restricted = std::min(end_restricted, d);
-        if (r >= r_start_lo) start_restricted = std::min(start_restricted, d);
+  if (lanes > 1) {
+    pool->ParallelFor(n, [&](int lane, std::int64_t lo, std::int64_t hi) {
+      sweep(lane, static_cast<Index>(lo), static_cast<Index>(hi));
+    });
+    for (int lane = 1; lane < lanes; ++lane) {
+      const double* other = cols.data() + stride * lane;
+      for (std::size_t c = 0; c < stride; ++c) {
+        cols[c] = std::min(cols[c], other[c]);
       }
-      rb.cmin_full_[i] = full;
-      rb.cmin_[i] = end_restricted;
-      rb.cmin_start_[i] = start_restricted;
     }
-  };
-
-  if (pool != nullptr && pool->threads() > 1) {
-    pool->ParallelFor(m, [&](int, std::int64_t lo, std::int64_t hi) {
-      rmin_sweep(static_cast<Index>(lo), static_cast<Index>(hi));
-    });
-    pool->ParallelFor(n, [&](int, std::int64_t lo, std::int64_t hi) {
-      cmin_sweep(static_cast<Index>(lo), static_cast<Index>(hi));
-    });
   } else {
-    rmin_sweep(0, m);
-    cmin_sweep(0, n);
+    sweep(0, 0, n);
+  }
+
+  // Rmin[j] and RminFull[j] read column j+1; the last j has none.
+  const double* col_full = cols.data();
+  const double* col_lead = single ? col_full + width : col_full;
+  rb.rmin_full_.assign(m, kInf);
+  rb.rmin_.assign(m, kInf);
+  for (Index j = 0; j + 1 < m; ++j) {
+    rb.rmin_full_[j] = col_full[j + 1];
+    rb.rmin_[j] = col_lead[j + 1];
   }
 
   rb.band_row_ = SlidingWindowMax(rb.rmin_, options.min_length_xi);

@@ -38,12 +38,14 @@ class RelaxedBounds {
   /// from Build().
   RelaxedBounds() = default;
 
-  /// Runs the precomputation pass. O(n·m) distance evaluations,
-  /// O(n+m) memory — compatible with GTM*'s on-the-fly provider.
+  /// Runs the precomputation pass: one row-major sweep that reads each
+  /// row of dG once through DistanceProvider::RowSpan, O(n+m) memory —
+  /// compatible with GTM*'s on-the-fly provider, which then evaluates
+  /// each cell once.
   ///
-  /// `pool` (optional) shards the row/column sweeps across its lanes; each
-  /// output index is written by exactly one iteration, so the result is
-  /// bit-identical to the serial pass.
+  /// `pool` (optional) shards the rows across its lanes. Each lane keeps
+  /// its own column minima, merged at the end; min is exact, so the
+  /// result is bit-identical to the serial pass.
   static RelaxedBounds Build(const DistanceProvider& dist,
                              const MotifOptions& options,
                              ThreadPool* pool = nullptr);

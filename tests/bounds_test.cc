@@ -3,18 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/options.h"
+#include "data/datasets.h"
+#include "geo/metric.h"
 #include "motif/relaxed_bounds.h"
 #include "motif/subset_search.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
+#include "util/thread_pool.h"
 
 namespace frechet_motif {
 namespace {
 
+using testing_util::MakePlanarWalk;
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::MakeShiftedRing;
+using testing_util::SameBits;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -127,6 +135,124 @@ TEST_P(EndCrossSoundnessTest, BoundsCandidatesBeyondCell) {
 INSTANTIATE_TEST_SUITE_P(RandomMatrices, EndCrossSoundnessTest,
                          ::testing::Combine(::testing::Values(3u, 4u),
                                             ::testing::Bool()));
+
+/// The relaxed-bound arrays as the header defines them, one column or row
+/// scan per entry through Distance(): the reference the row-major sweep
+/// of RelaxedBounds::Build must reproduce bit for bit.
+struct ColumnScanBounds {
+  std::vector<double> rmin, rmin_full, cmin, cmin_start, cmin_full;
+};
+
+ColumnScanBounds ColumnScanReference(const DistanceProvider& dist,
+                                     const MotifOptions& options) {
+  const Index n = dist.rows();
+  const Index m = dist.cols();
+  const bool single = options.variant == MotifVariant::kSingleTrajectory;
+  ColumnScanBounds ref;
+  ref.rmin.assign(m, kInf);
+  ref.rmin_full.assign(m, kInf);
+  for (Index j = 0; j + 1 < m; ++j) {
+    for (Index c = 0; c < n; ++c) {
+      const double d = dist.Distance(c, j + 1);
+      ref.rmin_full[j] = std::min(ref.rmin_full[j], d);
+      if (!single || c <= j - 1) ref.rmin[j] = std::min(ref.rmin[j], d);
+    }
+  }
+  ref.cmin.assign(n, kInf);
+  ref.cmin_start.assign(n, kInf);
+  ref.cmin_full.assign(n, kInf);
+  for (Index i = 0; i + 1 < n; ++i) {
+    for (Index r = 0; r < m; ++r) {
+      const double d = dist.Distance(i + 1, r);
+      ref.cmin_full[i] = std::min(ref.cmin_full[i], d);
+      if (!single || r >= i + 1) ref.cmin[i] = std::min(ref.cmin[i], d);
+      if (!single || r >= i + 3) {
+        ref.cmin_start[i] = std::min(ref.cmin_start[i], d);
+      }
+    }
+  }
+  return ref;
+}
+
+/// Every array of `rb` against the column-scan reference, bit for bit.
+void ExpectMatchesColumnScan(const DistanceProvider& dist,
+                             const MotifOptions& options,
+                             const RelaxedBounds& rb,
+                             const std::string& label) {
+  const ColumnScanBounds ref = ColumnScanReference(dist, options);
+  const std::vector<double> band_row =
+      SlidingWindowMax(ref.rmin, options.min_length_xi);
+  const std::vector<double> band_col =
+      SlidingWindowMax(ref.cmin_start, options.min_length_xi);
+  for (Index j = 0; j < dist.cols(); ++j) {
+    EXPECT_TRUE(SameBits(rb.Rmin(j), ref.rmin[j])) << label << " Rmin " << j;
+    EXPECT_TRUE(SameBits(rb.RminFull(j), ref.rmin_full[j]))
+        << label << " RminFull " << j;
+    EXPECT_TRUE(SameBits(rb.BandRow(j), band_row[j]))
+        << label << " BandRow " << j;
+  }
+  for (Index i = 0; i < dist.rows(); ++i) {
+    EXPECT_TRUE(SameBits(rb.Cmin(i), ref.cmin[i])) << label << " Cmin " << i;
+    EXPECT_TRUE(SameBits(rb.CminStart(i), ref.cmin_start[i]))
+        << label << " CminStart " << i;
+    EXPECT_TRUE(SameBits(rb.CminFull(i), ref.cmin_full[i]))
+        << label << " CminFull " << i;
+    EXPECT_TRUE(SameBits(rb.BandCol(i), band_col[i]))
+        << label << " BandCol " << i;
+  }
+}
+
+/// The row sweep equals the column scans at threads 1, 2 and 4, in both
+/// variants, on the three providers (matrix storage, a ring whose rows
+/// cross its column seam, and the on-the-fly rows), including matrices
+/// too short for any candidate (m <= ξ+3) and for any Rmin/Cmin entry.
+TEST(RelaxedBoundsBuildTest, RowSweepMatchesColumnScanReference) {
+  const Index xi = 4;
+  ThreadPool pool2(2);
+  ThreadPool pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool2, &pool4};
+  for (const Index n : {1, 2, xi + 2, xi + 3, 23, 41}) {
+    const Trajectory walk = MakePlanarWalk(n, 31 + n);
+    const Trajectory feed = MakePlanarWalk(n + 17, 61 + n);
+    DatasetOptions geo;
+    geo.length = n;
+    geo.seed = 5;
+    const Trajectory rows = MakeDataset(DatasetKind::kGeoLifeLike, geo).value();
+    geo.length = n + 9;
+    geo.seed = 6;
+    const Trajectory cols = MakeDataset(DatasetKind::kGeoLifeLike, geo).value();
+
+    const DistanceMatrix self = MakeRandomSelfMatrix(n, 70 + n);
+    const DistanceMatrix cross = MakeRandomCrossMatrix(n, n + 5, 80 + n);
+    const RingDistanceMatrix ring = MakeShiftedRing(feed, n, Euclidean());
+    const OnTheFlyDistance fly_self(walk, Euclidean());
+    const OnTheFlyDistance fly_cross(rows, cols, Haversine());
+    const struct {
+      const DistanceProvider* dist;
+      const char* name;
+    } providers[] = {{&self, "matrix-self"},
+                     {&cross, "matrix-cross"},
+                     {&ring, "ring"},
+                     {&fly_self, "fly-euclidean"},
+                     {&fly_cross, "fly-haversine-cross"}};
+    for (const auto& p : providers) {
+      for (const bool single : {true, false}) {
+        // The single variant is defined on self-matrices only.
+        if (single && p.dist->rows() != p.dist->cols()) continue;
+        const MotifOptions options =
+            single ? SingleOptions(xi) : CrossOptions(xi);
+        for (ThreadPool* pool : pools) {
+          const RelaxedBounds rb = RelaxedBounds::Build(*p.dist, options, pool);
+          ExpectMatchesColumnScan(
+              *p.dist, options, rb,
+              std::string(p.name) + " n=" + std::to_string(n) +
+                  (single ? " single" : " cross") + " threads=" +
+                  std::to_string(pool != nullptr ? pool->threads() : 1));
+        }
+      }
+    }
+  }
+}
 
 TEST(BoundsTest, CellBoundIsStartDistance) {
   const DistanceMatrix dg = MakeRandomSelfMatrix(12, 1);

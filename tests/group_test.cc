@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "core/options.h"
+#include "geo/metric.h"
 #include "motif/subset_search.h"
 #include "similarity/frechet.h"
 #include "test_util.h"
@@ -12,8 +15,11 @@
 namespace frechet_motif {
 namespace {
 
+using testing_util::MakePlanarWalk;
 using testing_util::MakeRandomCrossMatrix;
 using testing_util::MakeRandomSelfMatrix;
+using testing_util::MakeShiftedRing;
+using testing_util::SameBits;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -175,6 +181,95 @@ TEST(GroupingTest, CrossAndBandDeactivateForLargeTau) {
   EXPECT_EQ(g.BandLb(0, 2), -kInf);
   // The combined pattern bound then falls back to the cell bound.
   EXPECT_DOUBLE_EQ(g.PatternLb(0, 2), g.CellLb(0, 2));
+}
+
+/// Every per-pair query of two levels, bit for bit: the envelopes, the
+/// cross and band bounds, and candidate admission.
+void ExpectSameLevel(const Grouping& got, const Grouping& want,
+                     const std::string& label) {
+  ASSERT_EQ(got.tau(), want.tau()) << label;
+  ASSERT_EQ(got.num_row_groups(), want.num_row_groups()) << label;
+  ASSERT_EQ(got.num_col_groups(), want.num_col_groups()) << label;
+  for (Index u = 0; u < want.num_row_groups(); ++u) {
+    for (Index v = 0; v < want.num_col_groups(); ++v) {
+      const std::string at =
+          label + " (" + std::to_string(u) + "," + std::to_string(v) + ")";
+      EXPECT_TRUE(SameBits(got.Dmin(u, v), want.Dmin(u, v))) << at;
+      EXPECT_TRUE(SameBits(got.Dmax(u, v), want.Dmax(u, v))) << at;
+      EXPECT_TRUE(SameBits(got.CrossLb(u, v), want.CrossLb(u, v))) << at;
+      EXPECT_TRUE(SameBits(got.BandLb(u, v), want.BandLb(u, v))) << at;
+      EXPECT_EQ(got.AdmitsCandidate(u, v), want.AdmitsCandidate(u, v)) << at;
+    }
+  }
+}
+
+/// GTM's halving chain τ0, τ0/2, ... down to the last τ > 1.
+std::vector<Index> HalvingChain(Index tau) {
+  std::vector<Index> chain;
+  for (; tau > 1; tau /= 2) chain.push_back(tau);
+  return chain;
+}
+
+/// Coarsen(fine, τ) equals Build(τ) for every pair of chain levels where
+/// the coarse τ is a multiple of the fine one — the finest level of the
+/// 32 → 2 chain to every coarser one, and in the non-nested chain
+/// 40, 20, 10, 5, 2 also the τ=5 level to τ=10..40 — with n and m not
+/// multiples of τ (trailing partial groups), in both variants.
+/// Parameters: (n, m, ξ, τ0, single).
+class GroupingCoarsenTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int, int, bool>> {
+};
+
+TEST_P(GroupingCoarsenTest, CoarsenEqualsBuild) {
+  const auto [n, m, xi, tau0, single] = GetParam();
+  const DistanceMatrix dg = single ? MakeRandomSelfMatrix(n, 40 + n)
+                                   : MakeRandomCrossMatrix(n, m, 50 + n);
+  const MotifOptions options = Options(xi, single);
+  const std::vector<Index> chain = HalvingChain(tau0);
+  for (const Index fine_tau : chain) {
+    const Grouping fine = Grouping::Build(dg, options, fine_tau);
+    for (const Index tau : chain) {
+      if (tau % fine_tau != 0) continue;
+      ExpectSameLevel(Grouping::Coarsen(fine, tau),
+                      Grouping::Build(dg, options, tau),
+                      "tau " + std::to_string(fine_tau) + " -> " +
+                          std::to_string(tau));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Chains, GroupingCoarsenTest,
+    ::testing::Values(std::make_tuple(37, 37, 7, 32, true),
+                      std::make_tuple(100, 100, 7, 32, true),
+                      std::make_tuple(361, 361, 30, 32, true),
+                      std::make_tuple(37, 50, 7, 32, false),
+                      std::make_tuple(100, 73, 12, 32, false),
+                      std::make_tuple(361, 290, 30, 32, false),
+                      std::make_tuple(100, 100, 7, 40, true),
+                      std::make_tuple(361, 361, 45, 40, true),
+                      std::make_tuple(100, 83, 7, 40, false)));
+
+/// Build reads dG through RowSpan, so a ring whose rows cross its column
+/// seam and the on-the-fly rows must give the matrix's level bit for bit.
+TEST(GroupingTest, BuildIsTheSameOverEveryProvider) {
+  const Index n = 45;
+  const Trajectory walk = MakePlanarWalk(n, 8);
+  const DistanceMatrix dg = DistanceMatrix::Build(walk, Euclidean()).value();
+  const Trajectory feed = MakePlanarWalk(n + 13, 9);
+  const DistanceMatrix feed_window =
+      DistanceMatrix::Build(feed.Slice(13, n + 12), Euclidean()).value();
+  const RingDistanceMatrix ring = MakeShiftedRing(feed, n, Euclidean());
+  const OnTheFlyDistance fly(walk, Euclidean());
+  for (const Index tau : {1, 2, 3, 4, 8}) {
+    const MotifOptions options = Options(3, true);
+    ExpectSameLevel(Grouping::Build(fly, options, tau),
+                    Grouping::Build(dg, options, tau),
+                    "fly tau " + std::to_string(tau));
+    ExpectSameLevel(Grouping::Build(ring, options, tau),
+                    Grouping::Build(feed_window, options, tau),
+                    "ring tau " + std::to_string(tau));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -45,6 +46,11 @@ inline int FuzzRounds(int default_rounds) {
     if (rounds > 0) return static_cast<int>(rounds);
   }
   return default_rounds;
+}
+
+/// True iff `a` and `b` are the same double bit for bit.
+inline bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 /// Random non-negative symmetric "ground distance" matrix with zero

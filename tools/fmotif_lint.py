@@ -49,6 +49,15 @@ provider-dispatch
     row. The row view is the one dispatch, so a dynamic_cast there — a
     provider-specific fast path beside it — is flagged.
 
+row-scan
+    The bound builders GTM pays for on every query,
+    src/motif/group.cc (Grouping) and src/motif/relaxed_bounds.cc
+    (RelaxedBounds), read dG row by row through
+    DistanceProvider::RowSpan: one call per row, which is the matrix's
+    own storage or one batched fill on the on-the-fly provider. A
+    per-cell `.Distance(` call there is a virtual call per cell (and a
+    second haversine per cell for GTM*'s provider), so it is flagged.
+
 metric-dispatch
     The join layer (src/join/) resolves the ground metric's kind once,
     through the ε-decision primitive (DfdDecision in
@@ -119,6 +128,10 @@ BARE_MUTEX_RE = re.compile(
 )
 
 DYNAMIC_CAST_RE = re.compile(r"\bdynamic_cast\s*<")
+
+PER_CELL_DISTANCE_RE = re.compile(r"\.Distance\s*\(")
+# The row-scanning builders the row-scan rule covers (paths under src/).
+ROW_SCAN_FILES = {"motif/group.cc", "motif/relaxed_bounds.cc"}
 
 MAIN_RE = re.compile(r"\bint\s+main\s*\(")
 # The three bench/ files allowed a main (see the bench-mains rule).
@@ -256,6 +269,15 @@ class Linter:
 
     rule_provider_dispatch.NAME = "provider-dispatch"
 
+    def rule_row_scan(self, path, lineno, code):
+        if PER_CELL_DISTANCE_RE.search(code):
+            self.report(
+                path, lineno, "row-scan",
+                "per-cell Distance() in a row-scanning bound builder; "
+                "read the row once through DistanceProvider::RowSpan")
+
+    rule_row_scan.NAME = "row-scan"
+
     def rule_metric_dispatch(self, path, lineno, code):
         if DYNAMIC_CAST_RE.search(code):
             self.report(
@@ -334,6 +356,8 @@ class Linter:
                 rules.append(self.make_layer_rule(layer))
             if layer == "motif":
                 rules.append(Linter.rule_provider_dispatch)
+            if rel.as_posix() in ROW_SCAN_FILES:
+                rules.append(Linter.rule_row_scan)
             if layer == "join":
                 rules.append(Linter.rule_metric_dispatch)
             # util/mutex.h is where the std:: primitives get wrapped.
